@@ -41,6 +41,14 @@ def _check_rows(a: np.ndarray, b: np.ndarray) -> None:
         )
 
 
+def _pinv_solve(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, float, bool]:
+    # One pseudoinverse serves both the solution ``A^+ B`` and the
+    # feasibility test on its residual ``||(I - A A^+) B||``.
+    d = moore_penrose(a, tol) @ b
+    residual = float(np.linalg.norm(a @ d - b))
+    return d, residual, residual <= tol.eq_abs * float(np.linalg.norm(b))
+
+
 def range_inclusion(b, a, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether the column space of ``b`` is contained in that of ``a``.
 
@@ -52,21 +60,22 @@ def range_inclusion(b, a, tol: Tolerance = DEFAULT_TOL) -> bool:
     _check_rows(a, b)
     if b.size == 0 or not b.any():
         return True
-    residual = b - a @ (moore_penrose(a, tol) @ b)
-    return float(np.linalg.norm(residual)) <= tol.eq_abs * float(np.linalg.norm(b))
+    return _pinv_solve(a, b, tol)[2]
 
 
-def _solve(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> ReducedSolution:
-    d = moore_penrose(a, tol) @ b
-    residual = float(np.linalg.norm(a @ d - b))
+def _solve(a: np.ndarray, b: np.ndarray, tol: Tolerance, gate: bool) -> ReducedSolution:
+    d, residual, feasible = _pinv_solve(a, b, tol)
+    if gate and not feasible:
+        raise NoSolution("R(B) is not contained in R(A); the equation AX=B is unsolvable")
     return ReducedSolution(d, spectral_norm(d) ** 2, residual)
 
 
 def reduced_solution(a, b, tol: Tolerance = DEFAULT_TOL) -> ReducedSolution:
     """The reduced solution ``D = A^+ B`` of ``A X = B``.
 
-    Feasibility is decided by :func:`range_inclusion` first; near-feasible
-    systems are rejected rather than silently least-squares-solved (use
+    Feasibility is decided by the test of :func:`range_inclusion`, on the
+    same pseudoinverse that gives the solution; near-feasible systems are
+    rejected rather than silently least-squares-solved (use
     :func:`least_squares_solution` to opt into the fallback explicitly).
 
     Raises
@@ -77,9 +86,7 @@ def reduced_solution(a, b, tol: Tolerance = DEFAULT_TOL) -> ReducedSolution:
     a = as_matrix(a)
     b = as_matrix(b)
     _check_rows(a, b)
-    if not range_inclusion(b, a, tol):
-        raise NoSolution("R(B) is not contained in R(A); the equation AX=B is unsolvable")
-    return _solve(a, b, tol)
+    return _solve(a, b, tol, gate=True)
 
 
 def least_squares_solution(a, b, tol: Tolerance = DEFAULT_TOL) -> ReducedSolution:
@@ -92,7 +99,7 @@ def least_squares_solution(a, b, tol: Tolerance = DEFAULT_TOL) -> ReducedSolutio
     a = as_matrix(a)
     b = as_matrix(b)
     _check_rows(a, b)
-    return _solve(a, b, tol)
+    return _solve(a, b, tol, gate=False)
 
 
 def minimal_lambda(a, b, tol: Tolerance = DEFAULT_TOL) -> float:

@@ -26,7 +26,7 @@ from .linalg import (
     moore_penrose,
     nullspace_of,
 )
-from .oblique import weighted_projection
+from .oblique import _geometry
 
 
 @dataclass(frozen=True)
@@ -71,23 +71,29 @@ def spline(t_factor, span: Subspace, x, tol: Tolerance = DEFAULT_TOL) -> SplineR
     """
     t = as_matrix(t_factor, cols=span.ambient_dim)
     x = as_vector(x, span.ambient_dim)
-    weight = PsdOperator.from_matrix(t.T @ t, tol)
-    proj = weighted_projection(weight, span, tol)
-    minimizer = x - proj.matrix @ x
-    freedom = intersect(span, weight.null_subspace, tol)
+    return _spline(PsdOperator.from_matrix(t.T @ t, tol), span, x, tol)
+
+
+def spline_with_weight(
+    weight: PsdOperator, span: Subspace, x, tol: Tolerance = DEFAULT_TOL
+) -> SplineResult:
+    """Entry point taking the PSD weight, equivalent to ``T = A^{1/2}``.
+
+    Works on the weight's own eigendecomposition; nothing is decomposed again.
+    """
+    return _spline(weight, span, as_vector(x, span.ambient_dim), tol)
+
+
+def _spline(weight: PsdOperator, span: Subspace, x: np.ndarray, tol: Tolerance) -> SplineResult:
+    geometry = _geometry(weight, span, tol)
+    minimizer = x - geometry.minimal_projection().matrix @ x
+    freedom = geometry.overlap
     return SplineResult(
         minimizer=minimizer,
         value=seminorm(weight, minimizer, tol),
         unique=freedom.dim == 0,
         freedom=freedom,
     )
-
-
-def spline_with_weight(
-    weight: PsdOperator, span: Subspace, x, tol: Tolerance = DEFAULT_TOL
-) -> SplineResult:
-    """Convenience entry point taking the PSD weight; uses ``T = A^{1/2}``."""
-    return spline(weight.sqrt, span, x, tol)
 
 
 def spline_by_normal_equations(t_factor, span: Subspace, x, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

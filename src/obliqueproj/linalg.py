@@ -49,7 +49,10 @@ class Tolerance:
     rank_rel : float
         Relative singular-value cutoff for rank decisions; a singular value
         sitting exactly at ``rank_rel * sigma_max`` still counts toward the
-        rank (exclusion is strict).
+        rank (exclusion is strict).  Intersections map it onto principal
+        angles: two directions meet when the sine of their angle lies
+        strictly below ``2 * rank_rel``, and a sine exactly at the cutoff
+        keeps them apart (see :func:`intersect`).
     eq_abs : float
         Absolute threshold for matrix/vector equality tests.
     psd_neg : float
@@ -184,14 +187,14 @@ def nullspace_of(m, tol: Tolerance = DEFAULT_TOL, *, scale: float | None = None)
 
 
 def complement(s: Subspace) -> Subspace:
-    """Orthogonal complement S^perp."""
+    """Orthogonal complement S^perp: the trailing columns of a complete QR of the basis."""
     n, k = s.ambient_dim, s.dim
     if k == 0:
         return Subspace(n, np.eye(n))
     if k == n:
         return Subspace(n, np.zeros((n, 0)))
-    u, _, _ = np.linalg.svd(s.basis, full_matrices=True)
-    return Subspace(n, u[:, k:])
+    q, _ = np.linalg.qr(s.basis, mode="complete")
+    return Subspace(n, q[:, k:])
 
 
 def _check_same_ambient(s1: Subspace, s2: Subspace) -> None:
@@ -201,11 +204,39 @@ def _check_same_ambient(s1: Subspace, s2: Subspace) -> None:
         )
 
 
+def _meet_coordinates(residual: np.ndarray, tol: Tolerance) -> np.ndarray:
+    # ``residual`` holds what is left of an orthonormal basis after the
+    # other subspace is projected out, in any orthonormal coordinates; its
+    # singular values are the sines of the principal angles (columns beyond
+    # its row count have sine zero).  Returns, as orthonormal columns, the
+    # combinations of the basis whose sine lies strictly below the cutoff.
+    rows, cols = residual.shape
+    if rows == 0 or cols == 0:
+        return np.eye(cols)
+    _, sines, vt = np.linalg.svd(residual, full_matrices=rows < cols)
+    apart = int(np.count_nonzero(sines >= 2.0 * tol.rank_rel))
+    return vt[apart:].T
+
+
 def intersect(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """Intersection, computed as the complement of the sum of complements."""
+    """Intersection, read off the principal angles between the subspaces.
+
+    With ``B1`` the basis of the smaller subspace (``s1`` on a tie) and
+    ``B2`` the other, the singular values of ``B1 - B2 (B2^T B1)`` are the
+    sines of the principal angles, accurate for small angles (Björck &
+    Golub, Math. Comp. 27, 1973).  The right singular vectors whose sine
+    lies strictly below ``2 * rank_rel`` span the intersection; a sine
+    exactly at the cutoff keeps its direction out.  This is the rank
+    decision on the sum of the complements: a direction meeting at angle
+    ``theta`` leaves a singular value of about ``theta / sqrt(2)`` there,
+    against a cutoff of about ``rank_rel * sqrt(2)``, and a singular value
+    at a cutoff counts toward the rank of the sum.
+    """
     _check_same_ambient(s1, s2)
-    joined = np.hstack([complement(s1).basis, complement(s2).basis])
-    return complement(subspace_from_span(joined, tol))
+    if s1.dim > s2.dim:
+        s1, s2 = s2, s1
+    b1, b2 = s1.basis, s2.basis
+    return Subspace(s1.ambient_dim, b1 @ _meet_coordinates(b1 - b2 @ (b2.T @ b1), tol))
 
 
 def subspace_sum(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
@@ -231,15 +262,15 @@ def subspace_equal(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> 
 
 
 def preimage(w, s: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """The preimage ``{x : Wx in S}``, the nullspace of ``P_{S^perp} W``.
+    """The preimage ``{x : Wx in S}``, the nullspace of ``C^T W``.
 
-    The rank decision on the product is anchored at the norm of ``W``, so an
-    invariant subspace (where the product cancels to roundoff) is handled
-    correctly.
+    ``C`` is an orthonormal basis of ``S^perp``, so ``C^T W`` has the
+    singular values of ``P_{S^perp} W``.  The rank decision on the product
+    is anchored at the norm of ``W``, so an invariant subspace (where the
+    product cancels to roundoff) is handled correctly.
     """
     w = as_matrix(w, rows=s.ambient_dim, cols=s.ambient_dim)
-    blocker = complement(s).projector() @ w
-    return nullspace_of(blocker, tol, scale=spectral_norm(w))
+    return nullspace_of(complement(s).basis.T @ w, tol, scale=spectral_norm(w))
 
 
 @dataclass(frozen=True)

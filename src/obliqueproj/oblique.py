@@ -26,7 +26,6 @@ from .errors import (
     DimensionMismatch,
     Incompatible,
     InconsistentDiagnostics,
-    NoSolution,
     RangeMismatch,
     Singular,
 )
@@ -36,6 +35,7 @@ from .linalg import (
     PsdOperator,
     Subspace,
     Tolerance,
+    _meet_coordinates,
     as_matrix,
     complement,
     contains,
@@ -46,7 +46,6 @@ from .linalg import (
     subspace_equal,
     subspace_from_span,
     subspace_sum,
-    subtract,
 )
 
 
@@ -113,15 +112,17 @@ def block_decompose(weight: PsdOperator, span: Subspace) -> BlockDecomposition:
     The frame is pinned by the canonical orthonormalization of the inputs,
     so results are reproducible bit for bit for identical input data.
     """
+    perp, a, b = _coupling_blocks(weight, span)
+    bp = perp.basis
+    return BlockDecomposition(a=a, b=b, c=bp.T @ weight.base @ bp, frame=(span, perp))
+
+
+def _coupling_blocks(weight: PsdOperator, span: Subspace) -> tuple[Subspace, np.ndarray, np.ndarray]:
+    # S^perp and the a and b blocks of block_decompose(), without the c block.
     _check_pair(weight, span)
     perp = complement(span)
-    bs, bp = span.basis, perp.basis
-    return BlockDecomposition(
-        a=bs.T @ weight.base @ bs,
-        b=bs.T @ weight.base @ bp,
-        c=bp.T @ weight.base @ bp,
-        frame=(span, perp),
-    )
+    rows = span.basis.T @ weight.base
+    return perp, rows @ span.basis, rows @ perp.basis
 
 
 def is_compatible(weight: PsdOperator, span: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -132,14 +133,71 @@ def is_compatible(weight: PsdOperator, span: Subspace, tol: Tolerance = DEFAULT_
     and to ``H = S + A^{-1}(S^perp)``.  In exact finite-dimensional
     arithmetic this always holds.
     """
-    blocks = block_decompose(weight, span)
-    return douglas.range_inclusion(blocks.b, blocks.a, tol)
+    _, a, b = _coupling_blocks(weight, span)
+    return douglas.range_inclusion(b, a, tol)
+
+
+def _overlap(weight: PsdOperator, span: Subspace, tol: Tolerance) -> tuple[Subspace, np.ndarray]:
+    # The singular values of V_r^T B_S, with V_r the leading eigenvectors,
+    # are the sines of the principal angles between S and N(A); returns N
+    # and that matrix.
+    cross = weight.eigvecs[:, : weight.rank].T @ span.basis
+    return Subspace(weight.dim, span.basis @ _meet_coordinates(cross, tol)), cross
 
 
 def degenerate_overlap(weight: PsdOperator, span: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """The overlap ``N = S ∩ N(A)`` that parametrizes the projection family."""
+    """The overlap ``N = S ∩ N(A)`` that parametrizes the projection family.
+
+    Read off the cached eigenvectors with the angle cutoff of
+    :func:`~obliqueproj.linalg.intersect`.
+    """
     _check_pair(weight, span)
-    return intersect(span, weight.null_subspace, tol)
+    return _overlap(weight, span, tol)[0]
+
+
+@dataclass(frozen=True)
+class _Geometry:
+    """The minimal projection of a pair and the subspaces that certify it.
+
+    ``coupling`` is the reduced solution of ``a X = b`` in the frame of
+    :func:`block_decompose`; it and ``projection`` are None when that
+    equation is numerically unsolvable.
+    """
+
+    coupling: np.ndarray | None
+    projection: ObliqueProjection | None
+    overlap: Subspace  # N = S ∩ N(A)
+    preimage: Subspace  # A^{-1}(S^perp)
+
+    def minimal_projection(self) -> ObliqueProjection:
+        if self.projection is None:
+            raise Incompatible(
+                "the coupling equation between the blocks of the weight is unsolvable"
+            )
+        return self.projection
+
+
+def _geometry(weight: PsdOperator, span: Subspace, tol: Tolerance) -> _Geometry:
+    # With A = V_r L_r V_r^T, a vector V_r y + z (z in N(A)) lies in
+    # A^{-1}(S^perp) exactly when B_S^T V_r L_r y = 0.  The rank cutoff of
+    # that product is anchored at ||A|| = L_r[0], as for preimage().
+    perp, a, b = _coupling_blocks(weight, span)
+    # The reduced solution of a X = b, without its norm certificate.
+    coupling, _, solvable = douglas._pinv_solve(a, b, tol)
+    n, r = weight.dim, weight.rank
+    vr, v0 = weight.eigvecs[:, :r], weight.eigvecs[:, r:]
+    overlap, cross = _overlap(weight, span, tol)
+    scale = float(weight.eigvals[0]) if n else 0.0
+    coupled = vr @ nullspace_of(cross.T * weight.eigvals[:r], tol, scale=scale).basis
+    pre = Subspace(n, np.hstack([v0, coupled]))
+    if not solvable:
+        return _Geometry(None, None, overlap, pre)
+    # A^{-1}(S^perp) (-) N: N is taken out of N(A) in the coordinates of N(A).
+    rest = v0 @ complement(Subspace(n - r, v0.T @ overlap.basis)).basis
+    bs = span.basis
+    matrix = bs @ (bs.T + coupling @ perp.basis.T)
+    projection = ObliqueProjection(matrix, span, Subspace(n, np.hstack([rest, coupled])))
+    return _Geometry(coupling, projection, overlap, pre)
 
 
 def weighted_projection(
@@ -149,7 +207,8 @@ def weighted_projection(
 
     Assembled in the frame of :func:`block_decompose` as ``[I, d; 0, 0]``
     where ``d`` is the reduced solution of the coupling equation
-    ``a X = b``; the certified nullspace is ``A^{-1}(S^perp) (-) N``.
+    ``a X = b``; the certified nullspace is ``A^{-1}(S^perp) (-) N``, read
+    off the weight's cached eigenvectors independently of ``d``.
     No regularization is applied to a nearly singular ``a`` block, since
     that would change the nullspace of the result.
 
@@ -158,18 +217,7 @@ def weighted_projection(
     Incompatible
         If the coupling equation is numerically unsolvable.
     """
-    blocks = block_decompose(weight, span)
-    bs, bp = blocks.frame[0].basis, blocks.frame[1].basis
-    try:
-        coupling = douglas.reduced_solution(blocks.a, blocks.b, tol).matrix
-    except NoSolution as exc:
-        raise Incompatible(
-            "the coupling equation between the blocks of the weight is unsolvable"
-        ) from exc
-    matrix = bs @ bs.T + bs @ coupling @ bp.T
-    pre = preimage(weight.base, complement(span), tol)
-    overlap = degenerate_overlap(weight, span, tol)
-    return ObliqueProjection(matrix, span, subtract(pre, overlap, tol))
+    return _geometry(weight, span, tol).minimal_projection()
 
 
 def weighted_projection_invertible(
@@ -257,8 +305,8 @@ def projection_family_member(
     When the overlap is trivial the family is a singleton and only an empty
     coefficient matrix is accepted.
     """
-    base = weighted_projection(weight, span, tol)
-    overlap = degenerate_overlap(weight, span, tol)
+    geometry = _geometry(weight, span, tol)
+    base, overlap = geometry.minimal_projection(), geometry.overlap
     perp = complement(span)
     t = as_matrix(coefficients, rows=overlap.dim, cols=perp.dim)
     matrix = base.matrix + overlap.basis @ t @ perp.basis.T
@@ -266,15 +314,18 @@ def projection_family_member(
 
 
 def _chain_flags(
-    weight: PsdOperator, span: Subspace, compatible: bool, tol: Tolerance
+    weight: PsdOperator,
+    span: Subspace,
+    compatible: bool,
+    overlap: Subspace,
+    shifted: Subspace,
+    tol: Tolerance,
 ) -> tuple[bool, bool, bool, bool, bool, bool]:
     null = weight.null_subspace
     rng = weight.range_subspace
     scale = float(weight.eigvals[0]) if weight.eigvals.size else 0.0
-    overlap = intersect(span, null, tol)
     image = subspace_from_span(weight.base @ span.basis, tol, scale=scale)
     image_sqrt = subspace_from_span(weight.sqrt @ span.basis, tol, scale=np.sqrt(scale))
-    shifted = subspace_sum(span, null, tol)
 
     # 2/4: the image (resp. sqrt image) of S is closed inside the range,
     # i.e. taking closures adds nothing: image ∩ R = image.
@@ -294,31 +345,18 @@ def compatibility_diagnostics(
     weight: PsdOperator, span: Subspace, tol: Tolerance = DEFAULT_TOL
 ) -> CompatibilityReport:
     """Evaluate the full compatibility diagnostic record for (A, S)."""
-    _check_pair(weight, span)
-    blocks = block_decompose(weight, span)
-    compatible = douglas.range_inclusion(blocks.b, blocks.a, tol)
-    pre = preimage(weight.base, complement(span), tol)
-    overlap = degenerate_overlap(weight, span, tol)
-    sum_check = subspace_sum(span, pre, tol).dim == weight.dim
-
-    coupling = None
-    projection = None
-    if compatible:
-        coupling = douglas.reduced_solution(blocks.a, blocks.b, tol).matrix
-        bs, bp = blocks.frame[0].basis, blocks.frame[1].basis
-        matrix = bs @ bs.T + bs @ coupling @ bp.T
-        projection = ObliqueProjection(matrix, span, subtract(pre, overlap, tol))
-
+    geometry = _geometry(weight, span, tol)
+    compatible = geometry.coupling is not None
     projected = subspace_from_span(weight.range_proj @ span.basis, tol, scale=1.0)
     shifted = subspace_sum(span, weight.null_subspace, tol)
     return CompatibilityReport(
         compatible=compatible,
-        degenerate=overlap,
-        preimage_of_complement=pre,
-        coupling=coupling,
-        projection=projection,
-        chain=_chain_flags(weight, span, compatible, tol),
-        sum_check=sum_check,
+        degenerate=geometry.overlap,
+        preimage_of_complement=geometry.preimage,
+        coupling=geometry.coupling,
+        projection=geometry.projection,
+        chain=_chain_flags(weight, span, compatible, geometry.overlap, shifted, tol),
+        sum_check=subspace_sum(span, geometry.preimage, tol).dim == weight.dim,
         projected_pair_compatible=is_compatible(weight, projected, tol),
         shifted_pair_compatible=is_compatible(weight, shifted, tol),
     )

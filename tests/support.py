@@ -2,7 +2,15 @@
 
 import numpy as np
 
-from obliqueproj import PsdOperator, Subspace, subspace_from_span
+from obliqueproj import (
+    DEFAULT_TOL,
+    PsdOperator,
+    Subspace,
+    contains,
+    nullspace_of,
+    spectral_norm,
+    subspace_from_span,
+)
 
 
 def random_orthogonal(rng, n):
@@ -33,6 +41,17 @@ def make_pair(rng, n=None, rank=None, k=None):
     if k is None:
         k = int(rng.integers(0, n + 1))
     return make_psd(rng, n, rank), make_subspace(rng, n, k)
+
+
+def make_overlapping_pair(rng, n, rank, k, overlap):
+    """A PSD weight of the given rank and a k-dimensional S meeting its
+    nullspace in exactly ``overlap`` dimensions."""
+    q = random_orthogonal(rng, n)
+    ev = np.zeros(n)
+    ev[:rank] = rng.uniform(0.5, 2.0, size=rank)
+    inside = q[:, rank:] @ rng.normal(size=(n - rank, overlap))
+    span = subspace_from_span(np.hstack([inside, rng.normal(size=(n, k - overlap))]))
+    return PsdOperator.from_matrix((q * ev) @ q.T), span
 
 
 def singular_values_by_eig(m):
@@ -99,3 +118,51 @@ def seminorm_grid_min(t, basis, x, radius=3.0, rounds=4, points=81):
         center = grid[:, idx]
         width *= 2.0 / (points - 1)
     return best, center
+
+
+# Reference subspace kernel built from full SVDs and n x n projectors,
+# independent of the library's QR and principal-angle kernel.
+
+
+def complement_by_svd(s):
+    """S^perp as the trailing left singular vectors of a full SVD of the basis."""
+    n, k = s.ambient_dim, s.dim
+    if k == 0:
+        return Subspace(n, np.eye(n))
+    if k == n:
+        return Subspace(n, np.zeros((n, 0)))
+    u, _, _ = np.linalg.svd(s.basis, full_matrices=True)
+    return Subspace(n, u[:, k:])
+
+
+def intersect_by_complements(s1, s2, tol=DEFAULT_TOL):
+    """Intersection as the complement of the sum of the complements."""
+    joined = np.hstack([complement_by_svd(s1).basis, complement_by_svd(s2).basis])
+    return complement_by_svd(subspace_from_span(joined, tol))
+
+
+def preimage_by_projector(w, s, tol=DEFAULT_TOL):
+    """``{x : Wx in S}`` as the nullspace of the n x n product ``P_{S^perp} W``."""
+    blocker = complement_by_svd(s).projector() @ w
+    return nullspace_of(blocker, tol, scale=spectral_norm(w))
+
+
+def subtract_by_complements(s, inner, tol=DEFAULT_TOL):
+    """``S (-) N`` as the intersection of S with the complement of N."""
+    assert contains(s, inner, tol)
+    return intersect_by_complements(s, complement_by_svd(inner), tol)
+
+
+def rotated_pair(rng, n, k1, k2, meet, sine):
+    """Subspaces of R^n of dims k1 and k2 that share ``meet`` directions exactly
+    and one more direction up to an angle with the given sine; every other
+    principal angle is a right angle.  Needs ``meet < min(k1, k2)`` and
+    ``k1 + k2 - meet <= n``."""
+    q = random_orthogonal(rng, n)
+    shared, tilt, other = q[:, :meet], q[:, meet], q[:, n - 1]
+    only1 = q[:, meet + 1 : k1]
+    only2 = q[:, k1 : k1 + k2 - meet - 1]
+    tilted = np.sqrt(1.0 - sine**2) * tilt + sine * other
+    s1 = Subspace(n, np.column_stack([shared, tilt, only1]))
+    s2 = Subspace(n, np.column_stack([shared, tilted, only2]))
+    return s1, s2
