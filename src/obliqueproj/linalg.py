@@ -178,12 +178,18 @@ def nullspace_of(m, tol: Tolerance = DEFAULT_TOL, *, scale: float | None = None)
     ``scale`` anchors the rank cutoff as in :func:`subspace_from_span`.
     """
     m = as_matrix(m)
+    return Subspace(m.shape[1], _split_rows(m, tol, scale)[1])
+
+
+def _split_rows(m: np.ndarray, tol: Tolerance, scale: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    # Orthonormal bases of the row space and of the nullspace of ``m``, as
+    # columns, from one complete SVD with the cutoff of nullspace_of().
     n = m.shape[1]
     if m.size == 0 or not m.any():
-        return Subspace(n, np.eye(n))
+        return np.zeros((n, 0)), np.eye(n)
     _, s, vt = np.linalg.svd(m, full_matrices=True)
     r = _rank_from_values(s, tol, scale)
-    return Subspace(n, vt[r:].T)
+    return vt[:r].T, vt[r:].T
 
 
 def complement(s: Subspace) -> Subspace:
@@ -204,16 +210,22 @@ def _check_same_ambient(s1: Subspace, s2: Subspace) -> None:
         )
 
 
-def _meet_coordinates(residual: np.ndarray, tol: Tolerance) -> np.ndarray:
+def _sine_svd(residual: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # ``residual`` holds what is left of an orthonormal basis after the
     # other subspace is projected out, in any orthonormal coordinates; its
     # singular values are the sines of the principal angles (columns beyond
-    # its row count have sine zero).  Returns, as orthonormal columns, the
-    # combinations of the basis whose sine lies strictly below the cutoff.
+    # its row count have sine zero).  Returns its SVD with every right
+    # singular vector.  A residual that is exactly zero has every sine zero
+    # and needs no decomposition.
     rows, cols = residual.shape
-    if rows == 0 or cols == 0:
-        return np.eye(cols)
-    _, sines, vt = np.linalg.svd(residual, full_matrices=rows < cols)
+    if rows == 0 or cols == 0 or not residual.any():
+        return np.zeros((rows, 0)), np.zeros(0), np.eye(cols)
+    return np.linalg.svd(residual, full_matrices=rows < cols)
+
+
+def _meet_coordinates(sines: np.ndarray, vt: np.ndarray, tol: Tolerance) -> np.ndarray:
+    # From _sine_svd(): the combinations of the basis whose sine lies
+    # strictly below the cutoff, as orthonormal columns.
     apart = int(np.count_nonzero(sines >= 2.0 * tol.rank_rel))
     return vt[apart:].T
 
@@ -236,7 +248,8 @@ def intersect(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subsp
     if s1.dim > s2.dim:
         s1, s2 = s2, s1
     b1, b2 = s1.basis, s2.basis
-    return Subspace(s1.ambient_dim, b1 @ _meet_coordinates(b1 - b2 @ (b2.T @ b1), tol))
+    _, sines, vt = _sine_svd(b1 - b2 @ (b2.T @ b1))
+    return Subspace(s1.ambient_dim, b1 @ _meet_coordinates(sines, vt, tol))
 
 
 def subspace_sum(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:

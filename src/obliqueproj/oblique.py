@@ -36,16 +36,18 @@ from .linalg import (
     Subspace,
     Tolerance,
     _meet_coordinates,
+    _rank_from_values,
+    _sine_svd,
+    _split_rows,
     as_matrix,
     complement,
     contains,
     intersect,
     moore_penrose,
     nullspace_of,
-    preimage,
+    numerical_rank,
     subspace_equal,
     subspace_from_span,
-    subspace_sum,
 )
 
 
@@ -86,6 +88,30 @@ class CompatibilityReport:
     ``projected_pair_compatible`` and ``shifted_pair_compatible`` record
     that compatibility is insensitive to projecting S onto the range of the
     weight, or to enlarging S by the weight's nullspace.
+
+    Every field is evaluated in the weight's eigen coordinates: with
+    ``A = V_r Λ V_r^T`` and ``C = V_r^T B_S``, a subspace of R(A) is held
+    by its coordinates in R^r, and one containing N(A) by those of its part
+    in R(A).  Nothing n x n is decomposed.
+
+    1. ``compatible``: the coupling equation ``a X = b`` is solvable.
+    2. ``A S = V_r R(Λ C)`` (rank cutoff anchored at ``λ_1``) equals its
+       intersection with R(A), taken in R^r.
+    3. The preimage of ``A S``, ``N(A) ⊕ V_r N(U_perp^T Λ)`` with ``U_perp``
+       a basis of ``R(Λ C)^perp`` in R^r, equals
+       ``S + N(A) = N(A) ⊕ V_r R(C)``; the N(A) parts coincide, so the two
+       are compared in R^r with the bound of ``subspace_equal`` in R^n.
+    4. As 2 for ``A^{1/2} S = V_r R(Λ^{1/2} C)`` (anchored at ``sqrt(λ_1)``).
+    5. ``S + N(A)`` has dimension ``dim S + dim N(A) - dim(S ∩ N(A))``.
+    6. The projection ``V_r R(C)`` of S onto R(A) has dimension
+       ``dim S - dim(S ∩ N(A))``.  ``R(C)`` takes the rank cutoff of
+       ``C`` relative to 1, so 5 and 6 read the same rank.
+
+    ``sum_check`` is ``(n - r) + rank[C, N(C^T Λ)] == n``, the dimension
+    of ``S + A^{-1}(S^perp)``.  Both re-checks reduce to the range inclusion
+    ``R(U^T Λ U_c) ⊆ R(U^T Λ U)``, with ``U`` a basis of ``R(C)`` and
+    ``U_c`` of its complement in R^r: the N(A) blocks of either pair add
+    only zero blocks to the coupling equation.
     """
 
     compatible: bool
@@ -137,12 +163,16 @@ def is_compatible(weight: PsdOperator, span: Subspace, tol: Tolerance = DEFAULT_
     return douglas.range_inclusion(b, a, tol)
 
 
-def _overlap(weight: PsdOperator, span: Subspace, tol: Tolerance) -> tuple[Subspace, np.ndarray]:
-    # The singular values of V_r^T B_S, with V_r the leading eigenvectors,
-    # are the sines of the principal angles between S and N(A); returns N
-    # and that matrix.
+def _overlap(
+    weight: PsdOperator, span: Subspace, tol: Tolerance
+) -> tuple[Subspace, np.ndarray, np.ndarray, np.ndarray]:
+    # The singular values of C = V_r^T B_S, with V_r the leading
+    # eigenvectors, are the sines of the principal angles between S and
+    # N(A); returns N, C, and the left singular vectors and singular values
+    # of C.
     cross = weight.eigvecs[:, : weight.rank].T @ span.basis
-    return Subspace(weight.dim, span.basis @ _meet_coordinates(cross, tol)), cross
+    left, sines, vt = _sine_svd(cross)
+    return Subspace(weight.dim, span.basis @ _meet_coordinates(sines, vt, tol)), cross, left, sines
 
 
 def degenerate_overlap(weight: PsdOperator, span: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
@@ -161,13 +191,19 @@ class _Geometry:
 
     ``coupling`` is the reduced solution of ``a X = b`` in the frame of
     :func:`block_decompose`; it and ``projection`` are None when that
-    equation is numerically unsolvable.
+    equation is numerically unsolvable.  The last five fields are held in
+    the coordinates of the leading eigenvectors ``V_r``.
     """
 
     coupling: np.ndarray | None
     projection: ObliqueProjection | None
     overlap: Subspace  # N = S ∩ N(A)
     preimage: Subspace  # A^{-1}(S^perp)
+    cross: np.ndarray  # C = V_r^T B_S
+    cross_left: np.ndarray  # left singular vectors of C
+    cross_sines: np.ndarray  # singular values of C
+    image: np.ndarray  # basis of R(Λ C), the coordinates of A S
+    coupled: np.ndarray  # basis of N(C^T Λ) = R(Λ C)^perp
 
     def minimal_projection(self) -> ObliqueProjection:
         if self.projection is None:
@@ -177,27 +213,42 @@ class _Geometry:
         return self.projection
 
 
+def _split_range(weight: PsdOperator, cross: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    # With A = V_r Λ V_r^T, a vector V_r y + z (z in N(A)) lies in
+    # A^{-1}(S^perp) exactly when C^T Λ y = 0.  One SVD of that product
+    # splits R^r into its row space R(Λ C), the coordinates of A S, and its
+    # nullspace.  The rank cutoff is anchored at ||A|| = λ_1, as for
+    # preimage().
+    scale = float(weight.eigvals[0]) if weight.dim else 0.0
+    return _split_rows(cross.T * weight.eigvals[: weight.rank], tol, scale)
+
+
+def _preimage(weight: PsdOperator, coupled: np.ndarray) -> Subspace:
+    # N(A) ⊕ V_r·coupled
+    r = weight.rank
+    return Subspace(weight.dim, np.hstack([weight.eigvecs[:, r:], weight.eigvecs[:, :r] @ coupled]))
+
+
 def _geometry(weight: PsdOperator, span: Subspace, tol: Tolerance) -> _Geometry:
-    # With A = V_r L_r V_r^T, a vector V_r y + z (z in N(A)) lies in
-    # A^{-1}(S^perp) exactly when B_S^T V_r L_r y = 0.  The rank cutoff of
-    # that product is anchored at ||A|| = L_r[0], as for preimage().
     perp, a, b = _coupling_blocks(weight, span)
     # The reduced solution of a X = b, without its norm certificate.
     coupling, _, solvable = douglas._pinv_solve(a, b, tol)
     n, r = weight.dim, weight.rank
-    vr, v0 = weight.eigvecs[:, :r], weight.eigvecs[:, r:]
-    overlap, cross = _overlap(weight, span, tol)
-    scale = float(weight.eigvals[0]) if n else 0.0
-    coupled = vr @ nullspace_of(cross.T * weight.eigvals[:r], tol, scale=scale).basis
-    pre = Subspace(n, np.hstack([v0, coupled]))
+    v0 = weight.eigvecs[:, r:]
+    overlap, cross, left, sines = _overlap(weight, span, tol)
+    image, coupled = _split_range(weight, cross, tol)
+    pre = _preimage(weight, coupled)
+    eigen = (cross, left, sines, image, coupled)
     if not solvable:
-        return _Geometry(None, None, overlap, pre)
+        return _Geometry(None, None, overlap, pre, *eigen)
     # A^{-1}(S^perp) (-) N: N is taken out of N(A) in the coordinates of N(A).
     rest = v0 @ complement(Subspace(n - r, v0.T @ overlap.basis)).basis
     bs = span.basis
     matrix = bs @ (bs.T + coupling @ perp.basis.T)
-    projection = ObliqueProjection(matrix, span, Subspace(n, np.hstack([rest, coupled])))
-    return _Geometry(coupling, projection, overlap, pre)
+    # pre.basis ends with V_r·N(C^T Λ), the part of A^{-1}(S^perp) outside N(A)
+    null = Subspace(n, np.hstack([rest, pre.basis[:, n - r :]]))
+    projection = ObliqueProjection(matrix, span, null)
+    return _Geometry(coupling, projection, overlap, pre, *eigen)
 
 
 def weighted_projection(
@@ -282,7 +333,9 @@ def is_weight_hermitian(
     a, q = weight.base, projection.matrix
     scale = 1.0 + float(np.linalg.norm(a))
     algebraic = float(np.linalg.norm(a @ q - q.T @ a)) <= tol.eq_abs * scale
-    pre = preimage(weight.base, complement(span), tol)
+    # A^{-1}(S^perp), read off the eigenvectors as for the minimal projection.
+    cross = weight.eigvecs[:, : weight.rank].T @ span.basis
+    pre = _preimage(weight, _split_range(weight, cross, tol)[1])
     containment = contains(pre, projection.nullspace, tol)
     if algebraic != containment:
         raise InconsistentDiagnostics(
@@ -313,52 +366,58 @@ def projection_family_member(
     return ObliqueProjection(matrix, span, nullspace_of(matrix, tol))
 
 
-def _chain_flags(
-    weight: PsdOperator,
-    span: Subspace,
-    compatible: bool,
-    overlap: Subspace,
-    shifted: Subspace,
-    tol: Tolerance,
-) -> tuple[bool, bool, bool, bool, bool, bool]:
-    null = weight.null_subspace
-    rng = weight.range_subspace
-    scale = float(weight.eigvals[0]) if weight.eigvals.size else 0.0
-    image = subspace_from_span(weight.base @ span.basis, tol, scale=scale)
-    image_sqrt = subspace_from_span(weight.sqrt @ span.basis, tol, scale=np.sqrt(scale))
-
-    # 2/4: the image (resp. sqrt image) of S is closed inside the range,
-    # i.e. taking closures adds nothing: image ∩ R = image.
-    flag2 = subspace_equal(intersect(image, rng, tol), image, tol)
-    flag4 = subspace_equal(intersect(image_sqrt, rng, tol), image_sqrt, tol)
-    # 3: pulling the image back recovers S + N(A).
-    flag3 = subspace_equal(preimage(weight.base, image, tol), shifted, tol)
-    # 5: S + N(A) is closed; recorded as rank consistency of the sum.
-    flag5 = shifted.dim == span.dim + null.dim - overlap.dim
-    # 6: the projection of S onto the range has the consistent dimension.
-    projected_dim = subspace_from_span(weight.range_proj @ span.basis, tol, scale=1.0).dim
-    flag6 = projected_dim == span.dim - overlap.dim
-    return (compatible, flag2, flag3, flag4, flag5, flag6)
+def _equal_in_range(s1: Subspace, s2: Subspace, n: int, tol: Tolerance) -> bool:
+    # subspace_equal() for subspaces of R(A) held in the coordinates of V_r:
+    # V_r has orthonormal columns, so the projector distance is that of the
+    # subspaces of R^n, and so is the bound.
+    return float(np.linalg.norm(s1.projector() - s2.projector())) <= tol.eq_abs * n
 
 
 def compatibility_diagnostics(
     weight: PsdOperator, span: Subspace, tol: Tolerance = DEFAULT_TOL
 ) -> CompatibilityReport:
-    """Evaluate the full compatibility diagnostic record for (A, S)."""
+    """Evaluate the full compatibility diagnostic record for (A, S).
+
+    See :class:`CompatibilityReport` for the coordinates each field is
+    evaluated in.
+    """
     geometry = _geometry(weight, span, tol)
     compatible = geometry.coupling is not None
-    projected = subspace_from_span(weight.range_proj @ span.basis, tol, scale=1.0)
-    shifted = subspace_sum(span, weight.null_subspace, tol)
+    n, r = weight.dim, weight.rank
+    lam = weight.eigvals[:r]
+    scale = float(lam[0]) if r else 0.0
+    whole = Subspace(r, np.eye(r))
+    # The projection of S onto R(A), V_r R(C): the singular values of C are
+    # those of P_R(A) B_S, so the cutoff relative to 1 is theirs.
+    kept = _rank_from_values(geometry.cross_sines, tol, scale=1.0)
+    projected = Subspace(r, geometry.cross_left[:, :kept])
+    image = Subspace(r, geometry.image)
+    image_sqrt = subspace_from_span(np.sqrt(lam)[:, None] * geometry.cross, tol, scale=np.sqrt(scale))
+    pulled = nullspace_of(geometry.coupled.T * lam, tol, scale=scale)
+    closed = kept == span.dim - geometry.overlap.dim
+    chain = (
+        compatible,
+        _equal_in_range(intersect(image, whole, tol), image, n, tol),
+        _equal_in_range(pulled, projected, n, tol),
+        _equal_in_range(intersect(image_sqrt, whole, tol), image_sqrt, n, tol),
+        closed,
+        closed,
+    )
+    spread = numerical_rank(np.hstack([geometry.cross, geometry.coupled]), tol)
+    rows = projected.basis.T * lam
+    shift_invariant = douglas.range_inclusion(
+        rows @ complement(projected).basis, rows @ projected.basis, tol
+    )
     return CompatibilityReport(
         compatible=compatible,
         degenerate=geometry.overlap,
         preimage_of_complement=geometry.preimage,
         coupling=geometry.coupling,
         projection=geometry.projection,
-        chain=_chain_flags(weight, span, compatible, geometry.overlap, shifted, tol),
-        sum_check=subspace_sum(span, geometry.preimage, tol).dim == weight.dim,
-        projected_pair_compatible=is_compatible(weight, projected, tol),
-        shifted_pair_compatible=is_compatible(weight, shifted, tol),
+        chain=chain,
+        sum_check=(n - r) + spread == n,
+        projected_pair_compatible=shift_invariant,
+        shifted_pair_compatible=shift_invariant,
     )
 
 

@@ -202,7 +202,7 @@ def identity_battery(
     worst = 0.0
     for _ in range(20):
         x = rng.normal(size=n)
-        direct = interpolant.spline(weight.sqrt, span, x, tol).minimizer
+        direct = interpolant.spline_with_weight(weight, span, x, tol).minimizer
         oracle = interpolant.spline_by_normal_equations(weight.sqrt, span, x, tol)
         worst = max(worst, float(np.linalg.norm(direct - oracle)) / (1.0 + float(np.linalg.norm(x))))
     checks.append(_record("spline_agrees_normal_equations", worst <= eq, worst))

@@ -6,10 +6,16 @@ from obliqueproj import (
     DEFAULT_TOL,
     PsdOperator,
     Subspace,
+    complement,
     contains,
+    intersect,
+    is_compatible,
     nullspace_of,
+    preimage,
     spectral_norm,
+    subspace_equal,
     subspace_from_span,
+    subspace_sum,
 )
 
 
@@ -166,3 +172,40 @@ def rotated_pair(rng, n, k1, k2, meet, sine):
     s1 = Subspace(n, np.column_stack([shared, tilt, only1]))
     s2 = Subspace(n, np.column_stack([shared, tilted, only2]))
     return s1, s2
+
+
+def diagnostics_by_subspaces(weight, span, tol=DEFAULT_TOL):
+    """The fields of ``compatibility_diagnostics`` from the generic subspace
+    kernel in R^n: images, preimages, sums and intersections of subspaces of
+    R^n, and the coupling equation solved again for the projected pair
+    ``P_R(A) S`` and the shifted pair ``S + N(A)``."""
+    null, rng = weight.null_subspace, weight.range_subspace
+    overlap = intersect(span, null, tol)
+    pre = preimage(weight.base, complement(span), tol)
+    compatible = is_compatible(weight, span, tol)
+    scale = float(weight.eigvals[0]) if weight.eigvals.size else 0.0
+    image = subspace_from_span(weight.base @ span.basis, tol, scale=scale)
+    image_sqrt = subspace_from_span(weight.sqrt @ span.basis, tol, scale=np.sqrt(scale))
+    projected = subspace_from_span(weight.range_proj @ span.basis, tol, scale=1.0)
+    shifted = subspace_sum(span, null, tol)
+    # 2/4: the image (resp. sqrt image) of S is closed inside the range;
+    # 3: pulling the image back recovers S + N(A); 5: S + N(A) has the
+    # dimension of a closed sum; 6: the projection of S onto the range has
+    # the consistent dimension.
+    chain = (
+        compatible,
+        subspace_equal(intersect(image, rng, tol), image, tol),
+        subspace_equal(preimage(weight.base, image, tol), shifted, tol),
+        subspace_equal(intersect(image_sqrt, rng, tol), image_sqrt, tol),
+        shifted.dim == span.dim + null.dim - overlap.dim,
+        projected.dim == span.dim - overlap.dim,
+    )
+    return {
+        "compatible": compatible,
+        "degenerate": overlap,
+        "preimage_of_complement": pre,
+        "chain": chain,
+        "sum_check": subspace_sum(span, pre, tol).dim == weight.dim,
+        "projected_pair_compatible": is_compatible(weight, projected, tol),
+        "shifted_pair_compatible": is_compatible(weight, shifted, tol),
+    }

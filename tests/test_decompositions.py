@@ -8,7 +8,14 @@ import numpy as np
 import numpy.linalg._linalg as np_linalg_impl
 import pytest
 
-from obliqueproj import range_inclusion, reduced_solution, spline_with_weight, weighted_projection
+from obliqueproj import (
+    compatibility_diagnostics,
+    is_weight_hermitian,
+    range_inclusion,
+    reduced_solution,
+    spline_with_weight,
+    weighted_projection,
+)
 from support import make_overlapping_pair
 
 N = 24
@@ -47,6 +54,26 @@ def test_weighted_projection_budget(pair, counted):
     weighted_projection(weight, span)
     assert len(counted["svd"]) <= 3
     assert counted["eigh"] == []
+    assert (N, N) not in counted["svd"]
+
+
+def test_compatibility_diagnostics_budget(pair, counted):
+    weight, span, _ = pair
+    report = compatibility_diagnostics(weight, span)
+    assert all(report.chain) and report.sum_check
+    assert counted["eigh"] == []
+    # no n x n input, which also rules out spectral_norm(A)
+    assert (N, N) not in counted["svd"]
+    assert len(counted["svd"]) <= 8
+
+
+def test_is_weight_hermitian_reads_the_eigenvectors(pair, counted):
+    weight, span, _ = pair
+    projection = weighted_projection(weight, span)
+    counted["svd"].clear()
+    assert is_weight_hermitian(projection, weight, span)
+    assert counted["eigh"] == []
+    assert len(counted["svd"]) == 1
     assert (N, N) not in counted["svd"]
 
 
