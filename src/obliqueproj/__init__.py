@@ -78,7 +78,6 @@ from .oprange import (
     complement_density_check,
     extension_matches_projection,
     in_weight_range,
-    in_weight_sqrt_range,
     induced_projection,
     is_chart_extendable,
     lift,

@@ -94,7 +94,7 @@ class CompatibilityReport:
     by its coordinates in R^r, and one containing N(A) by those of its part
     in R(A).  Nothing n x n is decomposed.
 
-    1. ``compatible``: the coupling equation ``a X = b`` is solvable.
+    1. ``compatible``: ``a X = b`` is solvable, or ``S ⊆ N(A)`` (coupling 0).
     2. ``A S = V_r R(Λ C)`` (rank cutoff anchored at ``λ_1``) equals its
        intersection with R(A), taken in R^r.
     3. The preimage of ``A S``, ``N(A) ⊕ V_r N(U_perp^T Λ)`` with ``U_perp``
@@ -138,17 +138,9 @@ def block_decompose(weight: PsdOperator, span: Subspace) -> BlockDecomposition:
     The frame is pinned by the canonical orthonormalization of the inputs,
     so results are reproducible bit for bit for identical input data.
     """
-    perp, a, b = _coupling_blocks(weight, span)
-    bp = perp.basis
-    return BlockDecomposition(a=a, b=b, c=bp.T @ weight.base @ bp, frame=(span, perp))
-
-
-def _coupling_blocks(weight: PsdOperator, span: Subspace) -> tuple[Subspace, np.ndarray, np.ndarray]:
-    # S^perp and the a and b blocks of block_decompose(), without the c block.
-    _check_pair(weight, span)
-    perp = complement(span)
-    rows = span.basis.T @ weight.base
-    return perp, rows @ span.basis, rows @ perp.basis
+    geometry = _geometry(weight, span, DEFAULT_TOL)
+    c = geometry.perp.basis.T @ weight.base @ geometry.perp.basis
+    return BlockDecomposition(a=geometry.a, b=geometry.b, c=c, frame=(span, geometry.perp))
 
 
 def is_compatible(weight: PsdOperator, span: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -157,10 +149,22 @@ def is_compatible(weight: PsdOperator, span: Subspace, tol: Tolerance = DEFAULT_
     Decided by the range inclusion ``R(b) ⊆ R(a)`` of the block entries,
     which is equivalent to the coupling equation ``a X = b`` being solvable
     and to ``H = S + A^{-1}(S^perp)``.  In exact finite-dimensional
-    arithmetic this always holds.
+    arithmetic this always holds.  When ``S ⊆ N(A)`` the blocks vanish and
+    the pair is compatible without a test.
     """
-    _, a, b = _coupling_blocks(weight, span)
-    return douglas.range_inclusion(b, a, tol)
+    return _geometry(weight, span, tol).coupling is not None
+
+
+def _cross(weight: PsdOperator, span: Subspace) -> np.ndarray:
+    # C = V_r^T B_S, the coordinates of S in the leading eigenvectors V_r.
+    return weight.eigvecs[:, : weight.rank].T @ span.basis
+
+
+def _sqrt_image(weight: PsdOperator, cross: np.ndarray, tol: Tolerance) -> Subspace:
+    # A^{1/2} S = V_r R(Λ^{1/2} C), held in the coordinates of V_r; the rank
+    # cutoff is anchored at ||A^{1/2}|| = sqrt(λ_1).
+    root = np.sqrt(weight.eigvals[: weight.rank])
+    return subspace_from_span(root[:, None] * cross, tol, scale=float(root[0]) if root.size else 0.0)
 
 
 def _overlap(
@@ -170,7 +174,7 @@ def _overlap(
     # eigenvectors, are the sines of the principal angles between S and
     # N(A); returns N, C, and the left singular vectors and singular values
     # of C.
-    cross = weight.eigvecs[:, : weight.rank].T @ span.basis
+    cross = _cross(weight, span)
     left, sines, vt = _sine_svd(cross)
     return Subspace(weight.dim, span.basis @ _meet_coordinates(sines, vt, tol)), cross, left, sines
 
@@ -187,14 +191,21 @@ def degenerate_overlap(weight: PsdOperator, span: Subspace, tol: Tolerance = DEF
 
 @dataclass(frozen=True)
 class _Geometry:
-    """The minimal projection of a pair and the subspaces that certify it.
+    """A pair (A, S) decomposed once: its frame, blocks and minimal projection.
 
-    ``coupling`` is the reduced solution of ``a X = b`` in the frame of
-    :func:`block_decompose`; it and ``projection`` are None when that
-    equation is numerically unsolvable.  The last five fields are held in
-    the coordinates of the leading eigenvectors ``V_r``.
+    ``perp`` is S^perp and ``a``, ``b`` are the blocks of
+    :func:`block_decompose`.  ``coupling`` is the reduced solution of
+    ``a X = b``; it and ``projection`` are None when that equation is
+    numerically unsolvable.  The last five fields are held in the
+    coordinates of the leading eigenvectors ``V_r``.
     """
 
+    weight: PsdOperator
+    span: Subspace
+    tol: Tolerance
+    perp: Subspace
+    a: np.ndarray
+    b: np.ndarray
     coupling: np.ndarray | None
     projection: ObliqueProjection | None
     overlap: Subspace  # N = S ∩ N(A)
@@ -211,6 +222,57 @@ class _Geometry:
                 "the coupling equation between the blocks of the weight is unsolvable"
             )
         return self.projection
+
+    def member(self, coefficients) -> ObliqueProjection:
+        """The family member ``P + N t B_perp^T`` of :func:`projection_family_member`."""
+        base = self.minimal_projection()
+        t = as_matrix(coefficients, rows=self.overlap.dim, cols=self.perp.dim)
+        bp = self.perp.basis
+        matrix = base.matrix + self.overlap.basis @ t @ bp.T
+        # N(Q) = R((I - Q) B_perp), whose columns have singular values >= 1.
+        null = np.linalg.qr(bp - matrix @ bp)[0]
+        return ObliqueProjection(matrix, self.span, Subspace(self.weight.dim, null))
+
+    def diagnostics(self) -> CompatibilityReport:
+        """The report of :func:`compatibility_diagnostics`."""
+        weight, span, tol = self.weight, self.span, self.tol
+        compatible = self.coupling is not None
+        n, r = weight.dim, weight.rank
+        lam = weight.eigvals[:r]
+        scale = float(lam[0]) if r else 0.0
+        whole = Subspace(r, np.eye(r))
+        # The projection of S onto R(A), V_r R(C): the singular values of C
+        # are those of P_R(A) B_S, so the cutoff relative to 1 is theirs.
+        kept = _rank_from_values(self.cross_sines, tol, scale=1.0)
+        projected = Subspace(r, self.cross_left[:, :kept])
+        image = Subspace(r, self.image)
+        image_sqrt = _sqrt_image(weight, self.cross, tol)
+        pulled = nullspace_of(self.coupled.T * lam, tol, scale=scale)
+        closed = kept == span.dim - self.overlap.dim
+        chain = (
+            compatible,
+            _equal_in_range(intersect(image, whole, tol), image, n, tol),
+            _equal_in_range(pulled, projected, n, tol),
+            _equal_in_range(intersect(image_sqrt, whole, tol), image_sqrt, n, tol),
+            closed,
+            closed,
+        )
+        spread = numerical_rank(np.hstack([self.cross, self.coupled]), tol)
+        rows = projected.basis.T * lam
+        shift_invariant = douglas.range_inclusion(
+            rows @ complement(projected).basis, rows @ projected.basis, tol
+        )
+        return CompatibilityReport(
+            compatible=compatible,
+            degenerate=self.overlap,
+            preimage_of_complement=self.preimage,
+            coupling=self.coupling,
+            projection=self.projection,
+            chain=chain,
+            sum_check=(n - r) + spread == n,
+            projected_pair_compatible=shift_invariant,
+            shifted_pair_compatible=shift_invariant,
+        )
 
 
 def _split_range(weight: PsdOperator, cross: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
@@ -230,25 +292,32 @@ def _preimage(weight: PsdOperator, coupled: np.ndarray) -> Subspace:
 
 
 def _geometry(weight: PsdOperator, span: Subspace, tol: Tolerance) -> _Geometry:
-    perp, a, b = _coupling_blocks(weight, span)
+    _check_pair(weight, span)
+    n, r = weight.dim, weight.rank
+    perp = complement(span)
+    rows = span.basis.T @ weight.base
+    a, b = rows @ span.basis, rows @ perp.basis
     # The reduced solution of a X = b, without its norm certificate.
     coupling, _, solvable = douglas._pinv_solve(a, b, tol)
-    n, r = weight.dim, weight.rank
-    v0 = weight.eigvecs[:, r:]
     overlap, cross, left, sines = _overlap(weight, span, tol)
+    if overlap.dim == span.dim:
+        # S ⊆ N(A) within the angle cutoff, so A B_S = 0 and the blocks are
+        # roundoff: the coupling is 0 and P the orthogonal projector onto S.
+        coupling, solvable = np.zeros_like(b), True
     image, coupled = _split_range(weight, cross, tol)
     pre = _preimage(weight, coupled)
-    eigen = (cross, left, sines, image, coupled)
+    pair = (weight, span, tol, perp, a, b)
+    eigen = (overlap, pre, cross, left, sines, image, coupled)
     if not solvable:
-        return _Geometry(None, None, overlap, pre, *eigen)
+        return _Geometry(*pair, None, None, *eigen)
     # A^{-1}(S^perp) (-) N: N is taken out of N(A) in the coordinates of N(A).
+    v0 = weight.eigvecs[:, r:]
     rest = v0 @ complement(Subspace(n - r, v0.T @ overlap.basis)).basis
     bs = span.basis
     matrix = bs @ (bs.T + coupling @ perp.basis.T)
     # pre.basis ends with V_r·N(C^T Λ), the part of A^{-1}(S^perp) outside N(A)
     null = Subspace(n, np.hstack([rest, pre.basis[:, n - r :]]))
-    projection = ObliqueProjection(matrix, span, null)
-    return _Geometry(coupling, projection, overlap, pre, *eigen)
+    return _Geometry(*pair, coupling, ObliqueProjection(matrix, span, null), *eigen)
 
 
 def weighted_projection(
@@ -334,8 +403,7 @@ def is_weight_hermitian(
     scale = 1.0 + float(np.linalg.norm(a))
     algebraic = float(np.linalg.norm(a @ q - q.T @ a)) <= tol.eq_abs * scale
     # A^{-1}(S^perp), read off the eigenvectors as for the minimal projection.
-    cross = weight.eigvecs[:, : weight.rank].T @ span.basis
-    pre = _preimage(weight, _split_range(weight, cross, tol)[1])
+    pre = _preimage(weight, _split_range(weight, _cross(weight, span), tol)[1])
     containment = contains(pre, projection.nullspace, tol)
     if algebraic != containment:
         raise InconsistentDiagnostics(
@@ -358,12 +426,7 @@ def projection_family_member(
     When the overlap is trivial the family is a singleton and only an empty
     coefficient matrix is accepted.
     """
-    geometry = _geometry(weight, span, tol)
-    base, overlap = geometry.minimal_projection(), geometry.overlap
-    perp = complement(span)
-    t = as_matrix(coefficients, rows=overlap.dim, cols=perp.dim)
-    matrix = base.matrix + overlap.basis @ t @ perp.basis.T
-    return ObliqueProjection(matrix, span, nullspace_of(matrix, tol))
+    return _geometry(weight, span, tol).member(coefficients)
 
 
 def _equal_in_range(s1: Subspace, s2: Subspace, n: int, tol: Tolerance) -> bool:
@@ -381,44 +444,7 @@ def compatibility_diagnostics(
     See :class:`CompatibilityReport` for the coordinates each field is
     evaluated in.
     """
-    geometry = _geometry(weight, span, tol)
-    compatible = geometry.coupling is not None
-    n, r = weight.dim, weight.rank
-    lam = weight.eigvals[:r]
-    scale = float(lam[0]) if r else 0.0
-    whole = Subspace(r, np.eye(r))
-    # The projection of S onto R(A), V_r R(C): the singular values of C are
-    # those of P_R(A) B_S, so the cutoff relative to 1 is theirs.
-    kept = _rank_from_values(geometry.cross_sines, tol, scale=1.0)
-    projected = Subspace(r, geometry.cross_left[:, :kept])
-    image = Subspace(r, geometry.image)
-    image_sqrt = subspace_from_span(np.sqrt(lam)[:, None] * geometry.cross, tol, scale=np.sqrt(scale))
-    pulled = nullspace_of(geometry.coupled.T * lam, tol, scale=scale)
-    closed = kept == span.dim - geometry.overlap.dim
-    chain = (
-        compatible,
-        _equal_in_range(intersect(image, whole, tol), image, n, tol),
-        _equal_in_range(pulled, projected, n, tol),
-        _equal_in_range(intersect(image_sqrt, whole, tol), image_sqrt, n, tol),
-        closed,
-        closed,
-    )
-    spread = numerical_rank(np.hstack([geometry.cross, geometry.coupled]), tol)
-    rows = projected.basis.T * lam
-    shift_invariant = douglas.range_inclusion(
-        rows @ complement(projected).basis, rows @ projected.basis, tol
-    )
-    return CompatibilityReport(
-        compatible=compatible,
-        degenerate=geometry.overlap,
-        preimage_of_complement=geometry.preimage,
-        coupling=geometry.coupling,
-        projection=geometry.projection,
-        chain=chain,
-        sum_check=(n - r) + spread == n,
-        projected_pair_compatible=shift_invariant,
-        shifted_pair_compatible=shift_invariant,
-    )
+    return _geometry(weight, span, tol).diagnostics()
 
 
 def chain_respects_implications(chain: tuple[bool, ...]) -> bool:

@@ -36,6 +36,7 @@ from .linalg import (
     subspace_from_span,
     subspace_sum,
 )
+from .oblique import _cross, _equal_in_range, _split_range, _sqrt_image
 from .oblique import is_compatible, weighted_projection
 
 
@@ -60,18 +61,6 @@ def in_weight_range(weight: PsdOperator, u, tol: Tolerance = DEFAULT_TOL) -> boo
     return float(np.linalg.norm(gap)) <= tol.eq_abs * (1.0 + float(np.linalg.norm(u)))
 
 
-def in_weight_sqrt_range(weight: PsdOperator, u, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Membership test against R(A^{1/2}).
-
-    Equal to R(A) in finite dimension; kept as a separate test because the
-    two can disagree near rank boundaries, and the disagreement is a useful
-    diagnostic.
-    """
-    u = as_vector(u, weight.dim)
-    gap = u - weight.sqrt @ (weight.sqrt_pinv @ u)
-    return float(np.linalg.norm(gap)) <= tol.eq_abs * (1.0 + float(np.linalg.norm(u)))
-
-
 def lift(weight: PsdOperator, u, tol: Tolerance = DEFAULT_TOL) -> RangeVector:
     """Certify ``u`` as a member of the range space and attach its witness.
 
@@ -83,7 +72,8 @@ def lift(weight: PsdOperator, u, tol: Tolerance = DEFAULT_TOL) -> RangeVector:
     u = as_vector(u, weight.dim)
     if not in_weight_range(weight, u, tol):
         raise NotInRange("the vector is not in the range of the weight within tolerance")
-    return RangeVector(weight, u, weight.sqrt_pinv @ u)
+    vr = chart_basis(weight)
+    return RangeVector(weight, u, vr @ ((vr.T @ u) / _root(weight)))
 
 
 def range_inner(x: RangeVector, y: RangeVector) -> float:
@@ -103,6 +93,11 @@ def chart_basis(weight: PsdOperator) -> np.ndarray:
     return weight.eigvecs[:, : weight.rank]
 
 
+def _root(weight: PsdOperator) -> np.ndarray:
+    # Λ^{1/2}: in the chart, A^{1/2} acts as the diagonal of these values.
+    return np.sqrt(weight.eigvals[: weight.rank])
+
+
 def chart_coords(weight: PsdOperator, u, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Chart coordinates of a range vector (length = rank of the weight)."""
     return chart_basis(weight).T @ lift(weight, u, tol).witness
@@ -111,7 +106,7 @@ def chart_coords(weight: PsdOperator, u, tol: Tolerance = DEFAULT_TOL) -> np.nda
 def chart_image(weight: PsdOperator, columns, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     """Chart image of the span of given ambient range vectors."""
     cols = as_matrix(columns, rows=weight.dim)
-    coords = chart_basis(weight).T @ (weight.sqrt_pinv @ cols)
+    coords = (chart_basis(weight).T @ cols) / _root(weight)[:, None]
     return subspace_from_span(coords, tol)
 
 
@@ -154,11 +149,10 @@ def range_space_projection(
     """The chart-orthogonal projection onto the closure of the image of S.
 
     Exists for every pair, compatible or not.  The chart image of the
-    target is spanned by the coordinates of ``A^{1/2} S``.
+    target is spanned by the coordinates of ``A^{1/2} S``, which are
+    ``Λ^{1/2} C`` with ``C = V_r^T B_S``.
     """
-    vr = chart_basis(weight)
-    sqrt_scale = float(np.sqrt(weight.eigvals[0])) if weight.eigvals.size else 0.0
-    image = subspace_from_span(vr.T @ (weight.sqrt @ span.basis), tol, scale=sqrt_scale)
+    image = _sqrt_image(weight, _cross(weight, span), tol)
     return RangeSpaceProjection(
         weight=weight,
         target=span,
@@ -168,24 +162,16 @@ def range_space_projection(
     )
 
 
-def is_chart_extendable(
-    weight: PsdOperator, operator, tol: Tolerance = DEFAULT_TOL
-) -> tuple[bool, bool]:
-    """The two extension conditions for an ambient operator.
+def is_chart_extendable(weight: PsdOperator, operator, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Whether an ambient operator extends to the chart: it maps N(A) into N(A).
 
-    Returns ``(nullspace invariant, adjoint-range included)``: whether the
-    operator maps N(A) into N(A), and whether ``R(B^T A^{1/2})`` lies in
-    ``R(A^{1/2})``.  The second is automatic in finite dimension but is
-    evaluated anyway so tolerance asymmetries stay visible.
+    The other extension condition, ``R(B^T A^{1/2}) ⊆ R(A^{1/2})``, holds
+    for every operator in finite dimension and is not evaluated.
     """
-    from .douglas import range_inclusion
-
     b = as_matrix(operator, rows=weight.dim, cols=weight.dim)
     image_of_null = b @ weight.null_subspace.basis
     scale = 1.0 + float(np.linalg.norm(image_of_null))
-    invariant = float(np.linalg.norm(weight.range_proj @ image_of_null)) <= tol.eq_abs * scale
-    bounded = range_inclusion(b.T @ weight.sqrt, weight.sqrt, tol)
-    return invariant, bounded
+    return float(np.linalg.norm(weight.range_proj @ image_of_null)) <= tol.eq_abs * scale
 
 
 def chart_extension(
@@ -195,23 +181,19 @@ def chart_extension(
 
     The induced operator ``C`` satisfies ``C . chart(A x) = chart(A B x)``
     for every ``x`` and is the unique chart operator doing so.  Realized as
-    ``A^{1/2} B (A^{1/2})^+`` pushed into chart coordinates.
+    ``A^{1/2} B (A^{1/2})^+`` in chart coordinates,
+    ``Λ^{1/2} (V_r^T B V_r) Λ^{-1/2}``.
 
     Raises
     ------
     NotExtendable
-        If the operator does not leave the nullspace of the weight
-        invariant (or, never in finite dimension, fails the adjoint-range
-        inclusion).
+        If the operator does not leave the nullspace of the weight invariant.
     """
     b = as_matrix(operator, rows=weight.dim, cols=weight.dim)
-    invariant, bounded = is_chart_extendable(weight, b, tol)
-    if not invariant:
+    if not is_chart_extendable(weight, b, tol):
         raise NotExtendable("the operator does not map the weight's nullspace into itself")
-    if not bounded:
-        raise NotExtendable("the adjoint-range inclusion against R(A^{1/2}) fails")
-    vr = chart_basis(weight)
-    return vr.T @ (weight.sqrt @ b @ weight.sqrt_pinv) @ vr
+    vr, root = chart_basis(weight), _root(weight)
+    return root[:, None] * (vr.T @ b @ vr) / root
 
 
 def extension_matches_projection(
@@ -236,16 +218,15 @@ def chart_projected_range(
     """Image of R(A) under the chart projection, mapped back to ambient space.
 
     Returns the subspace and whether it equals ``A(S)``; the equality holds
-    exactly when the pair is compatible.
+    exactly when the pair is compatible.  Both are compared in chart
+    coordinates: the image is ``Λ^{1/2}`` applied to the chart image of S,
+    and ``A(S)`` is ``V_r R(Λ C)`` (rank cutoff anchored at ``λ_1``).
     """
     proj = range_space_projection(weight, span, tol)
-    vr = chart_basis(weight)
-    scale = float(weight.eigvals[0]) if weight.eigvals.size else 0.0
-    range_coords = vr.T @ (weight.sqrt_pinv @ vr)
-    image_cols = weight.sqrt @ vr @ (proj.coord_matrix @ range_coords)
-    image = subspace_from_span(image_cols, tol)
-    target = subspace_from_span(weight.base @ span.basis, tol, scale=scale)
-    return image, subspace_equal(image, target, tol)
+    image = subspace_from_span(_root(weight)[:, None] * proj.range_image.basis, tol)
+    target = Subspace(weight.rank, _split_range(weight, _cross(weight, span), tol)[0])
+    ambient = Subspace(weight.dim, chart_basis(weight) @ image.basis)
+    return ambient, _equal_in_range(image, target, weight.dim, tol)
 
 
 def induced_projection(
@@ -256,12 +237,12 @@ def induced_projection(
     Composes the inverse of the weight on its range, the chart projection
     and the weight; requires (and, in finite dimension, automatically has)
     the chart projection mapping R(A) into R(A).  For a compatible pair it
-    equals the range projector times the weighted projection.
+    equals the range projector times the weighted projection.  Formed as
+    ``V_r Λ^{-1/2} P Λ^{1/2} V_r^T`` from the chart projection ``P``.
     """
     proj = range_space_projection(weight, span, tol)
-    vr = chart_basis(weight)
-    ambient_chart = weight.sqrt @ vr @ proj.coord_matrix @ vr.T @ weight.sqrt_pinv
-    return weight.pinv @ ambient_chart @ weight.base
+    vr, root = chart_basis(weight), _root(weight)
+    return (vr / root) @ proj.coord_matrix @ (root[:, None] * vr.T)
 
 
 def complement_density_check(
@@ -307,7 +288,8 @@ def compatibility_decompositions(
     first = is_compatible(weight, span, tol)
     scale = float(weight.eigvals[0]) if weight.eigvals.size else 0.0
 
-    image_sqrt = subspace_from_span(weight.sqrt @ span.basis, tol, scale=np.sqrt(scale))
+    chart = _sqrt_image(weight, _cross(weight, span), tol)
+    image_sqrt = Subspace(weight.dim, chart_basis(weight) @ chart.basis)
     split_sqrt = subspace_sum(
         image_sqrt, intersect(complement(image_sqrt), rng, tol), tol
     )

@@ -24,7 +24,6 @@ from .linalg import (
     spectral_norm,
     subspace_equal,
     subspace_from_span,
-    subspace_sum,
     subtract,
 )
 
@@ -52,11 +51,12 @@ def identity_battery(
     a_scale = 1.0 + float(np.linalg.norm(a))
     checks: list[dict] = []
 
-    proj = oblique.weighted_projection(weight, span, tol)
-    p = proj.matrix
-    overlap = oblique.degenerate_overlap(weight, span, tol)
+    geometry = oblique._geometry(weight, span, tol)
+    p = geometry.minimal_projection().matrix
+    overlap = geometry.overlap
     pre = preimage(a, complement(span), tol)
-    report = oblique.compatibility_diagnostics(weight, span, tol)
+    report = geometry.diagnostics()
+    decomps = oprange.compatibility_decompositions(weight, span, tol)
 
     gap = float(np.linalg.norm(p @ p - p))
     checks.append(_record("projection_idempotent", gap <= eq * n, gap))
@@ -84,7 +84,7 @@ def identity_battery(
 
     # Hermitian symmetry and nullspace containment decide the same question
     # on sampled projections with the prescribed range.
-    bs, bp = span.basis, complement(span).basis
+    bs, bp = span.basis, geometry.perp.basis
     disagreements = 0
     for _ in range(SAMPLES):
         x = rng.normal(size=(span.dim, n - span.dim))
@@ -100,20 +100,12 @@ def identity_battery(
         worst = 0.0
         for _ in range(SAMPLES):
             t = rng.normal(size=(overlap.dim, n - span.dim))
-            member = oblique.projection_family_member(weight, span, t, tol)
-            worst = max(worst, p_norm - spectral_norm(member.matrix))
+            worst = max(worst, p_norm - spectral_norm(geometry.member(t).matrix))
         checks.append(_record("norm_minimality", worst <= eq, worst))
     else:
         checks.append(_record("norm_minimality", True, applicable=False))
 
-    sqrt_scale = float(np.sqrt(weight.eigvals[0])) if weight.eigvals.size else 0.0
-    image_sqrt = subspace_from_span(weight.sqrt @ bs, tol, scale=sqrt_scale)
-    split = subspace_sum(
-        image_sqrt, intersect(complement(image_sqrt), weight.range_subspace, tol), tol
-    )
-    checks.append(
-        _record("sqrt_image_decomposition", subspace_equal(split, weight.range_subspace, tol))
-    )
+    checks.append(_record("sqrt_image_decomposition", decomps[1]))
 
     ps = span.projector()
     p_m = subspace_from_span(weight.sqrt @ bs, tol).projector()
@@ -156,8 +148,8 @@ def identity_battery(
     worst = 0.0
     for _ in range(20):
         t = rng.normal(size=(overlap.dim, n - span.dim))
-        member = oblique.projection_family_member(weight, span, t, tol)
-        worst = max(worst, float(np.linalg.norm(oprange.chart_extension(weight, member.matrix, tol) - ext_p)))
+        member = geometry.member(t).matrix
+        worst = max(worst, float(np.linalg.norm(oprange.chart_extension(weight, member, tol) - ext_p)))
     checks.append(_record("family_extension_constant", worst <= 10 * eq, worst))
 
     induced = oprange.induced_projection(weight, span, tol)
@@ -173,7 +165,6 @@ def identity_battery(
         _record("complement_density", oprange.complement_density_check(weight, span, tol))
     )
 
-    decomps = oprange.compatibility_decompositions(weight, span, tol)
     checks.append(
         _record(
             "decomposition_equivalences",

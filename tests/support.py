@@ -9,9 +9,9 @@ from obliqueproj import (
     complement,
     contains,
     intersect,
-    is_compatible,
     nullspace_of,
     preimage,
+    range_inclusion,
     spectral_norm,
     subspace_equal,
     subspace_from_span,
@@ -47,6 +47,17 @@ def make_pair(rng, n=None, rank=None, k=None):
     if k is None:
         k = int(rng.integers(0, n + 1))
     return make_psd(rng, n, rank), make_subspace(rng, n, k)
+
+
+def nullspace_preserving(rng, weight):
+    """Random operator mapping the weight's nullspace into itself."""
+    n, r = weight.dim, weight.rank
+    v = weight.eigvecs
+    block = np.zeros((n, n))
+    block[:r, :r] = rng.normal(size=(r, r))
+    block[r:, r:] = rng.normal(size=(n - r, n - r))
+    block[r:, :r] = rng.normal(size=(n - r, r))  # range part may leak into nullspace
+    return v @ block @ v.T
 
 
 def make_overlapping_pair(rng, n, rank, k, overlap):
@@ -174,6 +185,14 @@ def rotated_pair(rng, n, k1, k2, meet, sine):
     return s1, s2
 
 
+def compatible_by_blocks(weight, span, tol=DEFAULT_TOL):
+    """Compatibility as the range inclusion ``R(b) ⊆ R(a)`` of the blocks
+    ``a = B_S^T A B_S`` and ``b = B_S^T A B_perp``, in the frame of
+    :func:`complement_by_svd`."""
+    rows = span.basis.T @ weight.base
+    return range_inclusion(rows @ complement_by_svd(span).basis, rows @ span.basis, tol)
+
+
 def diagnostics_by_subspaces(weight, span, tol=DEFAULT_TOL):
     """The fields of ``compatibility_diagnostics`` from the generic subspace
     kernel in R^n: images, preimages, sums and intersections of subspaces of
@@ -182,7 +201,7 @@ def diagnostics_by_subspaces(weight, span, tol=DEFAULT_TOL):
     null, rng = weight.null_subspace, weight.range_subspace
     overlap = intersect(span, null, tol)
     pre = preimage(weight.base, complement(span), tol)
-    compatible = is_compatible(weight, span, tol)
+    compatible = compatible_by_blocks(weight, span, tol)
     scale = float(weight.eigvals[0]) if weight.eigvals.size else 0.0
     image = subspace_from_span(weight.base @ span.basis, tol, scale=scale)
     image_sqrt = subspace_from_span(weight.sqrt @ span.basis, tol, scale=np.sqrt(scale))
@@ -206,6 +225,48 @@ def diagnostics_by_subspaces(weight, span, tol=DEFAULT_TOL):
         "preimage_of_complement": pre,
         "chain": chain,
         "sum_check": subspace_sum(span, pre, tol).dim == weight.dim,
-        "projected_pair_compatible": is_compatible(weight, projected, tol),
-        "shifted_pair_compatible": is_compatible(weight, shifted, tol),
+        "projected_pair_compatible": compatible_by_blocks(weight, projected, tol),
+        "shifted_pair_compatible": compatible_by_blocks(weight, shifted, tol),
     }
+
+
+# The range-space chart from n x n products of the weight's square root and
+# pseudoinverses, independent of the library's eigen-coordinate formulas.
+
+
+def in_sqrt_range_by_pinv(weight, u, tol=DEFAULT_TOL):
+    """Membership in R(A^{1/2}) by the residual of ``A^{1/2} (A^{1/2})^+ u``."""
+    gap = u - weight.sqrt @ (weight.sqrt_pinv @ u)
+    return float(np.linalg.norm(gap)) <= tol.eq_abs * (1.0 + float(np.linalg.norm(u)))
+
+
+def chart_extension_by_products(weight, b):
+    """``A^{1/2} B (A^{1/2})^+`` pushed into chart coordinates."""
+    vr = weight.eigvecs[:, : weight.rank]
+    return vr.T @ (weight.sqrt @ b @ weight.sqrt_pinv) @ vr
+
+
+def chart_image_of_span_by_products(weight, span, tol=DEFAULT_TOL):
+    """Chart coordinates of ``A^{1/2} S``, rank cutoff anchored at ``||A^{1/2}||``."""
+    vr = weight.eigvecs[:, : weight.rank]
+    sqrt_scale = float(np.sqrt(weight.eigvals[0])) if weight.eigvals.size else 0.0
+    return subspace_from_span(vr.T @ (weight.sqrt @ span.basis), tol, scale=sqrt_scale)
+
+
+def chart_projected_range_by_products(weight, span, tol=DEFAULT_TOL):
+    """The chart projection applied to R(A), mapped back to R^n, and whether
+    it equals ``A S``; both as subspaces of R^n."""
+    vr = weight.eigvecs[:, : weight.rank]
+    coord = chart_image_of_span_by_products(weight, span, tol).projector()
+    range_coords = vr.T @ (weight.sqrt_pinv @ vr)
+    image = subspace_from_span(weight.sqrt @ vr @ (coord @ range_coords), tol)
+    scale = float(weight.eigvals[0]) if weight.eigvals.size else 0.0
+    target = subspace_from_span(weight.base @ span.basis, tol, scale=scale)
+    return image, subspace_equal(image, target, tol)
+
+
+def induced_projection_by_products(weight, span, tol=DEFAULT_TOL):
+    """``A^+ (A^{1/2} V_r P V_r^T (A^{1/2})^+) A`` for the chart projection P."""
+    vr = weight.eigvecs[:, : weight.rank]
+    coord = chart_image_of_span_by_products(weight, span, tol).projector()
+    return weight.pinv @ (weight.sqrt @ vr @ coord @ vr.T @ weight.sqrt_pinv) @ weight.base

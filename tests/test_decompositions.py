@@ -9,13 +9,18 @@ import numpy.linalg._linalg as np_linalg_impl
 import pytest
 
 from obliqueproj import (
+    chart_extension,
+    chart_projected_range,
     compatibility_diagnostics,
+    extension_matches_projection,
+    induced_projection,
     is_weight_hermitian,
     range_inclusion,
     reduced_solution,
     spline_with_weight,
     weighted_projection,
 )
+from obliqueproj.report import identity_battery
 from support import make_overlapping_pair
 
 N = 24
@@ -93,3 +98,23 @@ def test_one_pseudoinverse_per_solve(counted):
     reduced_solution(a, b)
     # the pseudoinverse, then the spectral norm of the solution
     assert counted["svd"][1:] == [a.shape, (5, 2)]
+
+
+def test_identity_battery_budget(pair, counted):
+    # The battery decomposes the pair once and takes the projection, the
+    # overlap, the diagnostics and every family member from that one value.
+    weight, span, _ = pair
+    assert all(check["pass"] for check in identity_battery(weight, span))
+    assert counted["eigh"] == []
+    assert len(counted["svd"]) <= 400
+
+
+def test_chart_helpers_take_no_square_svd(pair, counted):
+    weight, span, _ = pair
+    projection = weighted_projection(weight, span)
+    chart_extension(weight, projection.matrix)
+    induced_projection(weight, span)
+    chart_projected_range(weight, span)
+    assert extension_matches_projection(weight, span)
+    assert counted["eigh"] == []
+    assert (N, N) not in counted["svd"]

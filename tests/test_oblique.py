@@ -23,6 +23,7 @@ from obliqueproj import (
     projection_family_member,
     reduced_solution,
     spectral_norm,
+    spline_with_weight,
     subspace_equal,
     subspace_from_span,
     subspace_sum,
@@ -233,6 +234,41 @@ class TestHermitianCheck:
         q = ortho_projector(subspace_from_span(np.array([[0.0], [1.0]])))
         with pytest.raises(RangeMismatch):
             is_weight_hermitian(q, RANK1, SPAN_E1)
+
+
+class TestSubspaceInsideNullspace:
+    """S ⊆ N(A) makes ``A B_S = 0``: every projection onto S is Hermitian for
+    the weight, and the minimal one is the orthogonal projector."""
+
+    def test_blocks_of_roundoff(self):
+        # The coupling blocks a and b are 4e-17 and 1e-16 here; solving
+        # a X = b with them decides compatibility on noise.
+        rng = np.random.default_rng(25)
+        n = int(rng.integers(2, 9))
+        rank = int(rng.integers(1, n))
+        tol = Tolerance(rank_rel=1e-4)
+        weight = PsdOperator.from_matrix(make_psd(rng, n, rank).base, tol)
+        span = weight.null_subspace
+        assert is_compatible(weight, span, tol)
+        assert compatibility_diagnostics(weight, span, tol).compatible
+        proj = weighted_projection(weight, span, tol)
+        assert proj.verify(tol)
+        np.testing.assert_allclose(proj.matrix, span.projector(), atol=1e-12)
+        x = rng.normal(size=n)
+        minimizer = spline_with_weight(weight, span, x, tol).minimizer
+        np.testing.assert_allclose(minimizer, x - span.projector() @ x, atol=1e-12)
+
+    def test_minimal_projection_is_orthogonal(self):
+        rng = np.random.default_rng(26)
+        for _ in range(40):
+            n = int(rng.integers(2, 9))
+            weight = make_psd(rng, n, int(rng.integers(0, n)))
+            null = weight.null_subspace.basis
+            k = int(rng.integers(1, null.shape[1] + 1))
+            span = subspace_from_span(null @ rng.normal(size=(null.shape[1], k)))
+            proj = weighted_projection(weight, span)
+            assert proj.verify()
+            assert np.linalg.norm(proj.matrix - span.projector()) <= 1e-12
 
 
 class TestProjectionFamily:

@@ -17,12 +17,12 @@ from obliqueproj import (
     degenerate_overlap,
     extension_matches_projection,
     in_weight_range,
-    in_weight_sqrt_range,
     intersect,
     is_chart_extendable,
     is_compatible,
     lift,
     projection_family_member,
+    range_inclusion,
     range_inner,
     range_norm,
     range_space_projection,
@@ -32,7 +32,13 @@ from obliqueproj import (
     weighted_projection,
     induced_projection,
 )
-from support import make_pair, make_psd, make_subspace
+from support import (
+    in_sqrt_range_by_pinv,
+    make_pair,
+    make_psd,
+    make_subspace,
+    nullspace_preserving,
+)
 
 RANK1 = PsdOperator.from_matrix(np.ones((2, 2)))
 DEGENERATE = PsdOperator.from_matrix(np.diag([0.0, 1.0]))
@@ -73,7 +79,7 @@ class TestLift:
             inside = weight.base @ rng.normal(size=n)
             outside = rng.normal(size=n)
             for u in (inside, outside):
-                assert in_weight_range(weight, u) == in_weight_sqrt_range(weight, u)
+                assert in_weight_range(weight, u) == in_sqrt_range_by_pinv(weight, u)
 
 
 class TestRangeInner:
@@ -227,8 +233,7 @@ class TestChartExtension:
     def test_not_extendable(self):
         weight = PsdOperator.from_matrix(np.diag([1.0, 0.0]))
         b = np.array([[0.0, 1.0], [0.0, 0.0]])
-        invariant, bounded = is_chart_extendable(weight, b)
-        assert not invariant
+        assert not is_chart_extendable(weight, b)
         with pytest.raises(NotExtendable):
             chart_extension(weight, b)
 
@@ -237,7 +242,7 @@ class TestChartExtension:
         for _ in range(20):
             n = int(rng.integers(2, 7))
             weight = make_psd(rng, n, int(rng.integers(1, n + 1)))
-            b = _nullspace_preserving(rng, weight)
+            b = nullspace_preserving(rng, weight)
             c = chart_extension(weight, b)
             for _ in range(5):
                 x = rng.normal(size=n)
@@ -245,27 +250,28 @@ class TestChartExtension:
                 rhs = chart_basis(weight).T @ lift(weight, weight.base @ (b @ x)).witness
                 np.testing.assert_allclose(lhs, rhs, atol=1e-8 * (1 + np.linalg.norm(rhs)))
 
+    def test_adjoint_range_inclusion(self):
+        # B^T maps R(A) = N(A)^perp into itself when B maps N(A) into
+        # itself, so R(B^T A^{1/2}) ⊆ R(A^{1/2}): chart_extension needs no
+        # test of it.
+        rng = np.random.default_rng(69)
+        for _ in range(30):
+            n = int(rng.integers(2, 7))
+            weight = make_psd(rng, n, int(rng.integers(0, n + 1)))
+            b = nullspace_preserving(rng, weight)
+            assert is_chart_extendable(weight, b)
+            assert range_inclusion(b.T @ weight.sqrt, weight.sqrt)
+
     def test_algebra_morphism(self):
         rng = np.random.default_rng(61)
         for _ in range(20):
             n = int(rng.integers(2, 7))
             weight = make_psd(rng, n, int(rng.integers(1, n + 1)))
-            b1 = _nullspace_preserving(rng, weight)
-            b2 = _nullspace_preserving(rng, weight)
+            b1 = nullspace_preserving(rng, weight)
+            b2 = nullspace_preserving(rng, weight)
             lhs = chart_extension(weight, b1 @ b2)
             rhs = chart_extension(weight, b1) @ chart_extension(weight, b2)
             assert np.linalg.norm(lhs - rhs) <= 1e-7 * (1 + np.linalg.norm(rhs))
-
-
-def _nullspace_preserving(rng, weight):
-    """Random operator mapping the weight's nullspace into itself."""
-    n, r = weight.dim, weight.rank
-    v = weight.eigvecs
-    block = np.zeros((n, n))
-    block[:r, :r] = rng.normal(size=(r, r))
-    block[r:, r:] = rng.normal(size=(n - r, n - r))
-    block[r:, :r] = rng.normal(size=(n - r, r))  # range part may leak into nullspace
-    return v @ block @ v.T
 
 
 class TestBridgeIdentities:
