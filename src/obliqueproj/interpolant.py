@@ -86,7 +86,7 @@ def spline_with_weight(
 
 def _spline(weight: PsdOperator, span: Subspace, x: np.ndarray, tol: Tolerance) -> SplineResult:
     geometry = _geometry(weight, span, tol)
-    minimizer = x - geometry.minimal_projection().matrix @ x
+    minimizer = x - geometry.apply(x)
     freedom = geometry.overlap
     return SplineResult(
         minimizer=minimizer,

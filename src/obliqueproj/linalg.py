@@ -10,6 +10,7 @@ concurrent use is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -362,30 +363,53 @@ def friedrichs_angle(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -
 class PsdOperator:
     """A symmetric positive semidefinite matrix with cached spectral data.
 
-    The constructor :meth:`from_matrix` performs one eigendecomposition and
-    derives the numerical rank, the square root, the pseudoinverses and the
-    projector onto the range.  In finite dimension the ranges of ``A`` and
-    ``A^{1/2}`` coincide; both are spanned by the leading eigenvectors.
+    :meth:`from_matrix` performs one eigendecomposition and derives the
+    numerical rank.  The square root, the pseudoinverses, the range projector
+    and the range and null subspaces are derived on first read and kept
+    read-only: the chart helpers and the battery read them, the projection,
+    diagnostics and spline entry points do not.  In finite dimension the
+    ranges of ``A`` and ``A^{1/2}`` coincide, spanned by the leading eigenvectors.
     """
 
     base: np.ndarray
     eigvals: np.ndarray
     eigvecs: np.ndarray
     rank: int
-    sqrt: np.ndarray
-    pinv: np.ndarray
-    sqrt_pinv: np.ndarray
-    range_proj: np.ndarray
-    range_subspace: Subspace
-    null_subspace: Subspace
 
     def __post_init__(self):
-        for name in ("base", "eigvals", "eigvecs", "sqrt", "pinv", "sqrt_pinv", "range_proj"):
+        for name in ("base", "eigvals", "eigvecs"):
             object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=float)))
 
     @property
     def dim(self) -> int:
         return self.base.shape[0]
+
+    @cached_property
+    def range_subspace(self) -> Subspace:
+        return Subspace(self.dim, self.eigvecs[:, : self.rank])
+
+    @cached_property
+    def sqrt(self) -> np.ndarray:
+        vr = self.range_subspace.basis
+        return _readonly((vr * np.sqrt(self.eigvals[: self.rank])) @ vr.T)
+
+    @cached_property
+    def pinv(self) -> np.ndarray:
+        vr = self.range_subspace.basis
+        return _readonly((vr / self.eigvals[: self.rank]) @ vr.T)
+
+    @cached_property
+    def sqrt_pinv(self) -> np.ndarray:
+        vr = self.range_subspace.basis
+        return _readonly((vr / np.sqrt(self.eigvals[: self.rank])) @ vr.T)
+
+    @cached_property
+    def range_proj(self) -> np.ndarray:
+        return _readonly(self.range_subspace.projector())
+
+    @cached_property
+    def null_subspace(self) -> Subspace:
+        return Subspace(self.dim, self.eigvecs[:, self.rank :])
 
     @classmethod
     def from_matrix(cls, matrix, tol: Tolerance = DEFAULT_TOL) -> "PsdOperator":
@@ -415,19 +439,4 @@ class PsdOperator:
         # zeroing them keeps the square root exactly null on the computed
         # nullspace (sqrt would otherwise amplify 1e-16 noise to 1e-8).
         w[r:] = 0.0
-        vr = v[:, :r]
-        sqrt = (vr * np.sqrt(w[:r])) @ vr.T
-        pinv = (vr / w[:r]) @ vr.T
-        sqrt_pinv = (vr / np.sqrt(w[:r])) @ vr.T
-        return cls(
-            base=m,
-            eigvals=w,
-            eigvecs=v,
-            rank=r,
-            sqrt=sqrt,
-            pinv=pinv,
-            sqrt_pinv=sqrt_pinv,
-            range_proj=vr @ vr.T,
-            range_subspace=Subspace(n, vr),
-            null_subspace=Subspace(n, v[:, r:]),
-        )
+        return cls(base=m, eigvals=w, eigvecs=v, rank=r)

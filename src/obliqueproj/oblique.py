@@ -18,6 +18,7 @@ the CLI.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -139,20 +140,21 @@ def block_decompose(weight: PsdOperator, span: Subspace) -> BlockDecomposition:
     so results are reproducible bit for bit for identical input data.
     """
     geometry = _geometry(weight, span, DEFAULT_TOL)
-    c = geometry.perp.basis.T @ weight.base @ geometry.perp.basis
-    return BlockDecomposition(a=geometry.a, b=geometry.b, c=c, frame=(span, geometry.perp))
+    bp = geometry.perp.basis
+    return BlockDecomposition(geometry.a, geometry.rows @ bp, bp.T @ weight.base @ bp, (span, geometry.perp))
 
 
 def is_compatible(weight: PsdOperator, span: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether some projection onto ``span`` is Hermitian for the weight.
 
     Decided by the range inclusion ``R(b) ⊆ R(a)`` of the block entries,
-    which is equivalent to the coupling equation ``a X = b`` being solvable
-    and to ``H = S + A^{-1}(S^perp)``.  In exact finite-dimensional
-    arithmetic this always holds.  When ``S ⊆ N(A)`` the blocks vanish and
-    the pair is compatible without a test.
+    which is equivalent to ``a X = b`` being solvable and to
+    ``H = S + A^{-1}(S^perp)``; in finite dimension it always holds.  The
+    residual ``||a a^+ b - b||`` is held to ``eq_abs * ||B_S^T A||_F``, not to
+    ``eq_abs * ||b||``, as ``b`` is roundoff on an A-invariant S that meets
+    N(A).  When ``S ⊆ N(A)`` the blocks vanish and no test is made.
     """
-    return _geometry(weight, span, tol).coupling is not None
+    return _geometry(weight, span, tol).shift is not None
 
 
 def _cross(weight: PsdOperator, span: Subspace) -> np.ndarray:
@@ -191,44 +193,70 @@ def degenerate_overlap(weight: PsdOperator, span: Subspace, tol: Tolerance = DEF
 
 @dataclass(frozen=True)
 class _Geometry:
-    """A pair (A, S) decomposed once: its frame, blocks and minimal projection.
+    """A pair (A, S) decomposed once, and only as far as it is read.
 
-    ``perp`` is S^perp and ``a``, ``b`` are the blocks of
-    :func:`block_decompose`.  ``coupling`` is the reduced solution of
-    ``a X = b``; it and ``projection`` are None when that equation is
-    numerically unsolvable.  The last five fields are held in the
-    coordinates of the leading eigenvectors ``V_r``.
+    :func:`_geometry` computes the core, all :func:`spline_with_weight`
+    reads: ``a = B_S^T A B_S``, ``a^+``, the overlap from the SVD of
+    ``C = V_r^T B_S`` and ``shift = a^+ (B_S^T A - a B_S^T) = D B_perp^T``
+    (None if ``a X = b`` is unsolvable).  On first read: ``split``
+    (``R(Λ C)``, ``N(C^T Λ)``), ``preimage`` and ``projection``, for
+    :func:`weighted_projection`; ``perp`` (a complete QR) and ``coupling =
+    a^+ b`` where that frame is published (diagnostics, family members).
     """
 
     weight: PsdOperator
     span: Subspace
     tol: Tolerance
-    perp: Subspace
+    rows: np.ndarray  # B_S^T A
     a: np.ndarray
-    b: np.ndarray
-    coupling: np.ndarray | None
-    projection: ObliqueProjection | None
+    a_pinv: np.ndarray  # a^+, or 0 where the coupling is 0
+    shift: np.ndarray | None
     overlap: Subspace  # N = S ∩ N(A)
-    preimage: Subspace  # A^{-1}(S^perp)
     cross: np.ndarray  # C = V_r^T B_S
     cross_left: np.ndarray  # left singular vectors of C
     cross_sines: np.ndarray  # singular values of C
-    image: np.ndarray  # basis of R(Λ C), the coordinates of A S
-    coupled: np.ndarray  # basis of N(C^T Λ) = R(Λ C)^perp
 
-    def minimal_projection(self) -> ObliqueProjection:
-        if self.projection is None:
-            raise Incompatible(
-                "the coupling equation between the blocks of the weight is unsolvable"
-            )
-        return self.projection
+    @cached_property
+    def perp(self) -> Subspace:
+        return complement(self.span)
+
+    @cached_property
+    def coupling(self) -> np.ndarray | None:
+        return None if self.shift is None else self.a_pinv @ (self.rows @ self.perp.basis)
+
+    @cached_property
+    def split(self) -> tuple[np.ndarray, np.ndarray]:
+        return _split_range(self.weight, self.cross, self.tol)
+
+    @cached_property
+    def preimage(self) -> Subspace:
+        return _preimage(self.weight, self.split[1])
+
+    @cached_property
+    def projection(self) -> ObliqueProjection:
+        shift, weight, bs = self._solved_shift(), self.weight, self.span.basis
+        n, r = weight.dim, weight.rank
+        # A^{-1}(S^perp) (-) N: N is taken out of N(A) in the coordinates of N(A).
+        v0 = weight.eigvecs[:, r:]
+        rest = v0 @ complement(Subspace(n - r, v0.T @ self.overlap.basis)).basis
+        # preimage.basis ends with V_r·N(C^T Λ), the part outside N(A)
+        null = Subspace(n, np.hstack([rest, self.preimage.basis[:, n - r :]]))
+        return ObliqueProjection(bs @ (bs.T + shift), self.span, null)
+
+    def _solved_shift(self) -> np.ndarray:
+        if self.shift is None:
+            raise Incompatible("the coupling equation between the blocks of the weight is unsolvable")
+        return self.shift
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``P x`` for the minimal projection ``P``, without forming ``P``."""
+        return self.span.basis @ (self.span.basis.T @ x + self._solved_shift() @ x)
 
     def member(self, coefficients) -> ObliqueProjection:
         """The family member ``P + N t B_perp^T`` of :func:`projection_family_member`."""
-        base = self.minimal_projection()
         t = as_matrix(coefficients, rows=self.overlap.dim, cols=self.perp.dim)
         bp = self.perp.basis
-        matrix = base.matrix + self.overlap.basis @ t @ bp.T
+        matrix = self.projection.matrix + self.overlap.basis @ t @ bp.T
         # N(Q) = R((I - Q) B_perp), whose columns have singular values >= 1.
         null = np.linalg.qr(bp - matrix @ bp)[0]
         return ObliqueProjection(matrix, self.span, Subspace(self.weight.dim, null))
@@ -236,7 +264,7 @@ class _Geometry:
     def diagnostics(self) -> CompatibilityReport:
         """The report of :func:`compatibility_diagnostics`."""
         weight, span, tol = self.weight, self.span, self.tol
-        compatible = self.coupling is not None
+        compatible = self.shift is not None
         n, r = weight.dim, weight.rank
         lam = weight.eigvals[:r]
         scale = float(lam[0]) if r else 0.0
@@ -245,9 +273,9 @@ class _Geometry:
         # are those of P_R(A) B_S, so the cutoff relative to 1 is theirs.
         kept = _rank_from_values(self.cross_sines, tol, scale=1.0)
         projected = Subspace(r, self.cross_left[:, :kept])
-        image = Subspace(r, self.image)
+        image, coupled = Subspace(r, self.split[0]), self.split[1]
         image_sqrt = _sqrt_image(weight, self.cross, tol)
-        pulled = nullspace_of(self.coupled.T * lam, tol, scale=scale)
+        pulled = nullspace_of(coupled.T * lam, tol, scale=scale)
         closed = kept == span.dim - self.overlap.dim
         chain = (
             compatible,
@@ -257,7 +285,7 @@ class _Geometry:
             closed,
             closed,
         )
-        spread = numerical_rank(np.hstack([self.cross, self.coupled]), tol)
+        spread = numerical_rank(np.hstack([self.cross, coupled]), tol)
         rows = projected.basis.T * lam
         shift_invariant = douglas.range_inclusion(
             rows @ complement(projected).basis, rows @ projected.basis, tol
@@ -267,7 +295,7 @@ class _Geometry:
             degenerate=self.overlap,
             preimage_of_complement=self.preimage,
             coupling=self.coupling,
-            projection=self.projection,
+            projection=self.projection if compatible else None,
             chain=chain,
             sum_check=(n - r) + spread == n,
             projected_pair_compatible=shift_invariant,
@@ -293,31 +321,19 @@ def _preimage(weight: PsdOperator, coupled: np.ndarray) -> Subspace:
 
 def _geometry(weight: PsdOperator, span: Subspace, tol: Tolerance) -> _Geometry:
     _check_pair(weight, span)
-    n, r = weight.dim, weight.rank
-    perp = complement(span)
     rows = span.basis.T @ weight.base
-    a, b = rows @ span.basis, rows @ perp.basis
-    # The reduced solution of a X = b, without its norm certificate.
-    coupling, _, solvable = douglas._pinv_solve(a, b, tol)
+    a = rows @ span.basis
     overlap, cross, left, sines = _overlap(weight, span, tol)
-    if overlap.dim == span.dim:
-        # S ⊆ N(A) within the angle cutoff, so A B_S = 0 and the blocks are
-        # roundoff: the coupling is 0 and P the orthogonal projector onto S.
-        coupling, solvable = np.zeros_like(b), True
-    image, coupled = _split_range(weight, cross, tol)
-    pre = _preimage(weight, coupled)
-    pair = (weight, span, tol, perp, a, b)
-    eigen = (overlap, pre, cross, left, sines, image, coupled)
-    if not solvable:
-        return _Geometry(*pair, None, None, *eigen)
-    # A^{-1}(S^perp) (-) N: N is taken out of N(A) in the coordinates of N(A).
-    v0 = weight.eigvecs[:, r:]
-    rest = v0 @ complement(Subspace(n - r, v0.T @ overlap.basis)).basis
-    bs = span.basis
-    matrix = bs @ (bs.T + coupling @ perp.basis.T)
-    # pre.basis ends with V_r·N(C^T Λ), the part of A^{-1}(S^perp) outside N(A)
-    null = Subspace(n, np.hstack([rest, pre.basis[:, n - r :]]))
-    return _Geometry(*pair, coupling, ObliqueProjection(matrix, span, null), *eigen)
+    # S ⊆ N(A) within the angle cutoff makes A B_S = 0 (the blocks are
+    # roundoff), and S = R^n leaves no b: either way the coupling is 0.
+    exact = overlap.dim == span.dim or span.dim == weight.dim
+    a_pinv = np.zeros_like(a) if exact else moore_penrose(a, tol)
+    gap = rows - a @ span.basis.T  # b B_perp^T
+    shift = a_pinv @ gap
+    # ||a D - b|| against ||B_S^T A||, not ||b||: b is roundoff on an A-invariant S.
+    if not exact and np.linalg.norm(a @ shift - gap) > tol.eq_abs * np.linalg.norm(rows):
+        shift = None
+    return _Geometry(weight, span, tol, rows, a, a_pinv, shift, overlap, cross, left, sines)
 
 
 def weighted_projection(
@@ -325,10 +341,10 @@ def weighted_projection(
 ) -> ObliqueProjection:
     """The minimal-norm weight-Hermitian projection onto ``span``.
 
-    Assembled in the frame of :func:`block_decompose` as ``[I, d; 0, 0]``
-    where ``d`` is the reduced solution of the coupling equation
-    ``a X = b``; the certified nullspace is ``A^{-1}(S^perp) (-) N``, read
-    off the weight's cached eigenvectors independently of ``d``.
+    ``[I, d; 0, 0]`` in the frame of :func:`block_decompose`, ``d`` the
+    reduced solution of ``a X = b``, assembled with no basis of S^perp as
+    ``B_S (B_S^T + a^+ (B_S^T A - a B_S^T))``; the certified nullspace
+    ``A^{-1}(S^perp) (-) N`` is read off the weight's cached eigenvectors.
     No regularization is applied to a nearly singular ``a`` block, since
     that would change the nullspace of the result.
 
@@ -337,7 +353,7 @@ def weighted_projection(
     Incompatible
         If the coupling equation is numerically unsolvable.
     """
-    return _geometry(weight, span, tol).minimal_projection()
+    return _geometry(weight, span, tol).projection
 
 
 def weighted_projection_invertible(

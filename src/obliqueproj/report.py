@@ -52,7 +52,7 @@ def identity_battery(
     checks: list[dict] = []
 
     geometry = oblique._geometry(weight, span, tol)
-    p = geometry.minimal_projection().matrix
+    p = geometry.projection.matrix
     overlap = geometry.overlap
     pre = preimage(a, complement(span), tol)
     report = geometry.diagnostics()

@@ -9,6 +9,7 @@ from obliqueproj import (
     complement,
     contains,
     intersect,
+    moore_penrose,
     nullspace_of,
     preimage,
     range_inclusion,
@@ -69,6 +70,31 @@ def make_overlapping_pair(rng, n, rank, k, overlap):
     inside = q[:, rank:] @ rng.normal(size=(n - rank, overlap))
     span = subspace_from_span(np.hstack([inside, rng.normal(size=(n, k - overlap))]))
     return PsdOperator.from_matrix((q * ev) @ q.T), span
+
+
+def make_invariant_pair(rng):
+    """A weight ``Q diag(ev) Q^T`` of rank 1..n-1 (n 3..8) and an A-invariant
+    S < R^n: a rotation of at least one leading and at least one trailing
+    column of Q, so S meets both R(A) and N(A)."""
+    n = int(rng.integers(3, 9))
+    rank = int(rng.integers(1, n))
+    q = random_orthogonal(rng, n)
+    ev = np.zeros(n)
+    ev[:rank] = rng.uniform(0.5, 2.0, size=rank)
+    lead = int(rng.integers(1, min(rank, n - 2) + 1))
+    trail = int(rng.integers(1, min(n - rank, n - 1 - lead) + 1))
+    columns = np.hstack([q[:, :lead], q[:, rank : rank + trail]])
+    span = subspace_from_span(columns @ random_orthogonal(rng, lead + trail))
+    return PsdOperator.from_matrix((q * ev) @ q.T), span
+
+
+def projection_by_frame(weight, span, tol=DEFAULT_TOL):
+    """The coupling ``a^+ b`` and the minimal projection ``B_S (B_S^T + D B_perp^T)``
+    in the frame of S and its complete-QR complement, with no solvability test."""
+    bs, bp = span.basis, complement(span).basis
+    rows = bs.T @ weight.base
+    coupling = moore_penrose(rows @ bs, tol) @ (rows @ bp)
+    return coupling, bs @ (bs.T + coupling @ bp.T)
 
 
 def singular_values_by_eig(m):

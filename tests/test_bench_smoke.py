@@ -1,34 +1,12 @@
 """The benchmark's pipeline and its verification, run on small inputs.
 
-``bench/workloads.py`` is imported read-only (no bytecode is written next to
-it) and its own checks decide: a change to a report field that the
+``bench/workloads.py`` is imported read-only (the ``workloads`` fixture of
+``conftest.py``) and its own checks decide: a change to a report field that the
 benchmark verifies fails here, not only in a benchmark run.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
-
-WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up in sys.modules while it executes
-    sys.modules[spec.name] = module
-    writes = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = writes
-    yield module
-    del sys.modules[spec.name]
 
 
 def assert_all_pass(ops, checks):

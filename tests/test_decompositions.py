@@ -9,6 +9,7 @@ import numpy.linalg._linalg as np_linalg_impl
 import pytest
 
 from obliqueproj import (
+    PsdOperator,
     chart_extension,
     chart_projected_range,
     compatibility_diagnostics,
@@ -28,9 +29,10 @@ N = 24
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Records the input shape of every SVD and eigh numpy performs."""
-    calls = {"svd": [], "eigh": []}
-    svd, eigh = np.linalg.svd, np.linalg.eigh
+    """Records the input shape of every SVD and eigh numpy performs, and the
+    mode and input shape of every QR."""
+    calls = {"svd": [], "eigh": [], "qr": []}
+    svd, eigh, qr = np.linalg.svd, np.linalg.eigh, np.linalg.qr
 
     def counting_svd(a, *args, **kwargs):
         calls["svd"].append(np.shape(a))
@@ -40,10 +42,20 @@ def counted(monkeypatch):
         calls["eigh"].append(np.shape(a))
         return eigh(a, *args, **kwargs)
 
+    def counting_qr(a, mode="reduced"):
+        calls["qr"].append((mode, np.shape(a)))
+        return qr(a, mode=mode)
+
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(np_linalg_impl, "svd", counting_svd)
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
     return calls
+
+
+def complete_qr_of_n_rows(calls):
+    """The complete QRs of an n-row input: each builds an n x n orthogonal factor."""
+    return [shape for mode, shape in calls["qr"] if mode == "complete" and shape[0] == N]
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +72,8 @@ def test_weighted_projection_budget(pair, counted):
     assert len(counted["svd"]) <= 3
     assert counted["eigh"] == []
     assert (N, N) not in counted["svd"]
+    # P = B_S (B_S^T + a^+ (B_S^T A - a B_S^T)) needs no basis of S^perp
+    assert complete_qr_of_n_rows(counted) == []
 
 
 def test_compatibility_diagnostics_budget(pair, counted):
@@ -67,6 +81,9 @@ def test_compatibility_diagnostics_budget(pair, counted):
     report = compatibility_diagnostics(weight, span)
     assert all(report.chain) and report.sum_check
     assert counted["eigh"] == []
+    # the report publishes the coupling in the frame of S^perp, so it builds
+    # that basis once; this also shows the QR counter sees the library's calls
+    assert complete_qr_of_n_rows(counted) == [(N, span.dim)]
     # no n x n input, which also rules out spectral_norm(A)
     assert (N, N) not in counted["svd"]
     assert len(counted["svd"]) <= 8
@@ -87,6 +104,17 @@ def test_spline_with_weight_reuses_the_eigendecomposition(pair, counted):
     result = spline_with_weight(weight, span, x)
     assert result.freedom.dim == N // 8
     assert counted["eigh"] == []
+    # a^+ and the overlap; no projection, nullspace or split of R^r
+    assert len(counted["svd"]) <= 2
+    assert complete_qr_of_n_rows(counted) == []
+
+
+def test_from_matrix_makes_one_eigh(pair, counted):
+    weight, _, _ = pair
+    rebuilt = PsdOperator.from_matrix(weight.base)
+    assert counted == {"svd": [], "eigh": [(N, N)], "qr": []}
+    # the n x n products are derived on first read, not formed here
+    assert not {"sqrt", "pinv", "sqrt_pinv", "range_proj"} & set(vars(rebuilt))
 
 
 def test_one_pseudoinverse_per_solve(counted):

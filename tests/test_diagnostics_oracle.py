@@ -17,17 +17,9 @@ def scaled(weight, c):
     Scaling the eigen data instead of decomposing ``c A`` again keeps the
     instances at c = 1e6, where ``from_matrix`` still rejects valid weights
     (its negative-eigenvalue test is absolute); that defect is not what
-    these tests are about.
+    these tests are about.  The derived fields follow from the eigen data.
     """
-    root = np.sqrt(c)
-    return dataclasses.replace(
-        weight,
-        base=c * weight.base,
-        eigvals=c * weight.eigvals,
-        sqrt=root * weight.sqrt,
-        pinv=weight.pinv / c,
-        sqrt_pinv=weight.sqrt_pinv / root,
-    )
+    return dataclasses.replace(weight, base=c * weight.base, eigvals=c * weight.eigvals)
 
 
 def assert_matches_oracle(weight, span, tol):

@@ -32,7 +32,8 @@ from obliqueproj import (
     weighted_projection_invertible,
     weighted_projection_pinv,
 )
-from support import make_pair, make_psd, make_subspace
+from obliqueproj.report import identity_battery
+from support import make_invariant_pair, make_pair, make_psd, make_subspace
 
 RANK1 = PsdOperator.from_matrix(np.ones((2, 2)))
 DEGENERATE = PsdOperator.from_matrix(np.diag([0.0, 1.0]))
@@ -269,6 +270,25 @@ class TestSubspaceInsideNullspace:
             proj = weighted_projection(weight, span)
             assert proj.verify()
             assert np.linalg.norm(proj.matrix - span.projector()) <= 1e-12
+
+
+class TestInvariantSubspace:
+    """An A-invariant S that meets both R(A) and N(A): ``b = B_S^T A B_perp``
+    cancels to roundoff while ``a`` is singular.  The pair is compatible and
+    the minimal projection is the orthogonal projector onto S."""
+
+    def test_minimal_projection_is_orthogonal(self):
+        for seed in range(300):
+            weight, span = make_invariant_pair(np.random.default_rng(seed))
+            assert is_compatible(weight, span)
+            proj = weighted_projection(weight, span)
+            assert proj.verify()
+            assert np.linalg.norm(proj.matrix - span.projector()) <= 1e-12
+
+    def test_battery_passes(self):
+        for seed in range(0, 300, 10):
+            weight, span = make_invariant_pair(np.random.default_rng(seed))
+            assert all(check["pass"] for check in identity_battery(weight, span))
 
 
 class TestProjectionFamily:
