@@ -12,7 +12,7 @@ Exit codes: 0 success; 2 malformed input; 3 a numerical precondition fails;
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import platform
 import sys
 from dataclasses import dataclass, field
@@ -45,6 +45,7 @@ class JobSpec:
     least_squares: bool = False
 
 
+@functools.cache  # pure configuration; parse_args returns a fresh namespace
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="obliqueproj",
@@ -154,9 +155,7 @@ def _run_project(job: JobSpec) -> tuple[dict, dict, dict]:
         other = builder(weight, span, job.tol)
         gap = float(np.linalg.norm(other.matrix - proj.matrix))
         checks[f"agrees_{name}"] = bool(gap <= 10 * job.tol.eq_abs)
-    checks["hermitian"] = bool(
-        oblique.is_weight_hermitian(proj, weight, span, job.tol)
-    )
+    checks["hermitian"] = bool(oblique.is_weight_hermitian(proj, weight, span, job.tol))
     return {"projection": _projection_obj(proj)}, checks, loaded
 
 
@@ -205,27 +204,21 @@ def _run_interpolate(job: JobSpec) -> tuple[dict, dict, dict]:
 def _run_oprange(job: JobSpec) -> tuple[dict, dict, dict]:
     weight, span, loaded = _load_pair(job)
     proj = oprange.range_space_projection(weight, span, job.tol)
-    pas = oblique.weighted_projection(weight, span, job.tol)
-    extension = oprange.chart_extension(weight, pas.matrix, job.tol)
-    image, image_equal = oprange.chart_projected_range(weight, span, job.tol)
+    geometry = oblique._geometry(weight, span, job.tol)
+    extension = oprange.chart_extension(weight, geometry.projection.matrix, job.tol)
+    image, image_equal = oprange._projected_range(proj, job.tol)
     results = {
         "chart_dim": int(weight.rank),
         "range_projection": io.matrix_to_obj(proj.coord_matrix),
         "projection_extension": io.matrix_to_obj(extension),
         "projected_range": io.subspace_to_obj(image),
-        "induced_projection": io.matrix_to_obj(
-            oprange.induced_projection(weight, span, job.tol)
-        ),
+        "induced_projection": io.matrix_to_obj(oprange._induced(proj)),
     }
     checks = {
-        "extension_matches_projection": bool(
-            oprange.extension_matches_projection(weight, span, job.tol)
-        ),
+        "extension_matches_projection": oprange._extension_matches(extension, proj, job.tol),
         "projected_range_equals_image": bool(image_equal),
-        "compatible": bool(oblique.is_compatible(weight, span, job.tol)),
-        "complement_density": bool(
-            oprange.complement_density_check(weight, span, job.tol)
-        ),
+        "compatible": geometry.shift is not None,
+        "complement_density": bool(oprange._complement_density(proj, job.tol)),
     }
     return results, checks, loaded
 
@@ -270,9 +263,7 @@ def run(job: JobSpec) -> tuple[int, dict]:
             "python": platform.python_version(),
         },
     }
-    code = EXIT_OK
-    if job.command == "report" and not results["all_pass"]:
-        code = EXIT_IDENTITY
+    code = EXIT_IDENTITY if job.command == "report" and not results["all_pass"] else EXIT_OK
     return code, document
 
 
@@ -292,19 +283,15 @@ def main(argv=None) -> int:
     )
     try:
         code, document = run(job)
-    except (io.FormatError, DimensionMismatch, ValueError) as exc:
+    except (ValueError, Error) as exc:  # io.FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IDENTITY
+        if isinstance(exc, (ValueError, DimensionMismatch)):
+            return EXIT_MALFORMED
+        return EXIT_PRECONDITION if isinstance(exc, PreconditionError) else EXIT_IDENTITY
     if job.output:
         io.save_obj(document, job.output)
     else:
-        print(json.dumps(document, indent=2, sort_keys=True))
+        print(io.dumps(document))
     return code
 
 

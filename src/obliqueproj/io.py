@@ -8,6 +8,8 @@ canonicalized to an orthonormal basis on load.
 from __future__ import annotations
 
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,7 @@ def matrix_to_obj(matrix) -> dict:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "data": [float(v) for v in m.ravel(order="C")],
+        "data": m.ravel().tolist(),
     }
 
 
@@ -99,5 +101,36 @@ def load_subspace(path, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     return subspace_from_obj(_load_json(path), tol)
 
 
+# _strip() leaves float list i as [float(i)]; no other value renders so.
+_MARKER = re.compile(r"\[(\n *)(\d+)\.0\n")
+
+
+def _strip(node, floats: list):
+    # Not a recursive closure: that cycle would keep ``floats`` alive until gc.
+    if isinstance(node, dict):
+        return {key: _strip(value, floats) for key, value in node.items()}
+    if not isinstance(node, (list, tuple)):
+        return node
+    if node and all(isinstance(v, float) for v in node) and all(map(math.isfinite, node)):
+        floats.append(node)
+        return [float(len(floats) - 1)]
+    return [_strip(value, floats) for value in node]
+
+
+def dumps(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+
+    The stdlib encodes in Python when ``indent`` is set, so the lists of
+    finite floats are taken out, the rest is dumped, and each list is
+    spliced back in at its marker's indentation as one ``join`` of reprs.
+    """
+    floats = []
+
+    def splice(match) -> str:  # match[1] is the newline and indentation of the items
+        return "[" + match[1] + ("," + match[1]).join(map(float.__repr__, floats[int(match[2])])) + "\n"
+
+    return _MARKER.sub(splice, json.dumps(_strip(obj, floats), indent=2, sort_keys=True))
+
+
 def save_obj(obj, path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(dumps(obj) + "\n")

@@ -205,11 +205,13 @@ def extension_matches_projection(
     ambient oblique picture and the range-space orthogonal picture.
     Propagates ``Incompatible`` from the projection construction.
     """
-    proj = weighted_projection(weight, span, tol)
-    extended = chart_extension(weight, proj.matrix, tol)
-    chart_proj = range_space_projection(weight, span, tol).coord_matrix
-    scale = 1.0 + float(np.linalg.norm(chart_proj))
-    return float(np.linalg.norm(extended - chart_proj)) <= 10.0 * tol.eq_abs * scale
+    extended = chart_extension(weight, weighted_projection(weight, span, tol).matrix, tol)
+    return _extension_matches(extended, range_space_projection(weight, span, tol), tol)
+
+
+def _extension_matches(extended: np.ndarray, proj: RangeSpaceProjection, tol: Tolerance) -> bool:
+    scale = 1.0 + float(np.linalg.norm(proj.coord_matrix))
+    return float(np.linalg.norm(extended - proj.coord_matrix)) <= 10.0 * tol.eq_abs * scale
 
 
 def chart_projected_range(
@@ -222,9 +224,13 @@ def chart_projected_range(
     coordinates: the image is ``Λ^{1/2}`` applied to the chart image of S,
     and ``A(S)`` is ``V_r R(Λ C)`` (rank cutoff anchored at ``λ_1``).
     """
-    proj = range_space_projection(weight, span, tol)
+    return _projected_range(range_space_projection(weight, span, tol), tol)
+
+
+def _projected_range(proj: RangeSpaceProjection, tol: Tolerance) -> tuple[Subspace, bool]:
+    weight = proj.weight
     image = subspace_from_span(_root(weight)[:, None] * proj.range_image.basis, tol)
-    target = Subspace(weight.rank, _split_range(weight, _cross(weight, span), tol)[0])
+    target = Subspace(weight.rank, _split_range(weight, _cross(weight, proj.target), tol)[0])
     ambient = Subspace(weight.dim, chart_basis(weight) @ image.basis)
     return ambient, _equal_in_range(image, target, weight.dim, tol)
 
@@ -240,8 +246,11 @@ def induced_projection(
     equals the range projector times the weighted projection.  Formed as
     ``V_r Λ^{-1/2} P Λ^{1/2} V_r^T`` from the chart projection ``P``.
     """
-    proj = range_space_projection(weight, span, tol)
-    vr, root = chart_basis(weight), _root(weight)
+    return _induced(range_space_projection(weight, span, tol))
+
+
+def _induced(proj: RangeSpaceProjection) -> np.ndarray:
+    vr, root = chart_basis(proj.weight), _root(proj.weight)
     return (vr / root) @ proj.coord_matrix @ (root[:, None] * vr.T)
 
 
@@ -260,16 +269,17 @@ def complement_density_check(
     InconsistentDiagnostics
         If the two equivalent statements disagree numerically.
     """
-    proj = range_space_projection(weight, span, tol)
-    perp_meet_range = intersect(complement(span), weight.range_subspace, tol)
-    chart_perp = chart_image(weight, perp_meet_range.basis, tol)
+    return _complement_density(range_space_projection(weight, span, tol), tol)
+
+
+def _complement_density(proj: RangeSpaceProjection, tol: Tolerance) -> bool:
+    perp_meet_range = intersect(complement(proj.target), proj.weight.range_subspace, tol)
+    chart_perp = chart_image(proj.weight, perp_meet_range.basis, tol)
     closure_fills = subspace_equal(chart_perp, proj.null_image, tol)
     total = subspace_sum(proj.range_image, chart_perp, tol)
-    sum_dense = total.dim == weight.rank
+    sum_dense = total.dim == proj.weight.rank
     if closure_fills != sum_dense:
-        raise InconsistentDiagnostics(
-            "the closure identity and the dense-sum identity disagree"
-        )
+        raise InconsistentDiagnostics("the closure identity and the dense-sum identity disagree")
     return closure_fills
 
 

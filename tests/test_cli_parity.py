@@ -70,3 +70,31 @@ def test_reports_match_the_frame_construction(workloads, tmp_path, seed):
     assert gap(minimizer, x - p @ x) <= 1e-13
     extension = io.matrix_from_obj(results["oprange"]["projection_extension"])
     assert gap(extension, chart_extension(weight, p)) <= 1e-13
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_reports_are_written_as_json_dumps(workloads, tmp_path, monkeypatch, seed):
+    # Each written report is json.dumps(indent=2, sort_keys=True) of the
+    # document cli.run returned, so its bytes are the stdlib writer's
+    # whatever the environment; report is covered too.
+    round_ = workloads._make_round(np.random.default_rng(seed), tmp_path, "bytes", N)
+    invocations = [(inv.stage, inv.argv, inv.output) for inv in round_.invocations]
+    pair = invocations[0][1][1:5]  # --input-a A --input-s S
+    report = str(tmp_path / "bytes-out-report.json")
+    invocations.append(("report", ["report", *pair, "--seed", "3", "--output", report], report))
+    documents = []
+    run = cli.run
+
+    def recording_run(job):
+        code, document = run(job)
+        documents.append(document)
+        return code, document
+
+    monkeypatch.setattr(cli, "run", recording_run)
+    for stage, argv, output in invocations:
+        documents.clear()
+        assert cli.main(argv) == FAILING_EXITS.get(stage, 0)
+        if stage in FAILING_EXITS:
+            continue
+        with open(output) as fh:
+            assert fh.read() == json.dumps(documents[0], indent=2, sort_keys=True) + "\n"

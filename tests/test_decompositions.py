@@ -12,6 +12,7 @@ from obliqueproj import (
     PsdOperator,
     chart_extension,
     chart_projected_range,
+    cli,
     compatibility_diagnostics,
     extension_matches_projection,
     induced_projection,
@@ -135,6 +136,18 @@ def test_identity_battery_budget(pair, counted):
     assert all(check["pass"] for check in identity_battery(weight, span))
     assert counted["eigh"] == []
     assert len(counted["svd"]) <= 400
+
+
+def test_cli_oprange_decomposes_the_pair_once(workloads, tmp_path, counted):
+    # One pair geometry and one chart projection serve the whole report.
+    round_ = workloads._make_round(np.random.default_rng(0), tmp_path, "count", 64)
+    (argv,) = [inv.argv for inv in round_.invocations if inv.stage == "oprange"]
+    for calls in counted.values():
+        calls.clear()  # making the inputs decomposes too
+    assert cli.main(argv) == 0
+    assert counted["eigh"] == [(64, 64)]
+    assert len(counted["svd"]) == 10
+    assert [mode for mode, _ in counted["qr"]] == ["complete"] * 3
 
 
 def test_chart_helpers_take_no_square_svd(pair, counted):

@@ -2,8 +2,29 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from obliqueproj import cli, io, subspace_from_span
+
+# Floats at the edges of repr and of json's NaN/Infinity spelling, and numpy
+# scalars, which json renders with float.__repr__ as well.
+FLOATS = (
+    st.floats()
+    | st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308, float("nan"), float("inf"), -float("inf")])
+    | st.floats(allow_nan=False).map(np.float64)
+)
+# ints and bools are not floats and must not be spliced; strings carry quotes,
+# backslashes, control and non-ASCII characters.
+SCALARS = st.none() | st.booleans() | st.integers() | FLOATS | st.text(
+    st.sampled_from('a"\\/\n\t\x00\x7fé\u2603\U0001f600') | st.characters()
+)
+LEAVES = SCALARS | st.lists(FLOATS) | st.lists(FLOATS, min_size=1).map(tuple)
+DOCUMENTS = st.recursive(
+    LEAVES,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=20,
+)
 
 
 def write(path, obj):
@@ -53,9 +74,49 @@ class TestFileFormats:
         with pytest.raises(io.FormatError):
             io.matrix_from_obj(obj)
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [[-0.0, 0.0], [5e-324, -2.2250738585072014e-308]],
+            np.zeros((0, 3)),
+            np.zeros((3, 0)),
+            np.arange(6).reshape(2, 3),
+            np.array([[0.1, -1.5], [3.4028235e38, 1e-45]], dtype=np.float32),
+            np.asfortranarray(np.arange(6.0).reshape(3, 2)),
+        ],
+    )
+    def test_matrix_to_obj_data_matches_the_elementwise_conversion(self, values):
+        m = np.asarray(values, dtype=float)
+        obj = io.matrix_to_obj(values)
+        assert obj["data"] == [float(v) for v in m.ravel(order="C")]
+        assert all(type(v) is float for v in obj["data"])
+        # same values, same signs of zero, same bytes in the report
+        assert [v.hex() for v in obj["data"]] == [float(v).hex() for v in m.ravel()]
+        assert io.dumps(obj) == json.dumps(
+            {"rows": m.shape[0], "cols": m.shape[1], "data": [float(v) for v in m.ravel()]},
+            indent=2, sort_keys=True,
+        )
+        if m.size == 0:
+            assert obj["data"] == []
+
     def test_malformed_subspace(self):
         with pytest.raises(io.FormatError):
             io.subspace_from_obj({"ambient": 3, "span": {"rows": 2, "cols": 1, "data": [1.0, 0.0]}})
+
+
+class TestWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(DOCUMENTS)
+    @example({"b": [1.0, -0.0], "a": {"z": [[5e-324, 1e308]], "y": []}, "c": [1, True, 2.5]})
+    @example([float("nan"), 1.0, float("inf")])
+    @example({"marker": [[0.0]], "text": "[\n  0.0\n]"})
+    def test_dumps_is_json_dumps(self, doc):
+        assert io.dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    def test_save_obj_writes_dumps_and_a_newline(self, tmp_path):
+        doc = {"data": [0.1, 0.2], "name": "x"}
+        io.save_obj(doc, tmp_path / "doc.json")
+        assert (tmp_path / "doc.json").read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 class TestCommands:
@@ -161,6 +222,22 @@ class TestCommands:
     def test_unknown_command_exits_2(self):
         assert cli.main(["frobnicate"]) == 2
 
+    def test_parser_errors_repeat(self, fixtures, capsys):
+        # One parser serves the whole process; its errors must not depend on
+        # what it parsed before.
+        tmp, p = fixtures
+        assert cli._parser() is cli._parser()
+        for argv in (["frobnicate"], ["compat", "--input-s", p["s"]]):
+            outcomes = []
+            for _ in range(2):
+                code = cli.main(argv)
+                outcomes.append((code, capsys.readouterr()))
+                assert cli.main(["project", "--input-a", p["eye"], "--input-s", p["s"]]) == 0
+                capsys.readouterr()
+            assert outcomes[0] == outcomes[1]
+            assert outcomes[0][0] == 2
+            assert "error:" in outcomes[0][1].err
+
     def test_report_identity_failure_exits_4(self, fixtures, monkeypatch, capsys):
         tmp, p = fixtures
         failed = [{"name": "projection_idempotent", "pass": False, "applicable": True}]
@@ -181,6 +258,15 @@ class TestDeterminismAndRoundTrip:
         assert cli.main(["report", "--input-a", p["a"], "--input-s", p["s"],
                          "--seed", "7", "--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_stdout_matches_output_file(self, fixtures, capsys):
+        tmp, p = fixtures
+        out = tmp / "compat.json"
+        argv = ["compat", "--input-a", p["a"], "--input-s", p["s"]]
+        assert cli.main(argv + ["--output", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
 
     def test_emitted_matrices_reparse_equal(self, fixtures):
         tmp, p = fixtures
