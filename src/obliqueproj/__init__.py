@@ -32,12 +32,10 @@ from .linalg import (
     Tolerance,
     complement,
     contains,
-    friedrichs_angle,
     intersect,
     moore_penrose,
     nullspace_of,
     numerical_rank,
-    ortho_projector,
     preimage,
     spectral_norm,
     subspace_equal,
@@ -74,8 +72,6 @@ from .oprange import (
     chart_extension,
     chart_image,
     chart_projected_range,
-    compatibility_decompositions,
-    complement_density_check,
     extension_matches_projection,
     in_weight_range,
     induced_projection,

@@ -203,22 +203,21 @@ def _run_interpolate(job: JobSpec) -> tuple[dict, dict, dict]:
 
 def _run_oprange(job: JobSpec) -> tuple[dict, dict, dict]:
     weight, span, loaded = _load_pair(job)
-    proj = oprange.range_space_projection(weight, span, job.tol)
-    geometry = oblique._geometry(weight, span, job.tol)
-    extension = oprange.chart_extension(weight, geometry.projection.matrix, job.tol)
-    image, image_equal = oprange._projected_range(proj, job.tol)
+    chart = oprange.range_space_projection(weight, span, job.tol)
+    extension = chart.extension  # raises Incompatible before any identity is read
+    image, image_equal = chart.projected_range
     results = {
         "chart_dim": int(weight.rank),
-        "range_projection": io.matrix_to_obj(proj.coord_matrix),
+        "range_projection": io.matrix_to_obj(chart.coord_matrix),
         "projection_extension": io.matrix_to_obj(extension),
         "projected_range": io.subspace_to_obj(image),
-        "induced_projection": io.matrix_to_obj(oprange._induced(proj)),
+        "induced_projection": io.matrix_to_obj(chart.induced),
     }
     checks = {
-        "extension_matches_projection": oprange._extension_matches(extension, proj, job.tol),
+        "extension_matches_projection": chart.extension_matches,
         "projected_range_equals_image": bool(image_equal),
-        "compatible": geometry.shift is not None,
-        "complement_density": bool(oprange._complement_density(proj, job.tol)),
+        "compatible": chart.geometry.shift is not None,
+        "complement_density": bool(chart.complement_density),
     }
     return results, checks, loaded
 

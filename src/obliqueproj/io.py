@@ -105,16 +105,25 @@ def load_subspace(path, tol: Tolerance = DEFAULT_TOL) -> Subspace:
 _MARKER = re.compile(r"\[(\n *)(\d+)\.0\n")
 
 
-def _strip(node, floats: list):
+def _strip(node, floats: list, path: set):
     # Not a recursive closure: that cycle would keep ``floats`` alive until gc.
-    if isinstance(node, dict):
-        return {key: _strip(value, floats) for key, value in node.items()}
-    if not isinstance(node, (list, tuple)):
+    # ``path`` holds the ids of the containers above ``node``, as json's
+    # encoder keeps its markers, so a cycle raises json's error.
+    if isinstance(node, (list, tuple)):
+        if node and all(isinstance(v, float) for v in node) and all(map(math.isfinite, node)):
+            floats.append(node)
+            return [float(len(floats) - 1)]
+    elif not isinstance(node, dict):
         return node
-    if node and all(isinstance(v, float) for v in node) and all(map(math.isfinite, node)):
-        floats.append(node)
-        return [float(len(floats) - 1)]
-    return [_strip(value, floats) for value in node]
+    if id(node) in path:
+        raise ValueError("Circular reference detected")
+    path.add(id(node))
+    if isinstance(node, dict):
+        out = {key: _strip(value, floats, path) for key, value in node.items()}
+    else:
+        out = [_strip(value, floats, path) for value in node]
+    path.remove(id(node))
+    return out
 
 
 def dumps(obj) -> str:
@@ -129,7 +138,7 @@ def dumps(obj) -> str:
     def splice(match) -> str:  # match[1] is the newline and indentation of the items
         return "[" + match[1] + ("," + match[1]).join(map(float.__repr__, floats[int(match[2])])) + "\n"
 
-    return _MARKER.sub(splice, json.dumps(_strip(obj, floats), indent=2, sort_keys=True))
+    return _MARKER.sub(splice, json.dumps(_strip(obj, floats, set()), indent=2, sort_keys=True))
 
 
 def save_obj(obj, path) -> None:

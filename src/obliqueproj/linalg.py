@@ -35,9 +35,7 @@ __all__ = [
     "contains",
     "subspace_equal",
     "preimage",
-    "ortho_projector",
     "moore_penrose",
-    "friedrichs_angle",
 ]
 
 
@@ -309,11 +307,6 @@ class ObliqueProjection:
         return bool(ok)
 
 
-def ortho_projector(s: Subspace) -> ObliqueProjection:
-    """Orthogonal projection onto ``s`` (symmetric idempotent)."""
-    return ObliqueProjection(s.projector(), s, complement(s))
-
-
 def moore_penrose(w, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD with the relative rank cutoff.
 
@@ -333,30 +326,6 @@ def subtract(s: Subspace, inner: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subs
     if not contains(s, inner, tol):
         raise NotContained("the subtracted subspace is not contained in the first")
     return intersect(s, complement(inner), tol)
-
-
-def friedrichs_angle(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Cosine of the Friedrichs angle between two subspaces.
-
-    The common intersection is removed before measuring, so the result is 0
-    whenever either subspace coincides with the intersection.  (The Dixmier
-    convention keeps the intersection and would return 1 for overlapping
-    subspaces; the compatibility criteria this library serves use the
-    Friedrichs one.)  A nonzero angle (cosine < 1) is equivalent to the sum
-    being closed, which is automatic here; the value itself quantifies the
-    relative position.
-    """
-    _check_same_ambient(s1, s2)
-    meet = intersect(s1, s2, tol)
-    if meet.dim:
-        r1 = intersect(s1, complement(meet), tol)
-        r2 = intersect(s2, complement(meet), tol)
-    else:
-        r1, r2 = s1, s2
-    if r1.dim == 0 or r2.dim == 0:
-        return 0.0
-    cosines = np.linalg.svd(r1.basis.T @ r2.basis, compute_uv=False)
-    return float(min(1.0, cosines[0]))
 
 
 @dataclass(frozen=True)

@@ -201,7 +201,9 @@ class _Geometry:
     (None if ``a X = b`` is unsolvable).  On first read: ``split``
     (``R(Λ C)``, ``N(C^T Λ)``), ``preimage`` and ``projection``, for
     :func:`weighted_projection`; ``perp`` (a complete QR) and ``coupling =
-    a^+ b`` where that frame is published (diagnostics, family members).
+    a^+ b`` where that frame is published (diagnostics, family members);
+    ``sqrt_image`` (``R(Λ^{1/2} C)``) for the diagnostics and the
+    range-space chart.
     """
 
     weight: PsdOperator
@@ -231,6 +233,10 @@ class _Geometry:
     @cached_property
     def preimage(self) -> Subspace:
         return _preimage(self.weight, self.split[1])
+
+    @cached_property
+    def sqrt_image(self) -> Subspace:
+        return _sqrt_image(self.weight, self.cross, self.tol)
 
     @cached_property
     def projection(self) -> ObliqueProjection:
@@ -274,7 +280,7 @@ class _Geometry:
         kept = _rank_from_values(self.cross_sines, tol, scale=1.0)
         projected = Subspace(r, self.cross_left[:, :kept])
         image, coupled = Subspace(r, self.split[0]), self.split[1]
-        image_sqrt = _sqrt_image(weight, self.cross, tol)
+        image_sqrt = self.sqrt_image
         pulled = nullspace_of(coupled.T * lam, tol, scale=scale)
         closed = kept == span.dim - self.overlap.dim
         chain = (

@@ -7,18 +7,23 @@ finite dimension this range space is realized isometrically by witness
 coordinates in the eigenbasis of the weight, so the exotic inner product
 becomes the ordinary one and all identities become plain matrix identities.
 
-In that chart live the canonical orthogonal projection onto the image of S
-(which exists whether or not the pair is compatible), and the extensions of
-ambient operators that leave the weight's nullspace invariant.  The module
-exposes both, plus the identities tying them to the weighted projection:
-the extension of the weighted projection *is* the chart projection, and the
-chart projection maps the weight's range onto the image of S exactly when
-the pair is compatible.
+In that chart lives the canonical orthogonal projection onto the image of
+S, which exists whether or not the pair is compatible, and the pair is
+compatible exactly when that one projection behaves well.
+:class:`RangeSpaceProjection` is it, built once per pair from the pair
+geometry of :mod:`~obliqueproj.oblique`, and every range-space identity is
+one of its fields, computed on first read: ``extension_matches`` (the
+extension of the weighted projection *is* the chart projection),
+``projected_range`` (the chart projection maps R(A) onto ``A S`` exactly
+when the pair is compatible), ``induced``, ``complement_density`` and
+``decompositions``.  The extensions of ambient operators that leave the
+weight's nullspace invariant live in the chart too (:func:`chart_extension`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,8 +41,7 @@ from .linalg import (
     subspace_from_span,
     subspace_sum,
 )
-from .oblique import _cross, _equal_in_range, _split_range, _sqrt_image
-from .oblique import is_compatible, weighted_projection
+from .oblique import _Geometry, _equal_in_range, _geometry
 
 
 @dataclass(frozen=True)
@@ -120,17 +124,35 @@ def unchart(weight: PsdOperator, coords) -> np.ndarray:
 class RangeSpaceProjection:
     """The orthogonal projection, in the chart, onto the image of a subspace.
 
-    ``coord_matrix`` is symmetric idempotent (orthogonality in the range
-    space equals symmetry in the witness chart); ``range_image`` is the
-    chart image of ``A^{1/2}(S)`` and ``null_image`` its orthocomplement,
+    Holds one pair geometry and computes every field on first read.  With
+    ``C = V_r^T B_S``, ``range_image`` is the chart image ``R(Λ^{1/2} C)`` of
+    ``A^{1/2} S``, the one the diagnostics read; ``coord_matrix`` is its
+    projector, symmetric idempotent (orthogonality in the range space equals
+    symmetry in the witness chart); ``null_image`` is its orthocomplement,
     the chart image of ``S^perp ∩ R(A^{1/2})``.
     """
 
-    weight: PsdOperator
-    target: Subspace
-    coord_matrix: np.ndarray
-    range_image: Subspace
-    null_image: Subspace
+    geometry: _Geometry
+
+    @property
+    def weight(self) -> PsdOperator:
+        return self.geometry.weight
+
+    @property
+    def target(self) -> Subspace:
+        return self.geometry.span
+
+    @property
+    def range_image(self) -> Subspace:
+        return self.geometry.sqrt_image
+
+    @cached_property
+    def coord_matrix(self) -> np.ndarray:
+        return self.range_image.projector()
+
+    @cached_property
+    def null_image(self) -> Subspace:
+        return complement(self.range_image)
 
     def apply(self, x: RangeVector) -> RangeVector:
         """Project a certified range vector; the result lies in the image of S."""
@@ -142,24 +164,103 @@ class RangeSpaceProjection:
         witness = vr @ (self.coord_matrix @ (vr.T @ x.witness))
         return RangeVector(self.weight, self.weight.sqrt @ witness, witness)
 
+    @cached_property
+    def extension(self) -> np.ndarray:
+        """:func:`chart_extension` of the weighted projection.
 
-def range_space_projection(
-    weight: PsdOperator, span: Subspace, tol: Tolerance = DEFAULT_TOL
-) -> RangeSpaceProjection:
-    """The chart-orthogonal projection onto the closure of the image of S.
+        Raises ``Incompatible`` if the weighted projection does not exist.
+        """
+        return chart_extension(self.weight, self.geometry.projection.matrix, self.geometry.tol)
 
-    Exists for every pair, compatible or not.  The chart image of the
-    target is spanned by the coordinates of ``A^{1/2} S``, which are
-    ``Λ^{1/2} C`` with ``C = V_r^T B_S``.
-    """
-    image = _sqrt_image(weight, _cross(weight, span), tol)
-    return RangeSpaceProjection(
-        weight=weight,
-        target=span,
-        coord_matrix=image.projector(),
-        range_image=image,
-        null_image=complement(image),
-    )
+    @cached_property
+    def extension_matches(self) -> bool:
+        """Whether the extension of the weighted projection is the chart projection.
+
+        True for every compatible pair; this is the bridge identity between
+        the ambient oblique picture and the range-space orthogonal picture.
+        """
+        scale = 1.0 + float(np.linalg.norm(self.coord_matrix))
+        gap = float(np.linalg.norm(self.extension - self.coord_matrix))
+        return gap <= 10.0 * self.geometry.tol.eq_abs * scale
+
+    @cached_property
+    def projected_range(self) -> tuple[Subspace, bool]:
+        """Image of R(A) under the chart projection, mapped back to ambient space.
+
+        With whether it equals ``A(S)``; the equality holds exactly when the
+        pair is compatible.  Both are compared in chart coordinates: the
+        image is ``Λ^{1/2}`` applied to the chart image of S, and ``A(S)`` is
+        ``V_r R(Λ C)`` (rank cutoff anchored at ``λ_1``).
+        """
+        weight, tol = self.weight, self.geometry.tol
+        image = subspace_from_span(_root(weight)[:, None] * self.range_image.basis, tol)
+        target = Subspace(weight.rank, self.geometry.split[0])
+        ambient = Subspace(weight.dim, chart_basis(weight) @ image.basis)
+        return ambient, _equal_in_range(image, target, weight.dim, tol)
+
+    @cached_property
+    def induced(self) -> np.ndarray:
+        """The ambient idempotent obtained by conjugating the chart projection.
+
+        Composes the inverse of the weight on its range, the chart projection
+        and the weight; requires (and, in finite dimension, automatically
+        has) the chart projection mapping R(A) into R(A).  For a compatible
+        pair it equals the range projector times the weighted projection.
+        Formed as ``V_r Λ^{-1/2} P Λ^{1/2} V_r^T``.
+        """
+        vr, root = chart_basis(self.weight), _root(self.weight)
+        return (vr / root) @ self.coord_matrix @ (root[:, None] * vr.T)
+
+    @cached_property
+    def _perp_in_range(self) -> np.ndarray:
+        # S^perp ∩ R(A) = V_r N(C^T), held in R^r: the left directions of C
+        # whose sine lies under the cutoff of intersect(), and those past its
+        # columns.  Read off the geometry's SVD of C, not off a residual.
+        g = self.geometry
+        apart = int(np.count_nonzero(g.cross_sines >= 2.0 * g.tol.rank_rel))
+        return complement(Subspace(g.weight.rank, g.cross_left[:, :apart])).basis
+
+    @cached_property
+    def complement_density(self) -> bool:
+        """Two equivalent density statements about ``S^perp ∩ R(A)`` in the chart.
+
+        The closure of ``S^perp ∩ R(A)`` fills the orthocomplement of the
+        image of S exactly when ``A(S) + S^perp ∩ R(A)`` is dense in the range
+        space; in finite dimension density means equality and both sides are
+        evaluated as subspace identities in R^r.
+
+        Raises ``InconsistentDiagnostics`` if the two statements disagree
+        numerically.
+        """
+        weight, tol = self.weight, self.geometry.tol
+        chart_perp = subspace_from_span(self._perp_in_range / _root(weight)[:, None], tol)
+        closure_fills = subspace_equal(chart_perp, self.null_image, tol)
+        sum_dense = subspace_sum(self.range_image, chart_perp, tol).dim == weight.rank
+        if closure_fills != sum_dense:
+            raise InconsistentDiagnostics("the closure identity and the dense-sum identity disagree")
+        return closure_fills
+
+    @cached_property
+    def decompositions(self) -> tuple[bool, bool, bool]:
+        """Three equivalent decomposition conditions for compatibility.
+
+        i) the block criterion; ii) ``R(A^{1/2})`` splits into the sqrt image
+        of S plus its orthocomplement within the range, in R^r; iii) ``R(A)``
+        splits into ``A(S)`` plus ``S^perp ∩ R(A)``, with ``A(S)`` closed
+        inside ``R(A)``, in R^n from the columns of ``A B_S``.  All three
+        agree on every well-conditioned input.
+        """
+        g = self.geometry
+        weight, tol = g.weight, g.tol
+        second = subspace_sum(self.range_image, self.null_image, tol).dim == weight.rank
+        rng = weight.range_subspace
+        scale = float(weight.eigvals[0]) if weight.eigvals.size else 0.0
+        image = subspace_from_span(weight.base @ g.span.basis, tol, scale=scale)
+        perp = Subspace(weight.dim, chart_basis(weight) @ self._perp_in_range)
+        third = subspace_equal(subspace_sum(image, perp, tol), rng, tol) and subspace_equal(
+            intersect(image, rng, tol), image, tol
+        )
+        return g.shift is not None, second, third
 
 
 def is_chart_extendable(weight: PsdOperator, operator, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -196,118 +297,33 @@ def chart_extension(
     return root[:, None] * (vr.T @ b @ vr) / root
 
 
+def range_space_projection(
+    weight: PsdOperator, span: Subspace, tol: Tolerance = DEFAULT_TOL
+) -> RangeSpaceProjection:
+    """The chart-orthogonal projection onto the closure of the image of S.
+
+    Exists for every pair, compatible or not.  Builds the core of the pair
+    geometry (``a^+`` and the SVD of ``C``); the fields follow on first read.
+    """
+    return RangeSpaceProjection(_geometry(weight, span, tol))
+
+
 def extension_matches_projection(
     weight: PsdOperator, span: Subspace, tol: Tolerance = DEFAULT_TOL
 ) -> bool:
-    """Whether the extension of the weighted projection is the chart projection.
-
-    True for every compatible pair; this is the bridge identity between the
-    ambient oblique picture and the range-space orthogonal picture.
-    Propagates ``Incompatible`` from the projection construction.
-    """
-    extended = chart_extension(weight, weighted_projection(weight, span, tol).matrix, tol)
-    return _extension_matches(extended, range_space_projection(weight, span, tol), tol)
-
-
-def _extension_matches(extended: np.ndarray, proj: RangeSpaceProjection, tol: Tolerance) -> bool:
-    scale = 1.0 + float(np.linalg.norm(proj.coord_matrix))
-    return float(np.linalg.norm(extended - proj.coord_matrix)) <= 10.0 * tol.eq_abs * scale
+    """:attr:`RangeSpaceProjection.extension_matches`; propagates ``Incompatible``."""
+    return range_space_projection(weight, span, tol).extension_matches
 
 
 def chart_projected_range(
     weight: PsdOperator, span: Subspace, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[Subspace, bool]:
-    """Image of R(A) under the chart projection, mapped back to ambient space.
-
-    Returns the subspace and whether it equals ``A(S)``; the equality holds
-    exactly when the pair is compatible.  Both are compared in chart
-    coordinates: the image is ``Λ^{1/2}`` applied to the chart image of S,
-    and ``A(S)`` is ``V_r R(Λ C)`` (rank cutoff anchored at ``λ_1``).
-    """
-    return _projected_range(range_space_projection(weight, span, tol), tol)
-
-
-def _projected_range(proj: RangeSpaceProjection, tol: Tolerance) -> tuple[Subspace, bool]:
-    weight = proj.weight
-    image = subspace_from_span(_root(weight)[:, None] * proj.range_image.basis, tol)
-    target = Subspace(weight.rank, _split_range(weight, _cross(weight, proj.target), tol)[0])
-    ambient = Subspace(weight.dim, chart_basis(weight) @ image.basis)
-    return ambient, _equal_in_range(image, target, weight.dim, tol)
+    """:attr:`RangeSpaceProjection.projected_range`."""
+    return range_space_projection(weight, span, tol).projected_range
 
 
 def induced_projection(
     weight: PsdOperator, span: Subspace, tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray:
-    """The ambient idempotent obtained by conjugating the chart projection.
-
-    Composes the inverse of the weight on its range, the chart projection
-    and the weight; requires (and, in finite dimension, automatically has)
-    the chart projection mapping R(A) into R(A).  For a compatible pair it
-    equals the range projector times the weighted projection.  Formed as
-    ``V_r Λ^{-1/2} P Λ^{1/2} V_r^T`` from the chart projection ``P``.
-    """
-    return _induced(range_space_projection(weight, span, tol))
-
-
-def _induced(proj: RangeSpaceProjection) -> np.ndarray:
-    vr, root = chart_basis(proj.weight), _root(proj.weight)
-    return (vr / root) @ proj.coord_matrix @ (root[:, None] * vr.T)
-
-
-def complement_density_check(
-    weight: PsdOperator, span: Subspace, tol: Tolerance = DEFAULT_TOL
-) -> bool:
-    """Two equivalent density statements about ``S^perp ∩ R(A)`` in the chart.
-
-    The closure of ``S^perp ∩ R(A)`` fills the orthocomplement of the image
-    of S exactly when ``A(S) + S^perp ∩ R(A)`` is dense in the range space;
-    in finite dimension density means equality and both sides are evaluated
-    as chart-subspace identities.
-
-    Raises
-    ------
-    InconsistentDiagnostics
-        If the two equivalent statements disagree numerically.
-    """
-    return _complement_density(range_space_projection(weight, span, tol), tol)
-
-
-def _complement_density(proj: RangeSpaceProjection, tol: Tolerance) -> bool:
-    perp_meet_range = intersect(complement(proj.target), proj.weight.range_subspace, tol)
-    chart_perp = chart_image(proj.weight, perp_meet_range.basis, tol)
-    closure_fills = subspace_equal(chart_perp, proj.null_image, tol)
-    total = subspace_sum(proj.range_image, chart_perp, tol)
-    sum_dense = total.dim == proj.weight.rank
-    if closure_fills != sum_dense:
-        raise InconsistentDiagnostics("the closure identity and the dense-sum identity disagree")
-    return closure_fills
-
-
-def compatibility_decompositions(
-    weight: PsdOperator, span: Subspace, tol: Tolerance = DEFAULT_TOL
-) -> tuple[bool, bool, bool]:
-    """Three equivalent decomposition conditions for compatibility.
-
-    i) the block criterion; ii) ``R(A^{1/2})`` splits into the sqrt image of
-    S plus its orthocomplement within the range; iii) ``R(A)`` splits into
-    ``A(S)`` plus ``S^perp ∩ R(A)``, with ``A(S)`` closed inside ``R(A)``.
-    All three agree, and agree with :func:`is_compatible`, on every
-    well-conditioned input.
-    """
-    rng = weight.range_subspace
-    first = is_compatible(weight, span, tol)
-    scale = float(weight.eigvals[0]) if weight.eigvals.size else 0.0
-
-    chart = _sqrt_image(weight, _cross(weight, span), tol)
-    image_sqrt = Subspace(weight.dim, chart_basis(weight) @ chart.basis)
-    split_sqrt = subspace_sum(
-        image_sqrt, intersect(complement(image_sqrt), rng, tol), tol
-    )
-    second = subspace_equal(split_sqrt, rng, tol)
-
-    image = subspace_from_span(weight.base @ span.basis, tol, scale=scale)
-    split = subspace_sum(image, intersect(complement(span), rng, tol), tol)
-    third = subspace_equal(split, rng, tol) and subspace_equal(
-        intersect(image, rng, tol), image, tol
-    )
-    return first, second, third
+    """:attr:`RangeSpaceProjection.induced`."""
+    return range_space_projection(weight, span, tol).induced

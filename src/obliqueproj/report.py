@@ -56,7 +56,8 @@ def identity_battery(
     overlap = geometry.overlap
     pre = preimage(a, complement(span), tol)
     report = geometry.diagnostics()
-    decomps = oprange.compatibility_decompositions(weight, span, tol)
+    chart = oprange.RangeSpaceProjection(geometry)
+    decomps = chart.decompositions
 
     gap = float(np.linalg.norm(p @ p - p))
     checks.append(_record("projection_idempotent", gap <= eq * n, gap))
@@ -132,19 +133,14 @@ def identity_battery(
     else:
         checks.append(_record("trivial_overlap_split", True, applicable=False))
 
-    checks.append(
-        _record(
-            "extension_matches_projection",
-            oprange.extension_matches_projection(weight, span, tol),
-        )
-    )
+    checks.append(_record("extension_matches_projection", chart.extension_matches))
 
-    _, image_eq = oprange.chart_projected_range(weight, span, tol)
+    _, image_eq = chart.projected_range
     checks.append(
         _record("projected_range_equals_image", image_eq == report.compatible)
     )
 
-    ext_p = oprange.chart_extension(weight, p, tol)
+    ext_p = chart.extension
     worst = 0.0
     for _ in range(20):
         t = rng.normal(size=(overlap.dim, n - span.dim))
@@ -152,7 +148,7 @@ def identity_battery(
         worst = max(worst, float(np.linalg.norm(oprange.chart_extension(weight, member, tol) - ext_p)))
     checks.append(_record("family_extension_constant", worst <= 10 * eq, worst))
 
-    induced = oprange.induced_projection(weight, span, tol)
+    induced = chart.induced
     idem_gap = float(np.linalg.norm(induced @ induced - induced))
     ok = idem_gap <= eq * n
     if report.compatible:
@@ -161,9 +157,7 @@ def identity_battery(
         idem_gap = max(idem_gap, factor_gap)
     checks.append(_record("induced_projection_idempotent", ok, idem_gap))
 
-    checks.append(
-        _record("complement_density", oprange.complement_density_check(weight, span, tol))
-    )
+    checks.append(_record("complement_density", chart.complement_density))
 
     checks.append(
         _record(

@@ -4,11 +4,14 @@ import numpy as np
 
 from obliqueproj import (
     DEFAULT_TOL,
+    InconsistentDiagnostics,
+    ObliqueProjection,
     PsdOperator,
     Subspace,
     complement,
     contains,
     intersect,
+    is_compatible,
     moore_penrose,
     nullspace_of,
     preimage,
@@ -190,6 +193,34 @@ def preimage_by_projector(w, s, tol=DEFAULT_TOL):
     return nullspace_of(blocker, tol, scale=spectral_norm(w))
 
 
+def ortho_projector(s):
+    """Orthogonal projection onto ``s`` (symmetric idempotent)."""
+    return ObliqueProjection(s.projector(), s, complement(s))
+
+
+def friedrichs_angle(s1, s2, tol=DEFAULT_TOL):
+    """Cosine of the Friedrichs angle between two subspaces.
+
+    The common intersection is removed before measuring, so the result is 0
+    whenever either subspace coincides with the intersection.  (The Dixmier
+    convention keeps the intersection and would return 1 for overlapping
+    subspaces.)  A cosine below 1 is equivalent to the sum being closed,
+    which is automatic in finite dimension; the value quantifies the
+    relative position, as in Szyld's identity for the norm of a projection.
+    """
+    assert s1.ambient_dim == s2.ambient_dim
+    meet = intersect(s1, s2, tol)
+    if meet.dim:
+        r1 = intersect(s1, complement(meet), tol)
+        r2 = intersect(s2, complement(meet), tol)
+    else:
+        r1, r2 = s1, s2
+    if r1.dim == 0 or r2.dim == 0:
+        return 0.0
+    cosines = np.linalg.svd(r1.basis.T @ r2.basis, compute_uv=False)
+    return float(min(1.0, cosines[0]))
+
+
 def subtract_by_complements(s, inner, tol=DEFAULT_TOL):
     """``S (-) N`` as the intersection of S with the complement of N."""
     assert contains(s, inner, tol)
@@ -296,3 +327,37 @@ def induced_projection_by_products(weight, span, tol=DEFAULT_TOL):
     vr = weight.eigvecs[:, : weight.rank]
     coord = chart_image_of_span_by_products(weight, span, tol).projector()
     return weight.pinv @ (weight.sqrt @ vr @ coord @ vr.T @ weight.sqrt_pinv) @ weight.base
+
+
+def complement_density_by_complements(weight, span, tol=DEFAULT_TOL):
+    """The two density statements of ``RangeSpaceProjection.complement_density``
+    with ``S^perp ∩ R(A)`` intersected in R^n from a complete-QR complement
+    of S, against the chart image of :func:`chart_image_of_span_by_products`.
+
+    Raises ``InconsistentDiagnostics`` if the two statements disagree."""
+    vr = weight.eigvecs[:, : weight.rank]
+    root = np.sqrt(weight.eigvals[: weight.rank])
+    image = chart_image_of_span_by_products(weight, span, tol)
+    perp_meet_range = intersect(complement(span), weight.range_subspace, tol)
+    chart_perp = subspace_from_span((vr.T @ perp_meet_range.basis) / root[:, None], tol)
+    closure_fills = subspace_equal(chart_perp, complement(image), tol)
+    sum_dense = subspace_sum(image, chart_perp, tol).dim == weight.rank
+    if closure_fills != sum_dense:
+        raise InconsistentDiagnostics("the closure identity and the dense-sum identity disagree")
+    return closure_fills
+
+
+def decompositions_by_subspaces(weight, span, tol=DEFAULT_TOL):
+    """The three flags of ``RangeSpaceProjection.decompositions`` from
+    subspaces of R^n: ii) ``A^{1/2} S`` plus its complement within R(A), and
+    iii) ``A S`` plus ``S^perp ∩ R(A)``, each intersected with R(A) through
+    an n x n complement.  Flag i is :func:`is_compatible`."""
+    rng = weight.range_subspace
+    vr = weight.eigvecs[:, : weight.rank]
+    image_sqrt = Subspace(weight.dim, vr @ chart_image_of_span_by_products(weight, span, tol).basis)
+    split_sqrt = subspace_sum(image_sqrt, intersect(complement(image_sqrt), rng, tol), tol)
+    scale = float(weight.eigvals[0]) if weight.eigvals.size else 0.0
+    image = subspace_from_span(weight.base @ span.basis, tol, scale=scale)
+    split = subspace_sum(image, intersect(complement(span), rng, tol), tol)
+    third = subspace_equal(split, rng, tol) and subspace_equal(intersect(image, rng, tol), image, tol)
+    return is_compatible(weight, span, tol), subspace_equal(split_sqrt, rng, tol), third

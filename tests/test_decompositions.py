@@ -10,6 +10,7 @@ import pytest
 
 from obliqueproj import (
     PsdOperator,
+    oblique,
     chart_extension,
     chart_projected_range,
     cli,
@@ -131,23 +132,48 @@ def test_one_pseudoinverse_per_solve(counted):
 
 def test_identity_battery_budget(pair, counted):
     # The battery decomposes the pair once and takes the projection, the
-    # overlap, the diagnostics and every family member from that one value.
+    # overlap, the diagnostics, every family member and the chart projection
+    # from that one value.
     weight, span, _ = pair
     assert all(check["pass"] for check in identity_battery(weight, span))
     assert counted["eigh"] == []
-    assert len(counted["svd"]) <= 400
+    assert len(counted["svd"]) == 328
+
+
+def test_identity_battery_builds_one_chart(pair, monkeypatch):
+    # One pair geometry for the battery and one per spline sample (20); one
+    # sqrt image, read by the diagnostics and by every chart identity.
+    builds = {"geometry": 0, "sqrt_image": 0}
+    geometry, sqrt_image = oblique._Geometry, oblique._sqrt_image
+
+    def counting_geometry(*args):
+        builds["geometry"] += 1
+        return geometry(*args)
+
+    def counting_sqrt_image(*args):
+        builds["sqrt_image"] += 1
+        return sqrt_image(*args)
+
+    monkeypatch.setattr(oblique, "_Geometry", counting_geometry)
+    monkeypatch.setattr(oblique, "_sqrt_image", counting_sqrt_image)
+    weight, span, _ = pair
+    assert all(check["pass"] for check in identity_battery(weight, span))
+    assert builds == {"geometry": 21, "sqrt_image": 1}
 
 
 def test_cli_oprange_decomposes_the_pair_once(workloads, tmp_path, counted):
-    # One pair geometry and one chart projection serve the whole report.
+    # One pair geometry and one chart projection serve the whole report;
+    # S^perp ∩ R(A) is read in R^r, so no n x n complement is formed.
     round_ = workloads._make_round(np.random.default_rng(0), tmp_path, "count", 64)
     (argv,) = [inv.argv for inv in round_.invocations if inv.stage == "oprange"]
     for calls in counted.values():
         calls.clear()  # making the inputs decomposes too
     assert cli.main(argv) == 0
     assert counted["eigh"] == [(64, 64)]
-    assert len(counted["svd"]) == 10
-    assert [mode for mode, _ in counted["qr"]] == ["complete"] * 3
+    assert len(counted["svd"]) <= 9
+    # the subspace load is the only SVD of a 64-row input
+    assert [shape for shape in counted["svd"] if shape[0] == 64] == [(64, 64 // 3)]
+    assert [shape for mode, shape in counted["qr"] if mode == "complete" and shape[0] == 64] == []
 
 
 def test_chart_helpers_take_no_square_svd(pair, counted):

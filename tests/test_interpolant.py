@@ -8,7 +8,6 @@ from obliqueproj import (
     NotPsd,
     PsdOperator,
     degenerate_overlap,
-    ortho_projector,
     seminorm,
     spline,
     spline_by_normal_equations,
@@ -16,7 +15,7 @@ from obliqueproj import (
     subspace_from_span,
     subspace_equal,
 )
-from support import make_pair, make_psd, make_subspace, seminorm_grid_min
+from support import make_pair, make_psd, make_subspace, ortho_projector, seminorm_grid_min
 
 SPAN_E1 = subspace_from_span(np.array([[1.0], [0.0]]))
 SPAN_E2 = subspace_from_span(np.array([[0.0], [1.0]]))

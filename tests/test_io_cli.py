@@ -113,6 +113,24 @@ class TestWriter:
     def test_dumps_is_json_dumps(self, doc):
         assert io.dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
+    @pytest.mark.parametrize("kind", ["list", "dict"])
+    def test_circular_reference_raises_as_json_dumps(self, kind):
+        doc = [1.0, "x"] if kind == "list" else {"a": [0.5]}
+        if kind == "list":
+            doc.append(doc)
+        else:
+            doc["self"] = doc
+        with pytest.raises(ValueError) as expected:
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(type(expected.value)) as got:
+            io.dumps(doc)
+        assert str(got.value) == str(expected.value)
+
+    def test_shared_containers_are_not_cycles(self):
+        shared = {"v": [1.0, 2.0], "w": [1, 2]}
+        doc = {"a": shared, "b": [shared, shared]}
+        assert io.dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
     def test_save_obj_writes_dumps_and_a_newline(self, tmp_path):
         doc = {"data": [0.1, 0.2], "name": "x"}
         io.save_obj(doc, tmp_path / "doc.json")

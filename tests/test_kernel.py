@@ -12,19 +12,24 @@ from obliqueproj import (
     Tolerance,
     complement,
     contains,
-    friedrichs_angle,
     intersect,
     moore_penrose,
     nullspace_of,
     numerical_rank,
-    ortho_projector,
     preimage,
     subspace_equal,
     subspace_from_span,
     subspace_sum,
     subtract,
 )
-from support import intersection_by_nullspace, make_psd, make_subspace, singular_values_by_eig
+from support import (
+    friedrichs_angle,
+    intersection_by_nullspace,
+    make_psd,
+    make_subspace,
+    ortho_projector,
+    singular_values_by_eig,
+)
 
 E1 = np.array([[1.0], [0.0]])
 E2 = np.array([[0.0], [1.0]])

@@ -18,7 +18,6 @@ from obliqueproj import (
     is_compatible,
     is_weight_hermitian,
     moore_penrose,
-    ortho_projector,
     preimage,
     projection_family_member,
     reduced_solution,
@@ -33,7 +32,7 @@ from obliqueproj import (
     weighted_projection_pinv,
 )
 from obliqueproj.report import identity_battery
-from support import make_invariant_pair, make_pair, make_psd, make_subspace
+from support import make_invariant_pair, make_pair, make_psd, make_subspace, ortho_projector
 
 RANK1 = PsdOperator.from_matrix(np.ones((2, 2)))
 DEGENERATE = PsdOperator.from_matrix(np.diag([0.0, 1.0]))

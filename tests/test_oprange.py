@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,13 @@ from obliqueproj import (
     chart_extension,
     chart_image,
     chart_projected_range,
-    compatibility_decompositions,
+    cli,
     complement,
-    complement_density_check,
     degenerate_overlap,
     extension_matches_projection,
     in_weight_range,
     intersect,
+    io,
     is_chart_extendable,
     is_compatible,
     lift,
@@ -38,6 +40,7 @@ from support import (
     make_psd,
     make_subspace,
     nullspace_preserving,
+    random_orthogonal,
 )
 
 RANK1 = PsdOperator.from_matrix(np.ones((2, 2)))
@@ -364,19 +367,54 @@ class TestInducedProjection:
 
 class TestDensityAndDecompositions:
     def test_identity_weight(self):
-        weight = PsdOperator.from_matrix(np.eye(2))
-        assert complement_density_check(weight, SPAN_E1)
-        assert compatibility_decompositions(weight, SPAN_E1) == (True, True, True)
+        chart = range_space_projection(PsdOperator.from_matrix(np.eye(2)), SPAN_E1)
+        assert chart.complement_density
+        assert chart.decompositions == (True, True, True)
 
     def test_degenerate(self):
-        assert complement_density_check(DEGENERATE, SPAN_E1)
-        assert compatibility_decompositions(DEGENERATE, SPAN_E1) == (True, True, True)
+        chart = range_space_projection(DEGENERATE, SPAN_E1)
+        assert chart.complement_density
+        assert chart.decompositions == (True, True, True)
 
     def test_random(self):
         rng = np.random.default_rng(67)
         for _ in range(30):
             weight, span = make_pair(rng)
-            assert complement_density_check(weight, span)
-            flags = compatibility_decompositions(weight, span)
+            chart = range_space_projection(weight, span)
+            assert chart.complement_density
+            flags = chart.decompositions
             assert len(set(flags)) == 1
             assert flags[0] == is_compatible(weight, span)
+
+
+class TestNearCutoff:
+    """A compatible pair where a direction of R(A) sits at sine ``s`` from
+    S^perp, 5 to 50 times the angle cutoff ``2 rank_rel``: S^perp ∩ R(A) is
+    read off the SVD of ``C = V_r^T B_S``, not off a residual that cancels
+    to roundoff, so its basis is accurate at any sine."""
+
+    @staticmethod
+    def pair(seed, s):
+        rng = np.random.default_rng(seed)
+        q = random_orthogonal(rng, 6)
+        ev = np.zeros(6)
+        ev[:3] = rng.uniform(0.5, 2.0, size=3)
+        span = np.column_stack([q[:, 3], np.sqrt(1.0 - s**2) * q[:, 4] + s * q[:, 0]])
+        return (q * ev) @ q.T, span
+
+    @pytest.mark.parametrize("s", [1e-8, 1e-9])
+    def test_complement_density(self, s):
+        for seed in range(40):
+            a, span = self.pair(seed, s)
+            chart = range_space_projection(PsdOperator.from_matrix(a), subspace_from_span(span))
+            assert chart.complement_density
+
+    @pytest.mark.parametrize("s", [1e-8, 1e-9])
+    def test_cli_oprange_exits_0(self, s, tmp_path):
+        files = {name: tmp_path / f"{name}.json" for name in ("a", "s", "out")}
+        for seed in range(40):
+            a, span = self.pair(seed, s)
+            files["a"].write_text(json.dumps(io.matrix_to_obj(a)))
+            files["s"].write_text(json.dumps({"ambient": 6, "span": io.matrix_to_obj(span)}))
+            argv = ["oprange", "--input-a", str(files["a"]), "--input-s", str(files["s"])]
+            assert cli.main(argv + ["--output", str(files["out"])]) == 0, seed
