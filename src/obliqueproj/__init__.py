@@ -36,12 +36,10 @@ from .linalg import (
     moore_penrose,
     nullspace_of,
     numerical_rank,
-    preimage,
     spectral_norm,
     subspace_equal,
     subspace_from_span,
     subspace_sum,
-    subtract,
 )
 from .douglas import (
     ReducedSolution,
@@ -70,7 +68,6 @@ from .oprange import (
     chart_basis,
     chart_coords,
     chart_extension,
-    chart_image,
     chart_projected_range,
     extension_matches_projection,
     in_weight_range,

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotContained, NotPsd
+from .errors import DimensionMismatch, NotPsd
 
 __all__ = [
     "Tolerance",
@@ -31,10 +31,8 @@ __all__ = [
     "complement",
     "intersect",
     "subspace_sum",
-    "subtract",
     "contains",
     "subspace_equal",
-    "preimage",
     "moore_penrose",
 ]
 
@@ -222,11 +220,16 @@ def _sine_svd(residual: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return np.linalg.svd(residual, full_matrices=rows < cols)
 
 
+def _apart(sines: np.ndarray, tol: Tolerance) -> int:
+    # The angle cutoff of intersect(): the number of principal angles whose
+    # sine is at or above 2 * rank_rel, so that their directions stay apart.
+    return int(np.count_nonzero(sines >= 2.0 * tol.rank_rel))
+
+
 def _meet_coordinates(sines: np.ndarray, vt: np.ndarray, tol: Tolerance) -> np.ndarray:
     # From _sine_svd(): the combinations of the basis whose sine lies
     # strictly below the cutoff, as orthonormal columns.
-    apart = int(np.count_nonzero(sines >= 2.0 * tol.rank_rel))
-    return vt[apart:].T
+    return vt[_apart(sines, tol):].T
 
 
 def intersect(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
@@ -273,18 +276,6 @@ def subspace_equal(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> 
     return float(gap) <= tol.eq_abs * s1.ambient_dim
 
 
-def preimage(w, s: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """The preimage ``{x : Wx in S}``, the nullspace of ``C^T W``.
-
-    ``C`` is an orthonormal basis of ``S^perp``, so ``C^T W`` has the
-    singular values of ``P_{S^perp} W``.  The rank decision on the product
-    is anchored at the norm of ``W``, so an invariant subspace (where the
-    product cancels to roundoff) is handled correctly.
-    """
-    w = as_matrix(w, rows=s.ambient_dim, cols=s.ambient_dim)
-    return nullspace_of(complement(s).basis.T @ w, tol, scale=spectral_norm(w))
-
-
 @dataclass(frozen=True)
 class ObliqueProjection:
     """An idempotent matrix with certified range and nullspace subspaces."""
@@ -319,13 +310,6 @@ def moore_penrose(w, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     u, s, vt = np.linalg.svd(w, full_matrices=False)
     r = _rank_from_values(s, tol)
     return (vt[:r].T / s[:r]) @ u[:, :r].T
-
-
-def subtract(s: Subspace, inner: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """The relative complement ``S (-) N = S ∩ N^perp``; requires N ⊆ S."""
-    if not contains(s, inner, tol):
-        raise NotContained("the subtracted subspace is not contained in the first")
-    return intersect(s, complement(inner), tol)
 
 
 @dataclass(frozen=True)
@@ -409,3 +393,9 @@ class PsdOperator:
         # nullspace (sqrt would otherwise amplify 1e-16 noise to 1e-8).
         w[r:] = 0.0
         return cls(base=m, eigvals=w, eigvecs=v, rank=r)
+
+
+def _operator_norm(weight: PsdOperator) -> float:
+    # ||A|| = λ_1, the anchor of rank cutoffs on products with A; 0.0 for
+    # the operator on R^0.
+    return float(weight.eigvals[0]) if weight.dim else 0.0

@@ -37,18 +37,17 @@ from .linalg import (
     Subspace,
     Tolerance,
     _meet_coordinates,
+    _operator_norm,
     _rank_from_values,
     _sine_svd,
     _split_rows,
     as_matrix,
     complement,
     contains,
-    intersect,
     moore_penrose,
     nullspace_of,
     numerical_rank,
     subspace_equal,
-    subspace_from_span,
 )
 
 
@@ -83,8 +82,9 @@ class CompatibilityReport:
     ``chain`` holds six necessary conditions for compatibility, evaluated as
     finite-dimensional subspace predicates; in exact arithmetic all are true
     and they respect the implications 1->2->4->5, 2<->3, 5<->6.  Under
-    aggressive tolerances individual flags can fail, which makes the report
-    a health check for numerically ill-posed inputs.
+    aggressive tolerances flags 1, 3, 5 and 6 can fail, which makes the
+    report a health check for numerically ill-posed inputs; flags 2 and 4
+    hold by construction and are not evaluated.
 
     ``projected_pair_compatible`` and ``shifted_pair_compatible`` record
     that compatibility is insensitive to projecting S onto the range of the
@@ -96,13 +96,14 @@ class CompatibilityReport:
     in R(A).  Nothing n x n is decomposed.
 
     1. ``compatible``: ``a X = b`` is solvable, or ``S ⊆ N(A)`` (coupling 0).
-    2. ``A S = V_r R(Λ C)`` (rank cutoff anchored at ``λ_1``) equals its
-       intersection with R(A), taken in R^r.
+    2. ``A S`` is closed inside R(A): its intersection with R(A) is itself.
+       In the coordinates of V_r, ``A S = V_r R(Λ C)`` is a subspace of
+       R^r, whose intersection with R^r is exact, so the flag is True.
     3. The preimage of ``A S``, ``N(A) ⊕ V_r N(U_perp^T Λ)`` with ``U_perp``
        a basis of ``R(Λ C)^perp`` in R^r, equals
        ``S + N(A) = N(A) ⊕ V_r R(C)``; the N(A) parts coincide, so the two
        are compared in R^r with the bound of ``subspace_equal`` in R^n.
-    4. As 2 for ``A^{1/2} S = V_r R(Λ^{1/2} C)`` (anchored at ``sqrt(λ_1)``).
+    4. As 2 for ``A^{1/2} S = V_r R(Λ^{1/2} C)``; True for the same reason.
     5. ``S + N(A)`` has dimension ``dim S + dim N(A) - dim(S ∩ N(A))``.
     6. The projection ``V_r R(C)`` of S onto R(A) has dimension
        ``dim S - dim(S ∩ N(A))``.  ``R(C)`` takes the rank cutoff of
@@ -162,13 +163,6 @@ def _cross(weight: PsdOperator, span: Subspace) -> np.ndarray:
     return weight.eigvecs[:, : weight.rank].T @ span.basis
 
 
-def _sqrt_image(weight: PsdOperator, cross: np.ndarray, tol: Tolerance) -> Subspace:
-    # A^{1/2} S = V_r R(Λ^{1/2} C), held in the coordinates of V_r; the rank
-    # cutoff is anchored at ||A^{1/2}|| = sqrt(λ_1).
-    root = np.sqrt(weight.eigvals[: weight.rank])
-    return subspace_from_span(root[:, None] * cross, tol, scale=float(root[0]) if root.size else 0.0)
-
-
 def _overlap(
     weight: PsdOperator, span: Subspace, tol: Tolerance
 ) -> tuple[Subspace, np.ndarray, np.ndarray, np.ndarray]:
@@ -201,9 +195,9 @@ class _Geometry:
     (None if ``a X = b`` is unsolvable).  On first read: ``split``
     (``R(Λ C)``, ``N(C^T Λ)``), ``preimage`` and ``projection``, for
     :func:`weighted_projection`; ``perp`` (a complete QR) and ``coupling =
-    a^+ b`` where that frame is published (diagnostics, family members);
-    ``sqrt_image`` (``R(Λ^{1/2} C)``) for the diagnostics and the
-    range-space chart.
+    a^+ b`` where that frame is published (diagnostics, family members).
+    The range-space chart of :mod:`~obliqueproj.oprange` holds one of these
+    and derives the chart image of ``A^{1/2} S`` from ``cross``.
     """
 
     weight: PsdOperator
@@ -233,10 +227,6 @@ class _Geometry:
     @cached_property
     def preimage(self) -> Subspace:
         return _preimage(self.weight, self.split[1])
-
-    @cached_property
-    def sqrt_image(self) -> Subspace:
-        return _sqrt_image(self.weight, self.cross, self.tol)
 
     @cached_property
     def projection(self) -> ObliqueProjection:
@@ -273,24 +263,15 @@ class _Geometry:
         compatible = self.shift is not None
         n, r = weight.dim, weight.rank
         lam = weight.eigvals[:r]
-        scale = float(lam[0]) if r else 0.0
-        whole = Subspace(r, np.eye(r))
         # The projection of S onto R(A), V_r R(C): the singular values of C
         # are those of P_R(A) B_S, so the cutoff relative to 1 is theirs.
         kept = _rank_from_values(self.cross_sines, tol, scale=1.0)
         projected = Subspace(r, self.cross_left[:, :kept])
-        image, coupled = Subspace(r, self.split[0]), self.split[1]
-        image_sqrt = self.sqrt_image
-        pulled = nullspace_of(coupled.T * lam, tol, scale=scale)
+        coupled = self.split[1]
+        pulled = nullspace_of(coupled.T * lam, tol, scale=_operator_norm(weight))
         closed = kept == span.dim - self.overlap.dim
-        chain = (
-            compatible,
-            _equal_in_range(intersect(image, whole, tol), image, n, tol),
-            _equal_in_range(pulled, projected, n, tol),
-            _equal_in_range(intersect(image_sqrt, whole, tol), image_sqrt, n, tol),
-            closed,
-            closed,
-        )
+        # Flags 2 and 4 hold by construction; see CompatibilityReport.
+        chain = (compatible, True, _equal_in_range(pulled, projected, n, tol), True, closed, closed)
         spread = numerical_rank(np.hstack([self.cross, coupled]), tol)
         rows = projected.basis.T * lam
         shift_invariant = douglas.range_inclusion(
@@ -313,10 +294,8 @@ def _split_range(weight: PsdOperator, cross: np.ndarray, tol: Tolerance) -> tupl
     # With A = V_r Λ V_r^T, a vector V_r y + z (z in N(A)) lies in
     # A^{-1}(S^perp) exactly when C^T Λ y = 0.  One SVD of that product
     # splits R^r into its row space R(Λ C), the coordinates of A S, and its
-    # nullspace.  The rank cutoff is anchored at ||A|| = λ_1, as for
-    # preimage().
-    scale = float(weight.eigvals[0]) if weight.dim else 0.0
-    return _split_rows(cross.T * weight.eigvals[: weight.rank], tol, scale)
+    # nullspace.  The rank cutoff is anchored at ||A|| = λ_1.
+    return _split_rows(cross.T * weight.eigvals[: weight.rank], tol, _operator_norm(weight))
 
 
 def _preimage(weight: PsdOperator, coupled: np.ndarray) -> Subspace:
@@ -422,8 +401,7 @@ def is_weight_hermitian(
     if not subspace_equal(projection.range, span, tol):
         raise RangeMismatch("the projection's range differs from the given subspace")
     a, q = weight.base, projection.matrix
-    scale = 1.0 + float(np.linalg.norm(a))
-    algebraic = float(np.linalg.norm(a @ q - q.T @ a)) <= tol.eq_abs * scale
+    algebraic = float(np.linalg.norm(a @ q - q.T @ a)) <= _hermitian_bound(a, tol)
     # A^{-1}(S^perp), read off the eigenvectors as for the minimal projection.
     pre = _preimage(weight, _split_range(weight, _cross(weight, span), tol)[1])
     containment = contains(pre, projection.nullspace, tol)
@@ -432,6 +410,12 @@ def is_weight_hermitian(
             "the algebraic symmetry test and the nullspace containment test disagree"
         )
     return algebraic
+
+
+def _hermitian_bound(a: np.ndarray, tol: Tolerance) -> float:
+    # The threshold of the algebraic test ||A Q - Q^T A|| <= bound, shared by
+    # is_weight_hermitian() and the identity battery.
+    return tol.eq_abs * (1.0 + float(np.linalg.norm(a)))
 
 
 def projection_family_member(

@@ -12,8 +12,9 @@ S, which exists whether or not the pair is compatible, and the pair is
 compatible exactly when that one projection behaves well.
 :class:`RangeSpaceProjection` is it, built once per pair from the pair
 geometry of :mod:`~obliqueproj.oblique`, and every range-space identity is
-one of its fields, computed on first read: ``extension_matches`` (the
-extension of the weighted projection *is* the chart projection),
+one of its fields, computed on first read: ``range_image`` (the chart image
+of ``A^{1/2} S``, which only this module computes), ``extension_matches``
+(the extension of the weighted projection *is* the chart projection),
 ``projected_range`` (the chart projection maps R(A) onto ``A S`` exactly
 when the pair is compatible), ``induced``, ``complement_density`` and
 ``decompositions``.  The extensions of ambient operators that leave the
@@ -33,6 +34,8 @@ from .linalg import (
     PsdOperator,
     Subspace,
     Tolerance,
+    _apart,
+    _operator_norm,
     as_matrix,
     as_vector,
     complement,
@@ -107,17 +110,17 @@ def chart_coords(weight: PsdOperator, u, tol: Tolerance = DEFAULT_TOL) -> np.nda
     return chart_basis(weight).T @ lift(weight, u, tol).witness
 
 
-def chart_image(weight: PsdOperator, columns, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """Chart image of the span of given ambient range vectors."""
-    cols = as_matrix(columns, rows=weight.dim)
-    coords = (chart_basis(weight).T @ cols) / _root(weight)[:, None]
-    return subspace_from_span(coords, tol)
-
-
 def unchart(weight: PsdOperator, coords) -> np.ndarray:
     """Ambient range vector represented by chart coordinates."""
     coords = as_vector(coords, weight.rank)
     return weight.sqrt @ (chart_basis(weight) @ coords)
+
+
+def _sqrt_image(weight: PsdOperator, cross: np.ndarray, tol: Tolerance) -> Subspace:
+    # A^{1/2} S = V_r R(Λ^{1/2} C), held in the coordinates of V_r; the rank
+    # cutoff is anchored at ||A^{1/2}|| = sqrt(λ_1).
+    root = _root(weight)
+    return subspace_from_span(root[:, None] * cross, tol, scale=float(root[0]) if root.size else 0.0)
 
 
 @dataclass(frozen=True)
@@ -126,10 +129,10 @@ class RangeSpaceProjection:
 
     Holds one pair geometry and computes every field on first read.  With
     ``C = V_r^T B_S``, ``range_image`` is the chart image ``R(Λ^{1/2} C)`` of
-    ``A^{1/2} S``, the one the diagnostics read; ``coord_matrix`` is its
-    projector, symmetric idempotent (orthogonality in the range space equals
-    symmetry in the witness chart); ``null_image`` is its orthocomplement,
-    the chart image of ``S^perp ∩ R(A^{1/2})``.
+    ``A^{1/2} S`` (rank cutoff anchored at ``sqrt(λ_1)``); ``coord_matrix``
+    is its projector, symmetric idempotent (orthogonality in the range space
+    equals symmetry in the witness chart); ``null_image`` is its
+    orthocomplement, the chart image of ``S^perp ∩ R(A^{1/2})``.
     """
 
     geometry: _Geometry
@@ -142,9 +145,9 @@ class RangeSpaceProjection:
     def target(self) -> Subspace:
         return self.geometry.span
 
-    @property
+    @cached_property
     def range_image(self) -> Subspace:
-        return self.geometry.sqrt_image
+        return _sqrt_image(self.weight, self.geometry.cross, self.geometry.tol)
 
     @cached_property
     def coord_matrix(self) -> np.ndarray:
@@ -217,7 +220,7 @@ class RangeSpaceProjection:
         # whose sine lies under the cutoff of intersect(), and those past its
         # columns.  Read off the geometry's SVD of C, not off a residual.
         g = self.geometry
-        apart = int(np.count_nonzero(g.cross_sines >= 2.0 * g.tol.rank_rel))
+        apart = _apart(g.cross_sines, g.tol)
         return complement(Subspace(g.weight.rank, g.cross_left[:, :apart])).basis
 
     @cached_property
@@ -245,22 +248,22 @@ class RangeSpaceProjection:
         """Three equivalent decomposition conditions for compatibility.
 
         i) the block criterion; ii) ``R(A^{1/2})`` splits into the sqrt image
-        of S plus its orthocomplement within the range, in R^r; iii) ``R(A)``
-        splits into ``A(S)`` plus ``S^perp ∩ R(A)``, with ``A(S)`` closed
-        inside ``R(A)``, in R^n from the columns of ``A B_S``.  All three
-        agree on every well-conditioned input.
+        of S plus its orthocomplement within the range; iii) ``R(A)`` splits
+        into ``A(S)`` plus ``S^perp ∩ R(A)``, with ``A(S)`` closed inside
+        ``R(A)``, in R^n from the columns of ``A B_S``.  All three agree on
+        every well-conditioned input.  ii holds by construction and is not
+        evaluated: in R^r, ``null_image`` is the complement of
+        ``range_image``, and a subspace plus its complement is all of R^r.
         """
         g = self.geometry
         weight, tol = g.weight, g.tol
-        second = subspace_sum(self.range_image, self.null_image, tol).dim == weight.rank
         rng = weight.range_subspace
-        scale = float(weight.eigvals[0]) if weight.eigvals.size else 0.0
-        image = subspace_from_span(weight.base @ g.span.basis, tol, scale=scale)
+        image = subspace_from_span(weight.base @ g.span.basis, tol, scale=_operator_norm(weight))
         perp = Subspace(weight.dim, chart_basis(weight) @ self._perp_in_range)
         third = subspace_equal(subspace_sum(image, perp, tol), rng, tol) and subspace_equal(
             intersect(image, rng, tol), image, tol
         )
-        return g.shift is not None, second, third
+        return g.shift is not None, True, third
 
 
 def is_chart_extendable(weight: PsdOperator, operator, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -16,15 +16,14 @@ from .linalg import (
     PsdOperator,
     Subspace,
     Tolerance,
+    _operator_norm,
     complement,
     contains,
     intersect,
     nullspace_of,
-    preimage,
     spectral_norm,
     subspace_equal,
     subspace_from_span,
-    subtract,
 )
 
 SAMPLES = 100
@@ -48,13 +47,13 @@ def identity_battery(
     n = weight.dim
     eq = tol.eq_abs
     a = weight.base
-    a_scale = 1.0 + float(np.linalg.norm(a))
+    hermitian_bound = oblique._hermitian_bound(a, tol)
     checks: list[dict] = []
 
     geometry = oblique._geometry(weight, span, tol)
     p = geometry.projection.matrix
     overlap = geometry.overlap
-    pre = preimage(a, complement(span), tol)
+    pre = geometry.preimage
     report = geometry.diagnostics()
     chart = oprange.RangeSpaceProjection(geometry)
     decomps = chart.decompositions
@@ -66,11 +65,11 @@ def identity_battery(
     rank_ok = subspace_from_span(p, tol).dim == span.dim
     checks.append(_record("projection_range", range_gap <= eq * n and rank_ok, range_gap))
 
-    null_ok = subspace_equal(nullspace_of(p, tol), subtract(pre, overlap, tol), tol)
+    null_ok = subspace_equal(nullspace_of(p, tol), geometry.projection.nullspace, tol)
     checks.append(_record("projection_nullspace", null_ok))
 
     sym_gap = float(np.linalg.norm(a @ p - p.T @ a))
-    checks.append(_record("weight_symmetry", sym_gap <= eq * a_scale, sym_gap))
+    checks.append(_record("weight_symmetry", sym_gap <= hermitian_bound, sym_gap))
 
     pinv_gap = float(np.linalg.norm(oblique.weighted_projection_pinv(weight, span, tol).matrix - p))
     checks.append(_record("construction_pinv_agrees", pinv_gap <= 10 * eq, pinv_gap))
@@ -90,7 +89,7 @@ def identity_battery(
     for _ in range(SAMPLES):
         x = rng.normal(size=(span.dim, n - span.dim))
         q = bs @ bs.T + bs @ x @ bp.T
-        algebraic = float(np.linalg.norm(a @ q - q.T @ a)) <= eq * a_scale
+        algebraic = float(np.linalg.norm(a @ q - q.T @ a)) <= hermitian_bound
         null_q = subspace_from_span(bp - bs @ x, tol)
         containment = contains(pre, null_q, tol)
         disagreements += algebraic != containment
@@ -123,8 +122,7 @@ def identity_battery(
     )
 
     if overlap.dim == 0:
-        a_norm = float(weight.eigvals[0]) if weight.eigvals.size else 0.0
-        image_perp = complement(subspace_from_span(a @ bs, tol, scale=a_norm))
+        image_perp = complement(subspace_from_span(a @ bs, tol, scale=_operator_norm(weight)))
         split_ok = (
             span.dim + image_perp.dim == n
             and intersect(span, image_perp, tol).dim == 0

@@ -5,22 +5,24 @@ import numpy as np
 from obliqueproj import (
     DEFAULT_TOL,
     InconsistentDiagnostics,
+    NotContained,
     ObliqueProjection,
     PsdOperator,
     Subspace,
+    chart_basis,
     complement,
     contains,
     intersect,
     is_compatible,
     moore_penrose,
     nullspace_of,
-    preimage,
     range_inclusion,
     spectral_norm,
     subspace_equal,
     subspace_from_span,
     subspace_sum,
 )
+from obliqueproj.linalg import as_matrix
 
 
 def random_orthogonal(rng, n):
@@ -164,6 +166,37 @@ def seminorm_grid_min(t, basis, x, radius=3.0, rounds=4, points=81):
         center = grid[:, idx]
         width *= 2.0 / (points - 1)
     return best, center
+
+
+# Generic subspace operations in R^n on the library's kernel.  The library
+# reads these subspaces off the pair geometry in eigen coordinates; these
+# compose them from complements and intersections instead.
+
+
+def preimage(w, s, tol=DEFAULT_TOL):
+    """The preimage ``{x : Wx in S}``, the nullspace of ``C^T W``.
+
+    ``C`` is an orthonormal basis of ``S^perp``, so ``C^T W`` has the
+    singular values of ``P_{S^perp} W``.  The rank decision on the product
+    is anchored at the norm of ``W``, so an invariant subspace (where the
+    product cancels to roundoff) is handled correctly.
+    """
+    w = as_matrix(w, rows=s.ambient_dim, cols=s.ambient_dim)
+    return nullspace_of(complement(s).basis.T @ w, tol, scale=spectral_norm(w))
+
+
+def subtract(s, inner, tol=DEFAULT_TOL):
+    """The relative complement ``S (-) N = S ∩ N^perp``; requires N ⊆ S."""
+    if not contains(s, inner, tol):
+        raise NotContained("the subtracted subspace is not contained in the first")
+    return intersect(s, complement(inner), tol)
+
+
+def chart_image(weight, columns, tol=DEFAULT_TOL):
+    """Chart image of the span of given ambient range vectors."""
+    cols = as_matrix(columns, rows=weight.dim)
+    coords = (chart_basis(weight).T @ cols) / np.sqrt(weight.eigvals[: weight.rank])[:, None]
+    return subspace_from_span(coords, tol)
 
 
 # Reference subspace kernel built from full SVDs and n x n projectors,

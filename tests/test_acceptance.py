@@ -31,7 +31,6 @@ from obliqueproj import (
     minimal_lambda,
     moore_penrose,
     nullspace_of,
-    preimage,
     projection_family_member,
     range_inner,
     range_norm,
@@ -41,13 +40,12 @@ from obliqueproj import (
     spline_with_weight,
     subspace_equal,
     subspace_from_span,
-    subtract,
     weighted_projection,
     weighted_projection_invertible,
     weighted_projection_pinv,
     ObliqueProjection,
 )
-from support import make_psd, make_subspace, seminorm_grid_min
+from support import make_psd, make_subspace, preimage, seminorm_grid_min, subtract
 
 SEED = 20260809
 N_INSTANCES = 500

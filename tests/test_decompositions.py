@@ -11,6 +11,7 @@ import pytest
 from obliqueproj import (
     PsdOperator,
     oblique,
+    oprange,
     chart_extension,
     chart_projected_range,
     cli,
@@ -88,7 +89,26 @@ def test_compatibility_diagnostics_budget(pair, counted):
     assert complete_qr_of_n_rows(counted) == [(N, span.dim)]
     # no n x n input, which also rules out spectral_norm(A)
     assert (N, N) not in counted["svd"]
-    assert len(counted["svd"]) <= 8
+    # C, a^+, C^T Λ, the nullspace for flag 3, the sum check and the
+    # shifted-pair inclusion; flags 2 and 4 hold by construction
+    assert len(counted["svd"]) == 6
+
+
+def test_compatibility_diagnostics_evaluates_no_chart_image(pair, monkeypatch):
+    images = []
+    sqrt_image = oprange._sqrt_image
+
+    def counting_sqrt_image(*args):
+        images.append(args)
+        return sqrt_image(*args)
+
+    monkeypatch.setattr(oprange, "_sqrt_image", counting_sqrt_image)
+    weight, span, _ = pair
+    compatibility_diagnostics(weight, span)
+    assert images == []
+    # the counter sees the chart's own read
+    oprange.range_space_projection(weight, span).range_image
+    assert len(images) == 1
 
 
 def test_is_weight_hermitian_reads_the_eigenvectors(pair, counted):
@@ -132,19 +152,19 @@ def test_one_pseudoinverse_per_solve(counted):
 
 def test_identity_battery_budget(pair, counted):
     # The battery decomposes the pair once and takes the projection, the
-    # overlap, the diagnostics, every family member and the chart projection
-    # from that one value.
+    # overlap, the preimage, the diagnostics, every family member and the
+    # chart projection from that one value.
     weight, span, _ = pair
     assert all(check["pass"] for check in identity_battery(weight, span))
     assert counted["eigh"] == []
-    assert len(counted["svd"]) == 328
+    assert len(counted["svd"]) == 324
 
 
 def test_identity_battery_builds_one_chart(pair, monkeypatch):
     # One pair geometry for the battery and one per spline sample (20); one
-    # sqrt image, read by the diagnostics and by every chart identity.
+    # chart image of A^{1/2} S, read by every chart identity.
     builds = {"geometry": 0, "sqrt_image": 0}
-    geometry, sqrt_image = oblique._Geometry, oblique._sqrt_image
+    geometry, sqrt_image = oblique._Geometry, oprange._sqrt_image
 
     def counting_geometry(*args):
         builds["geometry"] += 1
@@ -155,7 +175,7 @@ def test_identity_battery_builds_one_chart(pair, monkeypatch):
         return sqrt_image(*args)
 
     monkeypatch.setattr(oblique, "_Geometry", counting_geometry)
-    monkeypatch.setattr(oblique, "_sqrt_image", counting_sqrt_image)
+    monkeypatch.setattr(oprange, "_sqrt_image", counting_sqrt_image)
     weight, span, _ = pair
     assert all(check["pass"] for check in identity_battery(weight, span))
     assert builds == {"geometry": 21, "sqrt_image": 1}

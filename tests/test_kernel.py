@@ -16,11 +16,9 @@ from obliqueproj import (
     moore_penrose,
     nullspace_of,
     numerical_rank,
-    preimage,
     subspace_equal,
     subspace_from_span,
     subspace_sum,
-    subtract,
 )
 from support import (
     friedrichs_angle,
@@ -28,7 +26,9 @@ from support import (
     make_psd,
     make_subspace,
     ortho_projector,
+    preimage,
     singular_values_by_eig,
+    subtract,
 )
 
 E1 = np.array([[1.0], [0.0]])

@@ -18,7 +18,6 @@ from obliqueproj import (
     is_compatible,
     is_weight_hermitian,
     moore_penrose,
-    preimage,
     projection_family_member,
     reduced_solution,
     spectral_norm,
@@ -26,13 +25,20 @@ from obliqueproj import (
     subspace_equal,
     subspace_from_span,
     subspace_sum,
-    subtract,
     weighted_projection,
     weighted_projection_invertible,
     weighted_projection_pinv,
 )
 from obliqueproj.report import identity_battery
-from support import make_invariant_pair, make_pair, make_psd, make_subspace, ortho_projector
+from support import (
+    make_invariant_pair,
+    make_pair,
+    make_psd,
+    make_subspace,
+    ortho_projector,
+    preimage,
+    subtract,
+)
 
 RANK1 = PsdOperator.from_matrix(np.ones((2, 2)))
 DEGENERATE = PsdOperator.from_matrix(np.diag([0.0, 1.0]))

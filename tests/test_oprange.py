@@ -11,7 +11,6 @@ from obliqueproj import (
     chart_basis,
     chart_coords,
     chart_extension,
-    chart_image,
     chart_projected_range,
     cli,
     complement,
@@ -35,6 +34,7 @@ from obliqueproj import (
     induced_projection,
 )
 from support import (
+    chart_image,
     in_sqrt_range_by_pinv,
     make_pair,
     make_psd,

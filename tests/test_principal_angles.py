@@ -6,16 +6,16 @@ import pytest
 
 from obliqueproj import (
     DEFAULT_TOL,
+    PsdOperator,
     Subspace,
     Tolerance,
     compatibility_diagnostics,
     complement,
     degenerate_overlap,
     intersect,
-    preimage,
+    range_space_projection,
     subspace_equal,
     subspace_from_span,
-    subtract,
     weighted_projection,
     weighted_projection_pinv,
 )
@@ -25,8 +25,10 @@ from support import (
     make_overlapping_pair,
     make_psd,
     make_subspace,
+    preimage,
     preimage_by_projector,
     rotated_pair,
+    subtract,
     subtract_by_complements,
 )
 
@@ -169,3 +171,15 @@ class TestAngleCutoff:
         axis = Subspace(2, np.array([[1.0], [0.0]]))
         assert intersect(tilted, axis, Tolerance(rank_rel=0.25)).dim == 0
         assert intersect(tilted, axis, Tolerance(rank_rel=0.2500001)).dim == 1
+
+    def test_tie_is_kept_apart_by_the_pair_geometry(self):
+        # A = diag(1, 0) and S = span((1/2, sqrt(3/4))): C = V_r^T B_S is
+        # exactly (1/2), the sine of the angle between S and N(A), and also
+        # between S^perp and R(A).  At the cutoff both meets stay trivial.
+        weight = PsdOperator.from_matrix(np.diag([1.0, 0.0]))
+        span = Subspace(2, np.array([[0.5], [np.sqrt(0.75)]]))
+        for rank_rel, meet in ((0.25, 0), (0.2500001, 1)):
+            tol = Tolerance(rank_rel=rank_rel)
+            assert degenerate_overlap(weight, span, tol).dim == meet
+            # S^perp ∩ R(A) in the coordinates of R(A)
+            assert range_space_projection(weight, span, tol)._perp_in_range.shape == (1, meet)

@@ -1,0 +1,111 @@
+"""Snapshot of the public surface: adding or removing a public name changes
+this file, so the change shows up in review."""
+
+import types
+
+import obliqueproj
+from obliqueproj import linalg
+
+PACKAGE = [
+    "BlockDecomposition",
+    "CompatibilityReport",
+    "DEFAULT_TOL",
+    "DimensionMismatch",
+    "Error",
+    "Incompatible",
+    "InconsistentDiagnostics",
+    "NoSolution",
+    "NotContained",
+    "NotExtendable",
+    "NotInRange",
+    "NotPsd",
+    "ObliqueProjection",
+    "PreconditionError",
+    "PsdOperator",
+    "RangeMismatch",
+    "RangeSpaceProjection",
+    "RangeVector",
+    "ReducedSolution",
+    "Singular",
+    "SplineResult",
+    "Subspace",
+    "Tolerance",
+    "WeightMismatch",
+    "block_decompose",
+    "chain_respects_implications",
+    "chart_basis",
+    "chart_coords",
+    "chart_extension",
+    "chart_projected_range",
+    "compatibility_diagnostics",
+    "complement",
+    "contains",
+    "degenerate_overlap",
+    "extension_matches_projection",
+    "in_weight_range",
+    "induced_projection",
+    "intersect",
+    "is_chart_extendable",
+    "is_compatible",
+    "is_weight_hermitian",
+    "least_squares_solution",
+    "lift",
+    "minimal_lambda",
+    "moore_penrose",
+    "nullspace_of",
+    "numerical_rank",
+    "projection_family_member",
+    "range_inclusion",
+    "range_inner",
+    "range_norm",
+    "range_space_projection",
+    "reduced_solution",
+    "seminorm",
+    "spectral_norm",
+    "spline",
+    "spline_by_normal_equations",
+    "spline_with_weight",
+    "subspace_equal",
+    "subspace_from_span",
+    "subspace_sum",
+    "unchart",
+    "weighted_projection",
+    "weighted_projection_invertible",
+    "weighted_projection_pinv",
+]
+
+LINALG = [
+    "DEFAULT_TOL",
+    "ObliqueProjection",
+    "PsdOperator",
+    "Subspace",
+    "Tolerance",
+    "as_matrix",
+    "as_vector",
+    "complement",
+    "contains",
+    "intersect",
+    "moore_penrose",
+    "nullspace_of",
+    "numerical_rank",
+    "spectral_norm",
+    "subspace_equal",
+    "subspace_from_span",
+    "subspace_sum",
+]
+
+
+def test_package_names():
+    # Submodules are left out: they become attributes of the package only
+    # once something imports them.
+    names = sorted(
+        name
+        for name, value in vars(obliqueproj).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert names == PACKAGE
+
+
+def test_linalg_all():
+    assert sorted(linalg.__all__) == LINALG
+    assert all(hasattr(linalg, name) for name in linalg.__all__)
