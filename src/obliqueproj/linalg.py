@@ -102,14 +102,19 @@ def spectral_norm(m) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def _rank_from_values(s: np.ndarray, tol: Tolerance, scale: float | None = None) -> int:
+def _rank_from_values(s: np.ndarray, tol: Tolerance, scale: float | None = None) -> int | np.ndarray:
     # Ties at the cutoff are included in the rank (deterministic behaviour).
     # ``scale`` anchors the cutoff for matrices formed as products, whose own
-    # largest singular value may be pure cancellation noise.
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    anchor = s[0] if scale is None else max(s[0], scale)
-    return int(np.count_nonzero(s >= tol.rank_rel * anchor))
+    # largest singular value may be pure cancellation noise.  ``s`` is one
+    # row of values in descending order, or an (m, k) stack of rows from a
+    # stacked SVD, which gives an array of m ranks.
+    if s.shape[-1] == 0:
+        return np.zeros(s.shape[:-1], dtype=int) if s.ndim > 1 else 0
+    lead = s[..., 0]
+    anchor = lead if scale is None else np.maximum(lead, scale)
+    kept = np.count_nonzero(s.T >= tol.rank_rel * anchor, axis=0 if s.ndim > 1 else None)
+    ranks = kept * (lead > 0.0)
+    return ranks if s.ndim > 1 else int(ranks)
 
 
 def numerical_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -265,8 +270,14 @@ def contains(outer: Subspace, inner: Subspace, tol: Tolerance = DEFAULT_TOL) -> 
     _check_same_ambient(outer, inner)
     if inner.dim == 0:
         return True
-    residual = inner.basis - outer.projector() @ inner.basis
-    return float(np.linalg.norm(residual)) <= tol.eq_abs * outer.ambient_dim
+    return bool(_contains_bases(outer, inner.basis, tol))
+
+
+def _contains_bases(outer: Subspace, bases: np.ndarray, tol: Tolerance) -> np.ndarray:
+    # The test of contains() on an orthonormal (n, m) basis, or on a stack of
+    # them, one verdict each; zero columns leave the residual unchanged.
+    residual = bases - outer.projector() @ bases
+    return np.linalg.norm(residual, axis=(-2, -1)) <= tol.eq_abs * outer.ambient_dim
 
 
 def subspace_equal(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:

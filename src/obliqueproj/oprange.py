@@ -64,8 +64,13 @@ class RangeVector:
 def in_weight_range(weight: PsdOperator, u, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Membership test against R(A)."""
     u = as_vector(u, weight.dim)
+    return bool(_in_range(weight, u[:, None], tol)[0])
+
+
+def _in_range(weight: PsdOperator, u: np.ndarray, tol: Tolerance) -> np.ndarray:
+    # The test of in_weight_range() on each column of an (n, m) block.
     gap = u - weight.range_proj @ u
-    return float(np.linalg.norm(gap)) <= tol.eq_abs * (1.0 + float(np.linalg.norm(u)))
+    return np.linalg.norm(gap, axis=0) <= tol.eq_abs * (1.0 + np.linalg.norm(u, axis=0))
 
 
 def lift(weight: PsdOperator, u, tol: Tolerance = DEFAULT_TOL) -> RangeVector:
@@ -77,10 +82,16 @@ def lift(weight: PsdOperator, u, tol: Tolerance = DEFAULT_TOL) -> RangeVector:
         If ``u`` is farther from R(A) than ``eq_abs * (1 + ||u||)``.
     """
     u = as_vector(u, weight.dim)
-    if not in_weight_range(weight, u, tol):
+    return RangeVector(weight, u, _witnesses(weight, u[:, None], tol)[:, 0])
+
+
+def _witnesses(weight: PsdOperator, u: np.ndarray, tol: Tolerance) -> np.ndarray:
+    # lift() on each column of an (n, m) block: the witnesses as columns,
+    # V_r ((V_r^T u) / Λ^{1/2}).  Raises NotInRange if any column fails.
+    if not _in_range(weight, u, tol).all():
         raise NotInRange("the vector is not in the range of the weight within tolerance")
     vr = chart_basis(weight)
-    return RangeVector(weight, u, vr @ ((vr.T @ u) / _root(weight)))
+    return vr @ ((vr.T @ u) / _root(weight)[:, None])
 
 
 def range_inner(x: RangeVector, y: RangeVector) -> float:

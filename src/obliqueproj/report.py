@@ -3,7 +3,12 @@
 Each check evaluates one executable identity of the theory on a concrete
 pair (A, S) and yields a pass/fail record with an error metric.  Randomized
 checks draw from a single seeded generator in a fixed order, so a report is
-a deterministic function of (inputs, tolerances, seed).
+a deterministic function of (inputs, tolerances, seed).  The checks
+``hermitian_tests_agree``, ``chart_isometry`` and ``witness_minimal_norm``
+draw their samples as one array (``hermitian_tests_agree`` one per stack of
+samples when n > 51) and evaluate them in stacked form.  The arrays hold
+the values a loop over the samples would draw, in the same stream order, so
+every later check sees the same generator state.
 """
 
 from __future__ import annotations
@@ -16,9 +21,10 @@ from .linalg import (
     PsdOperator,
     Subspace,
     Tolerance,
+    _contains_bases,
     _operator_norm,
+    _rank_from_values,
     complement,
-    contains,
     intersect,
     nullspace_of,
     spectral_norm,
@@ -27,6 +33,7 @@ from .linalg import (
 )
 
 SAMPLES = 100
+_STACK_ENTRIES = 2**18  # 2 MB of float64
 
 
 def _record(name: str, ok: bool, detail: float | None = None, applicable: bool = True) -> dict:
@@ -34,6 +41,54 @@ def _record(name: str, ok: bool, detail: float | None = None, applicable: bool =
     if detail is not None:
         rec["detail"] = float(detail)
     return rec
+
+
+def _hermitian_tests_agree(rng: np.random.Generator, geometry: oblique._Geometry, bound: float) -> dict:
+    # Hermitian symmetry and nullspace containment decide the same question
+    # on sampled projections with the prescribed range, Q = B_S (B_S^T +
+    # X B_perp^T): ||A Q - Q^T A|| within the bound, and N(Q), the span of
+    # B_perp - B_S X, inside A^{-1}(S^perp).  The samples are evaluated as
+    # stacks, each null space by the rank rule of subspace_from_span() on a
+    # stacked SVD; every stack holds at most _STACK_ENTRIES entries of n x n
+    # matrices, so its memory stays flat in n (all samples at once for n <= 51).
+    span, tol, a = geometry.span, geometry.tol, geometry.weight.base
+    bs, bp = span.basis, geometry.perp.basis
+    step = max(1, _STACK_ENTRIES // max(1, a.size))
+    disagreements = 0
+    for start in range(0, SAMPLES, step):
+        x = rng.normal(size=(min(step, SAMPLES - start), bs.shape[1], bp.shape[1]))
+        q = bs @ bs.T + bs @ x @ bp.T
+        algebraic = np.linalg.norm(a @ q - q.transpose(0, 2, 1) @ a, axis=(1, 2)) <= bound
+        containment = True  # S^perp = 0: every N(Q) is zero
+        if bp.shape[1]:
+            u, s, _ = np.linalg.svd(bp - bs @ x, full_matrices=False)
+            kept = np.arange(s.shape[1]) < _rank_from_values(s, tol)[:, None]
+            containment = _contains_bases(geometry.preimage, u * kept[:, None, :], tol)
+        disagreements += int(np.count_nonzero(algebraic != containment))
+    return _record("hermitian_tests_agree", disagreements == 0, disagreements)
+
+
+def _chart_isometry(rng: np.random.Generator, weight: PsdOperator, tol: Tolerance) -> dict:
+    # <lift(A x), lift(A y)> in the range space is x^T A y, on sampled x, y.
+    n = weight.dim
+    xy = rng.normal(size=(SAMPLES, 2, n))
+    images = weight.base @ xy.reshape(2 * SAMPLES, n).T  # A x_i and A y_i, alternating
+    witnesses = oprange._witnesses(weight, images, tol)
+    lhs = np.einsum("ij,ij->j", witnesses[:, 0::2], witnesses[:, 1::2])
+    rhs = np.einsum("ij,ji->i", xy[:, 0], images[:, 1::2])
+    worst = max(0.0, float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs)))))
+    return _record("chart_isometry", worst <= tol.eq_abs, worst)
+
+
+def _witness_minimal_norm(rng: np.random.Generator, weight: PsdOperator, tol: Tolerance) -> dict:
+    # Adding nullspace noise to the witness of a sampled A u never shortens it.
+    n = weight.dim
+    draws = rng.normal(size=(SAMPLES, 2 * n - weight.rank))  # u_i, then its noise
+    witnesses = oprange._witnesses(weight, weight.base @ draws[:, :n].T, tol)
+    noisy = witnesses + weight.null_subspace.basis @ draws[:, n:].T
+    gaps = np.linalg.norm(witnesses, axis=0) - np.linalg.norm(noisy, axis=0)
+    worst = max(0.0, float(np.max(gaps)))
+    return _record("witness_minimal_norm", worst <= tol.eq_abs, worst)
 
 
 def identity_battery(
@@ -53,7 +108,6 @@ def identity_battery(
     geometry = oblique._geometry(weight, span, tol)
     p = geometry.projection.matrix
     overlap = geometry.overlap
-    pre = geometry.preimage
     report = geometry.diagnostics()
     chart = oprange.RangeSpaceProjection(geometry)
     decomps = chart.decompositions
@@ -82,18 +136,7 @@ def identity_battery(
     else:
         checks.append(_record("construction_inverse_agrees", True, applicable=False))
 
-    # Hermitian symmetry and nullspace containment decide the same question
-    # on sampled projections with the prescribed range.
-    bs, bp = span.basis, geometry.perp.basis
-    disagreements = 0
-    for _ in range(SAMPLES):
-        x = rng.normal(size=(span.dim, n - span.dim))
-        q = bs @ bs.T + bs @ x @ bp.T
-        algebraic = float(np.linalg.norm(a @ q - q.T @ a)) <= hermitian_bound
-        null_q = subspace_from_span(bp - bs @ x, tol)
-        containment = contains(pre, null_q, tol)
-        disagreements += algebraic != containment
-    checks.append(_record("hermitian_tests_agree", disagreements == 0, disagreements))
+    checks.append(_hermitian_tests_agree(rng, geometry, hermitian_bound))
 
     if overlap.dim:
         p_norm = spectral_norm(p)
@@ -107,7 +150,7 @@ def identity_battery(
 
     checks.append(_record("sqrt_image_decomposition", decomps[1]))
 
-    ps = span.projector()
+    ps, bs = span.projector(), span.basis
     p_m = subspace_from_span(weight.sqrt @ bs, tol).projector()
     q1 = douglas.reduced_solution(ps @ a @ ps, ps @ a, tol).matrix
     q2 = douglas.reduced_solution(weight.sqrt @ ps, p_m @ weight.sqrt, tol).matrix
@@ -164,23 +207,8 @@ def identity_battery(
         )
     )
 
-    worst = 0.0
-    for _ in range(SAMPLES):
-        x, y = rng.normal(size=n), rng.normal(size=n)
-        lhs = oprange.range_inner(
-            oprange.lift(weight, a @ x, tol), oprange.lift(weight, a @ y, tol)
-        )
-        rhs = float(x @ (a @ y))
-        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
-    checks.append(_record("chart_isometry", worst <= eq, worst))
-
-    worst = 0.0
-    for _ in range(SAMPLES):
-        u = a @ rng.normal(size=n)
-        lifted = oprange.lift(weight, u, tol)
-        noise = weight.null_subspace.basis @ rng.normal(size=n - weight.rank)
-        worst = max(worst, oprange.range_norm(lifted) - float(np.linalg.norm(lifted.witness + noise)))
-    checks.append(_record("witness_minimal_norm", worst <= eq, worst))
+    checks.append(_chart_isometry(rng, weight, tol))
+    checks.append(_witness_minimal_norm(rng, weight, tol))
 
     worst = 0.0
     for _ in range(20):

@@ -6,13 +6,12 @@ from pathlib import Path
 
 import pytest
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-@pytest.fixture(scope="module")
-def workloads():
-    """``bench/workloads.py``, imported without writing bytecode next to it."""
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+def _bench_module(name: str):
+    """``bench/<name>.py``, imported without writing bytecode next to it."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # dataclasses look their module up in sys.modules while it executes
     sys.modules[spec.name] = module
@@ -24,3 +23,13 @@ def workloads():
         sys.dont_write_bytecode = writes
     yield module
     del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    yield from _bench_module("workloads")
+
+
+@pytest.fixture(scope="module")
+def spans():
+    yield from _bench_module("spans")

@@ -22,7 +22,9 @@ from obliqueproj import (
     subspace_from_span,
     subspace_sum,
 )
+from obliqueproj import oprange
 from obliqueproj.linalg import as_matrix
+from obliqueproj.report import SAMPLES, _record
 
 
 def random_orthogonal(rng, n):
@@ -394,3 +396,50 @@ def decompositions_by_subspaces(weight, span, tol=DEFAULT_TOL):
     split = subspace_sum(image, intersect(complement(span), rng, tol), tol)
     third = subspace_equal(split, rng, tol) and subspace_equal(intersect(image, rng, tol), image, tol)
     return is_compatible(weight, span, tol), subspace_equal(split_sqrt, rng, tol), third
+
+
+# The identity battery's sampled checks as loops, one sample at a time, as the
+# battery evaluated them before it drew each check's samples as one array.
+
+
+def hermitian_tests_agree_by_loop(rng, geometry, hermitian_bound):
+    """``hermitian_tests_agree`` from one ``subspace_from_span`` and one
+    ``contains`` per sampled projection."""
+    span, tol, a = geometry.span, geometry.tol, geometry.weight.base
+    n, pre = span.ambient_dim, geometry.preimage
+    bs, bp = span.basis, geometry.perp.basis
+    disagreements = 0
+    for _ in range(SAMPLES):
+        x = rng.normal(size=(span.dim, n - span.dim))
+        q = bs @ bs.T + bs @ x @ bp.T
+        algebraic = float(np.linalg.norm(a @ q - q.T @ a)) <= hermitian_bound
+        null_q = subspace_from_span(bp - bs @ x, tol)
+        containment = contains(pre, null_q, tol)
+        disagreements += algebraic != containment
+    return _record("hermitian_tests_agree", disagreements == 0, disagreements)
+
+
+def chart_isometry_by_loop(rng, weight, tol):
+    """``chart_isometry`` from two public ``lift`` calls per sample."""
+    n, a, eq = weight.dim, weight.base, tol.eq_abs
+    worst = 0.0
+    for _ in range(SAMPLES):
+        x, y = rng.normal(size=n), rng.normal(size=n)
+        lhs = oprange.range_inner(
+            oprange.lift(weight, a @ x, tol), oprange.lift(weight, a @ y, tol)
+        )
+        rhs = float(x @ (a @ y))
+        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
+    return _record("chart_isometry", worst <= eq, worst)
+
+
+def witness_minimal_norm_by_loop(rng, weight, tol):
+    """``witness_minimal_norm`` from one public ``lift`` call per sample."""
+    n, a, eq = weight.dim, weight.base, tol.eq_abs
+    worst = 0.0
+    for _ in range(SAMPLES):
+        u = a @ rng.normal(size=n)
+        lifted = oprange.lift(weight, u, tol)
+        noise = weight.null_subspace.basis @ rng.normal(size=n - weight.rank)
+        worst = max(worst, oprange.range_norm(lifted) - float(np.linalg.norm(lifted.witness + noise)))
+    return _record("witness_minimal_norm", worst <= eq, worst)

@@ -1,8 +1,9 @@
 """The benchmark's pipeline and its verification, run on small inputs.
 
-``bench/workloads.py`` is imported read-only (the ``workloads`` fixture of
-``conftest.py``) and its own checks decide: a change to a report field that the
-benchmark verifies fails here, not only in a benchmark run.
+``bench/workloads.py`` and ``bench/spans.py`` are imported read-only (the
+``workloads`` and ``spans`` fixtures of ``conftest.py``) and their own checks
+decide: a change to a report field that the benchmark verifies, or a call
+that escapes the traced run's spans, fails here, not only in a benchmark run.
 """
 
 import numpy as np
@@ -24,6 +25,23 @@ def test_pair_workload(workloads, tmp_path, n, rank, dim, overlap):
     ops = workload.run_item(pair)
     assert [op.stage for op in ops] == ["weight", "project", "compat", "spline", "battery"]
     assert_all_pass(ops, workload.verify(pair, ops))
+
+
+def test_traced_battery_keeps_every_call_in_its_span(workloads, spans, tmp_path):
+    # A public function reached through a binding the tracer does not patch,
+    # such as one captured in a closure, would run outside its span and make
+    # the traced benchmark run incorrect.
+    workload = workloads.PairWorkload(0, tmp_path)
+    workload.battery = True
+    pair = workloads.make_pair(np.random.default_rng(5), 5, 3, 2, 1)
+    tracer = spans.Tracer()
+    tracer.install("span")
+    try:
+        missed = tracer.binding_check(lambda: workload.run_item(pair))
+    finally:
+        tracer.uninstall()
+    assert missed == []
+    assert tracer.stats["report.identity_battery"][0] == 1
 
 
 def test_cli_round(workloads, tmp_path):

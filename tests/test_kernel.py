@@ -20,6 +20,7 @@ from obliqueproj import (
     subspace_from_span,
     subspace_sum,
 )
+from obliqueproj.linalg import _rank_from_values
 from support import (
     friedrichs_angle,
     intersection_by_nullspace,
@@ -69,6 +70,22 @@ class TestNumericalRank:
         tol = Tolerance(rank_rel=0.5)
         assert numerical_rank(np.diag([2.0, 1.0]), tol) == 2
         assert numerical_rank(np.diag([2.0, 0.999]), tol) == 1
+
+    @pytest.mark.parametrize("scale", [None, 1.0])
+    def test_stack_ranks_each_row(self, scale):
+        # The rule on a stack of value rows is the rule on each row: ties at
+        # the cutoff, zero rows and rows of noise under an anchoring scale.
+        rng = np.random.default_rng(4)
+        rows = np.abs(rng.normal(size=(40, 6))) * 10.0 ** rng.integers(-14, 1, size=(40, 6))
+        rows = -np.sort(-rows, axis=1)
+        rows[0] = 0.0
+        rows[1] = [2.0, 1.0, 1.0, 0.999, 0.0, 0.0]
+        tol = Tolerance(rank_rel=0.5)
+        for t in (tol, Tolerance()):
+            ranks = _rank_from_values(rows, t, scale)
+            assert ranks.tolist() == [_rank_from_values(row, t, scale) for row in rows]
+        assert _rank_from_values(rows[:2], tol).tolist() == [0, 3]
+        assert _rank_from_values(np.zeros((3, 0)), tol).tolist() == [0, 0, 0]
 
 
 class TestSubspaceFromSpan:
