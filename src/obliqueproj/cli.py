@@ -139,12 +139,15 @@ def _run_compat(job: JobSpec) -> tuple[dict, dict, dict]:
 
 def _run_project(job: JobSpec) -> tuple[dict, dict, dict]:
     weight, span, loaded = _load_pair(job)
+    # One pair geometry gives the block projection and A^{-1}(S^perp) for
+    # the Hermitian check; its projection raises Incompatible when read.
+    geometry = oblique._geometry(weight, span, job.tol)
     builders = {
-        "block": oblique.weighted_projection,
-        "pinv": oblique.weighted_projection_pinv,
-        "invertible": oblique.weighted_projection_invertible,
+        "block": lambda: geometry.projection,
+        "pinv": functools.partial(oblique.weighted_projection_pinv, weight, span, job.tol),
+        "invertible": functools.partial(oblique.weighted_projection_invertible, weight, span, job.tol),
     }
-    proj = builders[job.formula](weight, span, job.tol)
+    proj = builders[job.formula]()
     checks = {"formula": job.formula}
     for name, builder in builders.items():
         if name == job.formula:
@@ -152,10 +155,9 @@ def _run_project(job: JobSpec) -> tuple[dict, dict, dict]:
         if name == "invertible" and weight.rank < weight.dim:
             checks[f"agrees_{name}"] = None
             continue
-        other = builder(weight, span, job.tol)
-        gap = float(np.linalg.norm(other.matrix - proj.matrix))
+        gap = float(np.linalg.norm(builder().matrix - proj.matrix))
         checks[f"agrees_{name}"] = bool(gap <= 10 * job.tol.eq_abs)
-    checks["hermitian"] = bool(oblique.is_weight_hermitian(proj, weight, span, job.tol))
+    checks["hermitian"] = bool(oblique._is_hermitian(proj, weight, span, geometry.preimage, job.tol))
     return {"projection": _projection_obj(proj)}, checks, loaded
 
 

@@ -195,14 +195,37 @@ def _split_rows(m: np.ndarray, tol: Tolerance, scale: float | None = None) -> tu
 
 
 def complement(s: Subspace) -> Subspace:
-    """Orthogonal complement S^perp: the trailing columns of a complete QR of the basis."""
+    """Orthogonal complement S^perp: Householder reflectors, compact WY; same
+    frame as the complete QR.
+
+    The trailing ``n - k`` columns of ``Q = H_1 ... H_k = I - V T V^T``, with
+    ``V`` the reflectors of a QR of the basis and ``T`` from the forward
+    recurrence of LAPACK ``dlarft`` (Schreiber & Van Loan, SIAM J. Sci.
+    Stat. Comput. 10, 1989).  They equal the trailing columns of the
+    complete QR up to roundoff, without forming its n x n factor.  A
+    reflector with ``tau = 0`` is the identity and adds a zero column to T.
+    With ``k = 0`` there is no reflector and with ``k = n`` no trailing
+    column, so neither factorizes anything.
+    """
     n, k = s.ambient_dim, s.dim
-    if k == 0:
-        return Subspace(n, np.eye(n))
-    if k == n:
-        return Subspace(n, np.zeros((n, 0)))
-    q, _ = np.linalg.qr(s.basis, mode="complete")
-    return Subspace(n, q[:, k:])
+    if k in (0, n):
+        return Subspace(n, np.eye(n, n - k))
+    h, tau = np.linalg.qr(s.basis, mode="raw")
+    # V, unit lower trapezoidal, overwrites R in the n x k array LAPACK returned.
+    v = h.T
+    v[:k] = np.tril(v[:k], -1)
+    np.fill_diagonal(v, 1.0)
+    gram = v.T @ v
+    t = np.diag(tau)
+    for i in range(1, k):
+        t[:i, i] = -tau[i] * (t[:i, :i] @ gram[:i, i])
+    # Q [0; I_{n-k}] = [0; I_{n-k}] - V T V[k:]^T, formed in the buffer of the
+    # product so that no n x (n-k) temporary is held beside it; 0 - x, not
+    # -x, leaves +0.0 where the product is zero.
+    q = v @ (t @ v[k:].T)
+    np.subtract(0.0, q, out=q)
+    q[k:].flat[:: n - k + 1] += 1.0
+    return Subspace(n, q)
 
 
 def _check_same_ambient(s1: Subspace, s2: Subspace) -> None:

@@ -194,8 +194,9 @@ class _Geometry:
     ``C = V_r^T B_S`` and ``shift = a^+ (B_S^T A - a B_S^T) = D B_perp^T``
     (None if ``a X = b`` is unsolvable).  On first read: ``split``
     (``R(Λ C)``, ``N(C^T Λ)``), ``preimage`` and ``projection``, for
-    :func:`weighted_projection`; ``perp`` (a complete QR) and ``coupling =
-    a^+ b`` where that frame is published (diagnostics, family members).
+    :func:`weighted_projection`; ``perp`` (Householder reflectors, compact
+    WY; same frame as the complete QR) and ``coupling = a^+ b`` where that
+    frame is published (diagnostics, family members).
     The range-space chart of :mod:`~obliqueproj.oprange` holds one of these
     and derives the chart image of ``A^{1/2} S`` from ``cross``.
     """
@@ -398,13 +399,21 @@ def is_weight_hermitian(
         If the two equivalent tests disagree numerically.
     """
     _check_pair(weight, span)
+    # A^{-1}(S^perp), read off the eigenvectors as for the minimal projection.
+    pre = _preimage(weight, _split_range(weight, _cross(weight, span), tol)[1])
+    return _is_hermitian(projection, weight, span, pre, tol)
+
+
+def _is_hermitian(
+    projection: ObliqueProjection, weight: PsdOperator, span: Subspace, preimage: Subspace, tol: Tolerance
+) -> bool:
+    # is_weight_hermitian() given A^{-1}(S^perp), which a caller holding the
+    # pair geometry reads off it instead of splitting C^T Λ again.
     if not subspace_equal(projection.range, span, tol):
         raise RangeMismatch("the projection's range differs from the given subspace")
     a, q = weight.base, projection.matrix
     algebraic = float(np.linalg.norm(a @ q - q.T @ a)) <= _hermitian_bound(a, tol)
-    # A^{-1}(S^perp), read off the eigenvectors as for the minimal projection.
-    pre = _preimage(weight, _split_range(weight, _cross(weight, span), tol)[1])
-    containment = contains(pre, projection.nullspace, tol)
+    containment = contains(preimage, projection.nullspace, tol)
     if algebraic != containment:
         raise InconsistentDiagnostics(
             "the algebraic symmetry test and the nullspace containment test disagree"

@@ -97,7 +97,9 @@ def make_invariant_pair(rng):
 
 def projection_by_frame(weight, span, tol=DEFAULT_TOL):
     """The coupling ``a^+ b`` and the minimal projection ``B_S (B_S^T + D B_perp^T)``
-    in the frame of S and its complete-QR complement, with no solvability test."""
+    in the frame of S and its complement from :func:`complement` (Householder
+    reflectors, compact WY; same frame as the complete QR), with no
+    solvability test."""
     bs, bp = span.basis, complement(span).basis
     rows = bs.T @ weight.base
     coupling = moore_penrose(rows @ bs, tol) @ (rows @ bp)
@@ -214,6 +216,19 @@ def complement_by_svd(s):
         return Subspace(n, np.zeros((n, 0)))
     u, _, _ = np.linalg.svd(s.basis, full_matrices=True)
     return Subspace(n, u[:, k:])
+
+
+def complement_by_complete_qr(s):
+    """S^perp as the trailing columns of a complete QR of the basis: the frame
+    :func:`complement` builds from the Householder reflectors, here read off
+    the n x n orthogonal factor LAPACK forms."""
+    n, k = s.ambient_dim, s.dim
+    if k == 0:
+        return Subspace(n, np.eye(n))
+    if k == n:
+        return Subspace(n, np.zeros((n, 0)))
+    q, _ = np.linalg.qr(s.basis, mode="complete")
+    return Subspace(n, q[:, k:])
 
 
 def intersect_by_complements(s1, s2, tol=DEFAULT_TOL):
@@ -366,8 +381,8 @@ def induced_projection_by_products(weight, span, tol=DEFAULT_TOL):
 
 def complement_density_by_complements(weight, span, tol=DEFAULT_TOL):
     """The two density statements of ``RangeSpaceProjection.complement_density``
-    with ``S^perp ∩ R(A)`` intersected in R^n from a complete-QR complement
-    of S, against the chart image of :func:`chart_image_of_span_by_products`.
+    with ``S^perp ∩ R(A)`` intersected in R^n from the complement of S in
+    R^n, against the chart image of :func:`chart_image_of_span_by_products`.
 
     Raises ``InconsistentDiagnostics`` if the two statements disagree."""
     vr = weight.eigvecs[:, : weight.rank]

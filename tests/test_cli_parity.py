@@ -2,7 +2,8 @@
 
 The projection and the spline are derived without a basis of S^perp; the
 CLI must still report what the construction in the frame (basis of S,
-complete-QR basis of S^perp) gives.  ``compat``'s ``coupling`` is ``a^+ b``
+basis of S^perp from the Householder reflectors of B_S, compact WY; same
+frame as the complete QR) gives.  ``compat``'s ``coupling`` is ``a^+ b``
 in that frame, bit for bit; every other matrix agrees within 1e-13; the
 ``checks`` blocks and exit codes are the ones the frame construction
 produced on these inputs.

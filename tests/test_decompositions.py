@@ -68,9 +68,10 @@ def counted(monkeypatch):
     return calls
 
 
-def complete_qr_of_n_rows(calls):
-    """The complete QRs of an n-row input: each builds an n x n orthogonal factor."""
-    return [shape for mode, shape in calls["qr"] if mode == "complete" and shape[0] == N]
+def qr_of_n_rows(calls, n=N):
+    """The (mode, shape) of every QR of an n-row input.  A complete QR builds
+    an n x n orthogonal factor; a raw one returns only the reflectors."""
+    return [(mode, shape) for mode, shape in calls["qr"] if shape[0] == n]
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +89,7 @@ def test_weighted_projection_budget(pair, counted):
     assert counted["eigh"] == []
     assert (N, N) not in counted["svd"]
     # P = B_S (B_S^T + a^+ (B_S^T A - a B_S^T)) needs no basis of S^perp
-    assert complete_qr_of_n_rows(counted) == []
+    assert qr_of_n_rows(counted) == []
 
 
 def test_compatibility_diagnostics_budget(pair, counted):
@@ -97,8 +98,11 @@ def test_compatibility_diagnostics_budget(pair, counted):
     assert all(report.chain) and report.sum_check
     assert counted["eigh"] == []
     # the report publishes the coupling in the frame of S^perp, so it builds
-    # that basis once; this also shows the QR counter sees the library's calls
-    assert complete_qr_of_n_rows(counted) == [(N, span.dim)]
+    # that basis once, from the Householder reflectors of B_S and without an
+    # n x n orthogonal factor; this also shows the QR counter sees the
+    # library's calls
+    assert qr_of_n_rows(counted) == [("raw", (N, span.dim))]
+    assert [shape for mode, shape in qr_of_n_rows(counted) if mode == "complete"] == []
     # no n x n input, which also rules out spectral_norm(A)
     assert (N, N) not in counted["svd"]
     # C, a^+, C^T Λ, the nullspace for flag 3, the sum check and the
@@ -140,7 +144,7 @@ def test_spline_with_weight_reuses_the_eigendecomposition(pair, counted):
     assert counted["eigh"] == []
     # a^+ and the overlap; no projection, nullspace or split of R^r
     assert counted.factorizations("svd") <= 2
-    assert complete_qr_of_n_rows(counted) == []
+    assert qr_of_n_rows(counted) == []
 
 
 def test_from_matrix_makes_one_eigh(pair, counted):
@@ -208,7 +212,24 @@ def test_cli_oprange_decomposes_the_pair_once(workloads, tmp_path, counted):
     assert counted.factorizations("svd") <= 9
     # the subspace load is the only SVD of a 64-row input
     assert [shape for shape in counted["svd"] if shape[0] == 64] == [(64, 64 // 3)]
-    assert [shape for mode, shape in counted["qr"] if mode == "complete" and shape[0] == 64] == []
+    assert qr_of_n_rows(counted, 64) == []
+
+
+def test_cli_project_block_splits_the_pair_once(workloads, tmp_path, counted):
+    # The block projection and the Hermitian check read A^{-1}(S^perp) off
+    # one pair geometry, so C^T Λ is split once.
+    round_ = workloads._make_round(np.random.default_rng(0), tmp_path, "count", 64)
+    (argv,) = [inv.argv for inv in round_.invocations if inv.stage == "project"]
+    assert argv[argv.index("--formula") + 1] == "block"
+    for calls in counted.values():
+        calls.clear()
+    assert cli.main(argv) == 0
+    assert counted["eigh"] == [(64, 64)]
+    # the subspace load, C, a^+ and C^T Λ; the pinv agreement check's
+    # pseudoinverse, overlap and nullspace
+    assert counted.factorizations("svd") == 7
+    dim_s, rank = 64 // 3, 64 // 2
+    assert counted["svd"].count((dim_s, rank)) == 1
 
 
 def test_chart_helpers_take_no_square_svd(pair, counted):

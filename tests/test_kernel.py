@@ -9,6 +9,7 @@ from obliqueproj import (
     NotContained,
     NotPsd,
     PsdOperator,
+    Subspace,
     Tolerance,
     complement,
     contains,
@@ -22,6 +23,7 @@ from obliqueproj import (
 )
 from obliqueproj.linalg import _rank_from_values
 from support import (
+    complement_by_complete_qr,
     friedrichs_angle,
     intersection_by_nullspace,
     make_psd,
@@ -32,6 +34,7 @@ from support import (
     subtract,
 )
 
+EPS = np.finfo(float).eps
 E1 = np.array([[1.0], [0.0]])
 E2 = np.array([[0.0], [1.0]])
 
@@ -120,6 +123,47 @@ class TestComplement:
         # oracle: every returned column orthogonal to the input
         assert abs(c.basis[:, 0] @ np.array([1.0, 1.0]) / np.sqrt(2)) < 1e-12
         assert subspace_equal(c, span([1, -1]))
+
+    @staticmethod
+    def assert_complete_qr_frame(s):
+        # The columns of the complete QR's frame entrywise, not only its
+        # subspace: orthonormal, orthogonal to S and read-only.
+        n, k = s.ambient_dim, s.dim
+        c, oracle = complement(s).basis, complement_by_complete_qr(s).basis
+        bound = 10 * n * EPS
+        assert c.shape == oracle.shape == (n, n - k)
+        assert np.max(np.abs(c - oracle), initial=0.0) <= bound
+        assert np.max(np.abs(c.T @ c - np.eye(n - k)), initial=0.0) <= bound
+        assert np.max(np.abs(s.basis.T @ c), initial=0.0) <= bound
+        assert not c.flags.writeable
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 64), st.floats(0.0, 1.0), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_the_complete_qr(self, n, share, axes, seed):
+        rng = np.random.default_rng(seed)
+        k = round(share * n)
+        if axes:  # signed coordinate axes: some reflectors have tau = 0
+            columns = rng.permutation(n)[:k]
+            s = Subspace(n, np.eye(n)[:, columns] * rng.choice([-1.0, 1.0], size=k))
+        else:
+            s = make_subspace(rng, n, k)
+        self.assert_complete_qr_frame(s)
+
+    @pytest.mark.parametrize(
+        "n, axes, identity",
+        [(3, [0], [True]), (4, [0], [True]), (3, [0, 2], [True, False]), (5, [0, 2], [True, False])],
+    )
+    def test_coordinate_axes(self, n, axes, identity):
+        # span(e_1) and span(e_1, e_3): the first reflector is the identity (tau = 0)
+        s = Subspace(n, np.eye(n)[:, axes])
+        assert np.array_equal(np.linalg.qr(s.basis, mode="raw")[1] == 0.0, identity)
+        self.assert_complete_qr_frame(s)
+        rest = [i for i in range(n) if i not in axes]
+        assert subspace_equal(complement(s), Subspace(n, np.eye(n)[:, rest]))
+
+    @pytest.mark.parametrize("n, k", [(1, 0), (1, 1), (2, 1), (5, 0), (5, 1), (5, 4), (5, 5), (64, 1), (64, 63)])
+    def test_edge_dimensions(self, n, k):
+        self.assert_complete_qr_frame(make_subspace(np.random.default_rng(n + k), n, k))
 
 
 class TestIntersect:
