@@ -102,6 +102,14 @@ def spectral_norm(m) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def _frobenius(stack: np.ndarray) -> np.ndarray:
+    # np.linalg.norm() of each matrix of an (m, ...) stack, bit for bit: it
+    # takes each norm as one dot product of the flattened matrix, and so
+    # does a 1 x k by k x 1 matmul.
+    flat = stack.reshape(len(stack), 1, -1)
+    return np.sqrt(flat @ flat.transpose(0, 2, 1))[:, 0, 0]
+
+
 def _rank_from_values(s: np.ndarray, tol: Tolerance, scale: float | None = None) -> int | np.ndarray:
     # Ties at the cutoff are included in the rank (deterministic behaviour).
     # ``scale`` anchors the cutoff for matrices formed as products, whose own

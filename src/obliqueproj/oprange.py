@@ -35,6 +35,7 @@ from .linalg import (
     Subspace,
     Tolerance,
     _apart,
+    _frobenius,
     _operator_norm,
     as_matrix,
     as_vector,
@@ -284,9 +285,14 @@ def is_chart_extendable(weight: PsdOperator, operator, tol: Tolerance = DEFAULT_
     for every operator in finite dimension and is not evaluated.
     """
     b = as_matrix(operator, rows=weight.dim, cols=weight.dim)
+    return bool(_extendable(weight, b[None], tol)[0])
+
+
+def _extendable(weight: PsdOperator, b: np.ndarray, tol: Tolerance) -> np.ndarray:
+    # The test of is_chart_extendable() on each operator of an (m, n, n) stack.
     image_of_null = b @ weight.null_subspace.basis
-    scale = 1.0 + float(np.linalg.norm(image_of_null))
-    return float(np.linalg.norm(weight.range_proj @ image_of_null)) <= tol.eq_abs * scale
+    scale = 1.0 + _frobenius(image_of_null)
+    return _frobenius(weight.range_proj @ image_of_null) <= tol.eq_abs * scale
 
 
 def chart_extension(
@@ -305,7 +311,13 @@ def chart_extension(
         If the operator does not leave the nullspace of the weight invariant.
     """
     b = as_matrix(operator, rows=weight.dim, cols=weight.dim)
-    if not is_chart_extendable(weight, b, tol):
+    return _chart_extensions(weight, b[None], tol)[0]
+
+
+def _chart_extensions(weight: PsdOperator, b: np.ndarray, tol: Tolerance) -> np.ndarray:
+    # chart_extension() of each operator of an (m, n, n) stack, as an
+    # (m, r, r) stack.  Raises NotExtendable if any operator fails.
+    if not _extendable(weight, b, tol).all():
         raise NotExtendable("the operator does not map the weight's nullspace into itself")
     vr, root = chart_basis(weight), _root(weight)
     return root[:, None] * (vr.T @ b @ vr) / root

@@ -458,3 +458,31 @@ def witness_minimal_norm_by_loop(rng, weight, tol):
         noise = weight.null_subspace.basis @ rng.normal(size=n - weight.rank)
         worst = max(worst, oprange.range_norm(lifted) - float(np.linalg.norm(lifted.witness + noise)))
     return _record("witness_minimal_norm", worst <= eq, worst)
+
+
+def norm_minimality_by_loop(rng, geometry):
+    """``norm_minimality`` from one ``member`` and one ``spectral_norm`` per
+    sampled family member."""
+    span, overlap, eq = geometry.span, geometry.overlap, geometry.tol.eq_abs
+    n, p = span.ambient_dim, geometry.projection.matrix
+    if overlap.dim:
+        p_norm = spectral_norm(p)
+        worst = 0.0
+        for _ in range(SAMPLES):
+            t = rng.normal(size=(overlap.dim, n - span.dim))
+            worst = max(worst, p_norm - spectral_norm(geometry.member(t).matrix))
+        return _record("norm_minimality", worst <= eq, worst)
+    return _record("norm_minimality", True, applicable=False)
+
+
+def family_extension_constant_by_loop(rng, geometry, ext_p):
+    """``family_extension_constant`` from one ``member`` and one public
+    ``chart_extension`` per sampled family member."""
+    weight, span, overlap, tol = geometry.weight, geometry.span, geometry.overlap, geometry.tol
+    n, eq = span.ambient_dim, tol.eq_abs
+    worst = 0.0
+    for _ in range(20):
+        t = rng.normal(size=(overlap.dim, n - span.dim))
+        member = geometry.member(t).matrix
+        worst = max(worst, float(np.linalg.norm(oprange.chart_extension(weight, member, tol) - ext_p)))
+    return _record("family_extension_constant", worst <= 10 * eq, worst)

@@ -1,13 +1,16 @@
 """The identity battery's stacked sampled checks against their loops.
 
-``hermitian_tests_agree``, ``chart_isometry`` and ``witness_minimal_norm``
-draw each check's samples as one array and evaluate them in stacked form;
-the oracles in ``support`` draw and evaluate one sample at a time.  On the
-same generator both must reach the same verdicts, count the same
-disagreements, raise the same exception and, when they return, leave the
-generator in the same state.  ``chart_isometry``'s detail measures roundoff
-in sums whose order the stacking changes, so it is compared within a
-hundredth of ``eq_abs``.
+``hermitian_tests_agree``, ``norm_minimality``, ``family_extension_constant``,
+``chart_isometry`` and ``witness_minimal_norm`` draw each check's samples as
+one array per stack and evaluate them in stacked form; the oracles in
+``support`` draw and evaluate one sample at a time.  On the same generator
+both must reach the same verdicts, count the same disagreements, raise the
+same exception and, when they return, leave the generator in the same
+state.  ``chart_isometry``'s detail measures roundoff in sums whose order
+the stacking changes, so it is compared within a hundredth of ``eq_abs``.
+The two family checks form each member, its spectral norm and its chart
+extension with the operations a loop applies to one member, so their
+details agree bit for bit.
 """
 
 import numpy as np
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 from obliqueproj import (
     DEFAULT_TOL,
     Error,
+    NotExtendable,
     NotInRange,
     NotPsd,
     PsdOperator,
@@ -27,12 +31,23 @@ from obliqueproj import (
     oblique,
     oprange,
 )
-from obliqueproj.report import _chart_isometry, _hermitian_tests_agree, _witness_minimal_norm
+from obliqueproj.report import (
+    _STACK_ENTRIES,
+    SAMPLES,
+    _chart_isometry,
+    _family_extension_constant,
+    _hermitian_tests_agree,
+    _norm_minimality,
+    _stacks,
+    _witness_minimal_norm,
+)
 from support import (
     chart_isometry_by_loop,
+    family_extension_constant_by_loop,
     hermitian_tests_agree_by_loop,
     make_pair,
     make_psd,
+    norm_minimality_by_loop,
     random_orthogonal,
     witness_minimal_norm_by_loop,
 )
@@ -66,6 +81,9 @@ def cases():
     coarse = Tolerance(rank_rel=1e-3)
     weight = PsdOperator.from_matrix((q * np.array([1.0, 0.7, 1e-4, 0.0, 0.0])) @ q.T, coarse)
     out.append(("dropped eigenvalue", weight, make_pair(rng, 5, 0, 2)[1], coarse))
+    # n = 64 with dim(S ∩ N(A)) = 5: the 100 family members of
+    # norm_minimality take two stacks.
+    out.append(("n=64 overlap", *make_pair(rng, 64, 16, 21), DEFAULT_TOL))
     return out
 
 
@@ -88,10 +106,12 @@ def assert_same(stacked, loop, detail_gap=0.0):
         assert got == want
         return
     assert state == want_state
+    assert got.keys() == want.keys()
     assert {k: got[k] for k in ("name", "pass", "applicable")} == {
         k: want[k] for k in ("name", "pass", "applicable")
     }
-    assert abs(got["detail"] - want["detail"]) <= detail_gap
+    if "detail" in want:  # an inapplicable check has none
+        assert abs(got["detail"] - want["detail"]) <= detail_gap
 
 
 def test_hermitian_tests_agree_matches_loop(cases):
@@ -132,6 +152,57 @@ def test_lifted_checks_match_loop(cases, stacked, loop, detail_gap):
             if isinstance(got[0], tuple):
                 raised.append(label)
     assert raised == ["dropped eigenvalue"] * 2
+
+
+def test_family_checks_match_loop(cases):
+    overlapping, raised = [], []
+    for label, weight, span, tol in cases:
+        geometry = oblique._geometry(weight, span, tol)
+        try:
+            extension = oprange.RangeSpaceProjection(geometry).extension
+        except NotExtendable:
+            # P fails the extension test as its members do, which raise
+            # before the extension of P is read.
+            extension = None
+        for seed in (0, 3):
+            got = outcome(_norm_minimality, seed, geometry)
+            assert_same(got, outcome(norm_minimality_by_loop, seed, geometry))
+            if got[0]["applicable"]:
+                overlapping.append(label)
+            got = outcome(_family_extension_constant, seed, geometry, extension)
+            assert_same(got, outcome(family_extension_constant_by_loop, seed, geometry, extension))
+            if isinstance(got[0], tuple):
+                raised.append(label)
+    assert "n=64 overlap" in overlapping
+    assert raised == ["dropped eigenvalue"] * 2
+
+
+def test_norm_minimality_splits_its_stack(cases, monkeypatch):
+    # 100 members of 64 x 64 exceed _STACK_ENTRIES: 64 fit in the first stack.
+    label, weight, span, tol = cases[-1]
+    assert label == "n=64 overlap"
+    geometry = oblique._geometry(weight, span, tol)
+    stacked, svd = [], np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        if np.ndim(a) > 2:
+            stacked.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    assert _norm_minimality(np.random.default_rng(0), geometry)["pass"]
+    assert stacked == [(64, 64, 64), (36, 64, 64)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 8, 51, 52, 64, 115, 512, 513])
+@pytest.mark.parametrize("count", [1, 20, SAMPLES])
+def test_stacks_stay_within_the_entry_bound(n, count):
+    # Every sample once, no stack over _STACK_ENTRIES entries unless it holds
+    # one matrix that alone is larger, and every stack but the last full.
+    sizes = list(_stacks(count, n))
+    assert sum(sizes) == count
+    assert all(size * n * n <= _STACK_ENTRIES or size == 1 for size in sizes)
+    assert all((size + 1) * n * n > _STACK_ENTRIES for size in sizes[:-1])
 
 
 @settings(max_examples=150, deadline=None)

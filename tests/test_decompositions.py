@@ -35,7 +35,10 @@ N = 24
 
 
 class Calls(dict):
-    """Input shapes per decomposition kind, with (mode, shape) for QR."""
+    """Input shapes per decomposition kind, with (mode, shape) for QR, and
+    in ``values_only`` the input shapes of the SVDs that skip the vectors."""
+
+    values_only: list
 
     def factorizations(self, kind: str) -> int:
         shapes = [entry[1] if kind == "qr" else entry for entry in self[kind]]
@@ -47,10 +50,13 @@ def counted(monkeypatch):
     """Records the input shape of every SVD and eigh numpy performs, and the
     mode and input shape of every QR."""
     calls = Calls(svd=[], eigh=[], qr=[])
+    calls.values_only = []
     svd, eigh, qr = np.linalg.svd, np.linalg.eigh, np.linalg.qr
 
     def counting_svd(a, *args, **kwargs):
         calls["svd"].append(np.shape(a))
+        if not kwargs.get("compute_uv", True):
+            calls.values_only.append(np.shape(a))
         return svd(a, *args, **kwargs)
 
     def counting_eigh(a, *args, **kwargs):
@@ -174,9 +180,16 @@ def test_identity_battery_budget(pair, counted):
     assert all(check["pass"] for check in identity_battery(weight, span))
     assert counted["eigh"] == []
     assert counted.factorizations("svd") == 324
-    # hermitian_tests_agree factorizes its 100 null spaces in one stacked call
-    assert len(counted["svd"]) == 225
+    # hermitian_tests_agree factorizes its 100 null spaces in one stacked
+    # call, and norm_minimality takes the spectral norms of its 100 family
+    # members from one stacked values-only call.
+    assert len(counted["svd"]) == 126
     assert (100, N, N - span.dim) in counted["svd"]
+    assert (100, N, N) in counted.values_only
+    # No family member is factorized by QR: the only QR of an N-row input
+    # is the raw one behind S^perp; the other four act on r = rank A rows.
+    assert qr_of_n_rows(counted) == [("raw", (N, span.dim))]
+    assert len(counted["qr"]) == 5
 
 
 def test_identity_battery_builds_one_chart(pair, monkeypatch):
