@@ -37,14 +37,17 @@ def matrix_from_obj(obj) -> np.ndarray:
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     except KeyError as exc:
         raise FormatError(f"matrix document is missing key {exc}") from exc
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 0 or cols < 0:
+    if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
         raise FormatError("rows/cols must be nonnegative integers")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise FormatError(f"data must be a list of {rows * cols} numbers")
+    # JSON numbers only: no strings, booleans or nested lists
+    if not set(map(type, data)) <= {int, float}:
+        raise FormatError("matrix data must be a flat list of JSON numbers")
     try:
         m = np.array(data, dtype=float).reshape(rows, cols)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"matrix data is not numeric: {exc}") from exc
+    except OverflowError as exc:
+        raise FormatError(f"matrix data is out of the double range: {exc}") from exc
     if m.size and not np.all(np.isfinite(m)):
         raise FormatError("matrix data contains NaN/Inf")
     return m
@@ -73,7 +76,7 @@ def subspace_from_obj(obj, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     except KeyError as exc:
         raise FormatError(f"subspace document is missing key {exc}") from exc
     m = matrix_from_obj(span)
-    if not isinstance(ambient, int) or m.shape[0] != ambient:
+    if type(ambient) is not int or m.shape[0] != ambient:
         raise FormatError("span rows must equal the declared ambient dimension")
     return subspace_from_span(m, tol)
 

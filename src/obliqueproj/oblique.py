@@ -46,7 +46,6 @@ from .linalg import (
     contains,
     moore_penrose,
     nullspace_of,
-    numerical_rank,
     subspace_equal,
 )
 
@@ -99,18 +98,27 @@ class CompatibilityReport:
     2. ``A S`` is closed inside R(A): its intersection with R(A) is itself.
        In the coordinates of V_r, ``A S = V_r R(Λ C)`` is a subspace of
        R^r, whose intersection with R^r is exact, so the flag is True.
-    3. The preimage of ``A S``, ``N(A) ⊕ V_r N(U_perp^T Λ)`` with ``U_perp``
-       a basis of ``R(Λ C)^perp`` in R^r, equals
-       ``S + N(A) = N(A) ⊕ V_r R(C)``; the N(A) parts coincide, so the two
-       are compared in R^r with the bound of ``subspace_equal`` in R^n.
+    3. The preimage of ``A S`` equals ``S + N(A) = N(A) ⊕ V_r R(C)``.
+       With ``Y`` and ``K`` orthonormal bases of ``R(Λ C)`` and
+       ``N(C^T Λ)``, which split R^r orthogonally, the preimage is
+       ``N(A) ⊕ V_r N(K^T Λ)`` and ``N(K^T Λ) = Λ^{-1} R(Y)``, whose basis
+       is the Q of one reduced QR of ``Λ^{-1} Y``.  The N(A) parts
+       coincide, so the two are compared in R^r with the bound of
+       ``subspace_equal`` in R^n.
     4. As 2 for ``A^{1/2} S = V_r R(Λ^{1/2} C)``; True for the same reason.
     5. ``S + N(A)`` has dimension ``dim S + dim N(A) - dim(S ∩ N(A))``.
     6. The projection ``V_r R(C)`` of S onto R(A) has dimension
        ``dim S - dim(S ∩ N(A))``.  ``R(C)`` takes the rank cutoff of
        ``C`` relative to 1, so 5 and 6 read the same rank.
 
-    ``sum_check`` is ``(n - r) + rank[C, N(C^T Λ)] == n``, the dimension
-    of ``S + A^{-1}(S^perp)``.  Both re-checks reduce to the range inclusion
+    ``sum_check`` is ``(n - r) + rank[C, K] == n``, the dimension of
+    ``S + A^{-1}(S^perp)``.  As ``[C, K] = [Y, K] [[Y^T C, 0], [K^T C, I]]``,
+    it reads ``rank(Y^T C) == ρ = dim A S`` off the singular values of the
+    ρ x k matrix ``Y^T C`` (none when ρ = 0), with the cutoff relative to 1
+    of flags 5 and 6: ``||Y^T C|| <= 1``, as ``Y`` is orthonormal and ``C``
+    holds coordinates of unit vectors.  Since
+    ``σ_min(Y^T C) >= σ_ρ(Λ C) / λ_1 >= rank_rel``, only roundoff at the
+    cutoff can make it fail.  Both re-checks reduce to the range inclusion
     ``R(U^T Λ U_c) ⊆ R(U^T Λ U)``, with ``U`` a basis of ``R(C)`` and
     ``U_c`` of its complement in R^r: the N(A) blocks of either pair add
     only zero blocks to the coupling equation.
@@ -268,12 +276,15 @@ class _Geometry:
         # are those of P_R(A) B_S, so the cutoff relative to 1 is theirs.
         kept = _rank_from_values(self.cross_sines, tol, scale=1.0)
         projected = Subspace(r, self.cross_left[:, :kept])
-        coupled = self.split[1]
-        pulled = nullspace_of(coupled.T * lam, tol, scale=_operator_norm(weight))
+        # Flag 3 and sum_check from Y = R(Λ C); see CompatibilityReport.
+        image = self.split[0]
+        pulled = Subspace(r, np.linalg.qr(image / lam[:, None])[0] if image.size else image)
         closed = kept == span.dim - self.overlap.dim
         # Flags 2 and 4 hold by construction; see CompatibilityReport.
         chain = (compatible, True, _equal_in_range(pulled, projected, n, tol), True, closed, closed)
-        spread = numerical_rank(np.hstack([self.cross, coupled]), tol)
+        spans = not image.size or _rank_from_values(
+            np.linalg.svd(image.T @ self.cross, compute_uv=False), tol, scale=1.0
+        ) == image.shape[1]
         rows = projected.basis.T * lam
         shift_invariant = douglas.range_inclusion(
             rows @ complement(projected).basis, rows @ projected.basis, tol
@@ -285,7 +296,7 @@ class _Geometry:
             coupling=self.coupling,
             projection=self.projection if compatible else None,
             chain=chain,
-            sum_check=(n - r) + spread == n,
+            sum_check=spans,
             projected_pair_compatible=shift_invariant,
             shifted_pair_compatible=shift_invariant,
         )

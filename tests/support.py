@@ -16,14 +16,15 @@ from obliqueproj import (
     is_compatible,
     moore_penrose,
     nullspace_of,
+    numerical_rank,
     range_inclusion,
     spectral_norm,
     subspace_equal,
     subspace_from_span,
     subspace_sum,
 )
-from obliqueproj import oprange
-from obliqueproj.linalg import as_matrix
+from obliqueproj import oblique, oprange
+from obliqueproj.linalg import _operator_norm, _rank_from_values, as_matrix
 from obliqueproj.report import SAMPLES, _record
 
 
@@ -335,6 +336,71 @@ def diagnostics_by_subspaces(weight, span, tol=DEFAULT_TOL):
         "projected_pair_compatible": compatible_by_blocks(weight, projected, tol),
         "shifted_pair_compatible": compatible_by_blocks(weight, shifted, tol),
     }
+
+
+def flag3_and_sum_check_by_svds(weight, span, tol=DEFAULT_TOL):
+    """Chain flag 3 and ``sum_check`` of ``compatibility_diagnostics`` from
+    the basis ``K`` of ``N(C^T Λ)`` alone: the nullspace of ``K^T Λ`` from a
+    complete SVD, and the rank of ``[C, K]`` from a values-only one."""
+    geometry = oblique._geometry(weight, span, tol)
+    n, r = weight.dim, weight.rank
+    lam = weight.eigvals[:r]
+    kept = _rank_from_values(geometry.cross_sines, tol, scale=1.0)
+    projected = Subspace(r, geometry.cross_left[:, :kept])
+    coupled = geometry.split[1]
+    pulled = nullspace_of(coupled.T * lam, tol, scale=_operator_norm(weight))
+    spread = numerical_rank(np.hstack([geometry.cross, coupled]), tol)
+    return oblique._equal_in_range(pulled, projected, n, tol), (n - r) + spread == n
+
+
+def weight_from_eigvals(rng, ev, tol=DEFAULT_TOL):
+    """``Q diag(ev) Q^T`` for a random orthogonal Q, with the eigen data held
+    exactly as given (descending ``ev``) rather than recomputed by ``eigh``,
+    so that an eigenvalue can sit closer to the rank cutoff than roundoff."""
+    q, rank = random_orthogonal(rng, len(ev)), _rank_from_values(ev, tol)
+    ev = np.where(np.arange(len(ev)) < rank, ev, 0.0)
+    return PsdOperator((q * ev) @ q.T, ev, q, rank)
+
+
+def make_ill_conditioned_pair(rng, tol=DEFAULT_TOL):
+    """A pair over n 3..12 whose nonzero eigenvalues spread over up to 12
+    decades.  In a third of the pairs the smallest kept eigenvalue lies
+    1e-8 to 1e-1 above the rank cutoff, relative to it; in half of them S
+    is tilted toward N(A), its spanning vectors drawn with their R(A) part
+    scaled by 1e-8 to 1e-1."""
+    n = int(rng.integers(3, 13))
+    rank = int(rng.integers(1, n))
+    k = int(rng.integers(1, n))
+    decades = min(12.0, -np.log10(tol.rank_rel))
+    ev = np.zeros(n)
+    ev[:rank] = np.sort(10.0 ** -rng.uniform(0.0, decades, size=rank))[::-1]
+    ev[:rank] /= ev[0]
+    if rng.integers(3) == 0:
+        ev[rank - 1] = tol.rank_rel * (1.0 + 10.0 ** -rng.uniform(1.0, 8.0))
+        ev[: rank - 1] = np.maximum(ev[: rank - 1], ev[rank - 1])
+    weight = weight_from_eigvals(rng, ev, tol)
+    columns = weight.eigvecs[:, :rank] @ rng.normal(size=(rank, k))
+    if rng.integers(2):
+        columns *= 10.0 ** -rng.uniform(1.0, 8.0)
+    columns += weight.eigvecs[:, rank:] @ rng.normal(size=(n - rank, k))
+    return weight, subspace_from_span(columns, tol)
+
+
+def make_near_null_pair(rng, tol=DEFAULT_TOL):
+    """A pair over n 3..10 in which one direction of S lies at a sine of
+    0.5 to 3 times ``rank_rel`` from N(A), around the angle cutoff of the
+    overlap; the other directions of S are drawn at random."""
+    n = int(rng.integers(3, 11))
+    rank = int(rng.integers(1, n))
+    k = int(rng.integers(1, n))
+    weight = make_psd(rng, n, rank)
+    vr, v0 = weight.eigvecs[:, :rank], weight.eigvecs[:, rank:]
+    near, far = v0 @ rng.normal(size=n - rank), vr @ rng.normal(size=rank)
+    sine = rng.uniform(0.5, 3.0) * tol.rank_rel
+    tilted = np.sqrt(1.0 - sine**2) * near / np.linalg.norm(near) + sine * far / np.linalg.norm(far)
+    rest = rng.normal(size=(n, k - 1))
+    rest -= np.outer(tilted, tilted @ rest)
+    return weight, Subspace(n, np.column_stack([tilted, np.linalg.qr(rest)[0]]))
 
 
 # The range-space chart from n x n products of the weight's square root and

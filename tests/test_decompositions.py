@@ -111,9 +111,19 @@ def test_compatibility_diagnostics_budget(pair, counted):
     assert [shape for mode, shape in qr_of_n_rows(counted) if mode == "complete"] == []
     # no n x n input, which also rules out spectral_norm(A)
     assert (N, N) not in counted["svd"]
-    # C, a^+, C^T Λ, the nullspace for flag 3, the sum check and the
-    # shifted-pair inclusion; flags 2 and 4 hold by construction
-    assert counted.factorizations("svd") == 6
+    # C, a^+, C^T Λ, the sum check (values only, on the ρ x k matrix Y^T C)
+    # and the shifted-pair inclusion; flags 2 and 4 hold by construction
+    assert counted.factorizations("svd") == 5
+    k, r = span.dim, weight.rank
+    rho = N - report.preimage_of_complement.dim  # dim A(S); N(A) ⊕ V_r K has N - ρ
+    assert 0 < rho < r
+    assert (rho, k) in counted.values_only
+    # flag 3 and the sum check no longer factorize K^T Λ or [C, K], with K
+    # the (r - ρ)-column basis of N(C^T Λ)
+    assert (r - rho, r) not in counted["svd"]
+    assert (r, k + r - rho) not in counted["svd"]
+    # flag 3 takes one reduced QR of Λ^{-1} Y, which has r rows
+    assert ("reduced", (r, rho)) in counted["qr"]
 
 
 def test_compatibility_diagnostics_evaluates_no_chart_image(pair, monkeypatch):
@@ -179,17 +189,19 @@ def test_identity_battery_budget(pair, counted):
     weight, span, _ = pair
     assert all(check["pass"] for check in identity_battery(weight, span))
     assert counted["eigh"] == []
-    assert counted.factorizations("svd") == 324
+    assert counted.factorizations("svd") == 323
     # hermitian_tests_agree factorizes its 100 null spaces in one stacked
     # call, and norm_minimality takes the spectral norms of its 100 family
     # members from one stacked values-only call.
-    assert len(counted["svd"]) == 126
+    assert len(counted["svd"]) == 125
     assert (100, N, N - span.dim) in counted["svd"]
     assert (100, N, N) in counted.values_only
     # No family member is factorized by QR: the only QR of an N-row input
-    # is the raw one behind S^perp; the other four act on r = rank A rows.
+    # is the raw one behind S^perp; the other five act on r = rank A rows,
+    # among them the diagnostics' reduced QR for flag 3.
     assert qr_of_n_rows(counted) == [("raw", (N, span.dim))]
-    assert len(counted["qr"]) == 5
+    assert len(counted["qr"]) == 6
+    assert all(shape[0] == weight.rank for mode, shape in counted["qr"] if shape[0] != N)
 
 
 def test_identity_battery_builds_one_chart(pair, monkeypatch):

@@ -5,8 +5,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from obliqueproj import PsdOperator, Tolerance, compatibility_diagnostics, subspace_equal
-from support import diagnostics_by_subspaces, make_overlapping_pair, make_pair
+from obliqueproj import PsdOperator, Subspace, Tolerance, compatibility_diagnostics, subspace_equal
+from support import (
+    diagnostics_by_subspaces,
+    flag3_and_sum_check_by_svds,
+    make_ill_conditioned_pair,
+    make_near_null_pair,
+    make_overlapping_pair,
+    make_pair,
+)
 
 SCALES = (1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6)
 
@@ -61,3 +68,76 @@ def test_overlapping_pairs(n, seed):
         assert report.degenerate.dim == overlap
         assert all(report.chain) and report.sum_check
         assert_matches_oracle(weight, span, Tolerance())
+
+
+# Chain flag 3 and sum_check are read off the split [Y, K] of R^r into
+# R(Λ C) and N(C^T Λ); support.flag3_and_sum_check_by_svds computes them from
+# K alone, with the two SVDs the library no longer makes.
+
+WIDE_SCALES = (1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9)
+
+
+def flags_against_svds(pairs, tol):
+    """Asserts identical flag 3 and sum_check on every pair; returns how
+    often each read False."""
+    false3 = false_sum = 0
+    for weight, span in pairs:
+        report = compatibility_diagnostics(weight, span, tol)
+        assert (report.chain[2], report.sum_check) == flag3_and_sum_check_by_svds(weight, span, tol)
+        false3 += not report.chain[2]
+        false_sum += not report.sum_check
+    return false3, false_sum
+
+
+@pytest.mark.parametrize("rank_rel", (1e-10, 1e-7, 1e-4, 1e-2))
+def test_flag3_and_sum_check_on_scaled_pairs(rank_rel):
+    tol = Tolerance(rank_rel=rank_rel)
+    rng = np.random.default_rng([1300, round(-np.log10(rank_rel))])
+    pairs = [
+        (scaled(PsdOperator.from_matrix(weight.base, tol), c), span)
+        for c in WIDE_SCALES
+        for weight, span in (make_pair(rng) for _ in range(20))
+    ]
+    assert flags_against_svds(pairs, tol) == (0, 0)
+
+
+@pytest.mark.parametrize("rank_rel", (1e-12, 1e-10, 1e-7, 1e-4))
+def test_flag3_and_sum_check_on_ill_conditioned_pairs(rank_rel):
+    tol = Tolerance(rank_rel=rank_rel)
+    rng = np.random.default_rng([1301, round(-np.log10(rank_rel))])
+    false3, false_sum = flags_against_svds([make_ill_conditioned_pair(rng, tol) for _ in range(100)], tol)
+    assert false3 > 0 and false_sum == 0
+
+
+@pytest.mark.parametrize("rank_rel", (1e-10, 1e-7, 1e-4, 1e-2))
+def test_flag3_and_sum_check_near_the_angle_cutoff(rank_rel):
+    tol = Tolerance(rank_rel=rank_rel)
+    rng = np.random.default_rng([1302, round(-np.log10(rank_rel))])
+    false3, false_sum = flags_against_svds([make_near_null_pair(rng, tol) for _ in range(150)], tol)
+    assert false3 > 0 and false_sum == 0
+
+
+def test_sum_check_reads_the_rank_of_y_c_against_one():
+    """The one kind of pair found where the two sum checks differ.
+
+    The library takes rank [C, K] as (r - ρ) + rank(Y^T C), with the cutoff
+    of Y^T C relative to 1.  As ``σ_min(Y^T C) >= σ_ρ(Λ C) / λ_1``, and ρ
+    counts ``σ_ρ(Λ C)`` only at or above ``rank_rel * λ_1``, that rank is ρ
+    unless roundoff moves a singular value across the cutoff: no pair with
+    sum_check False was found for the library.  The SVD of [C, K] took its
+    cutoff relative to ``σ_1([C, K])``, which exceeds 1 when R(C) and K are
+    not orthogonal.  Here a direction of S at a sine of 1.1 * rank_rel from
+    N(A), along the largest eigenvalue, leaves ``σ_min([C, K]) = 1.1e-3``
+    under ``rank_rel * 1.30``, so the SVD read False.  The pair is already
+    flagged: it is not compatible, and flags 5 and 6 fail (the direction is
+    inside the angle cutoff of the overlap but counts toward the rank of C).
+    """
+    tol = Tolerance(rank_rel=1e-3)
+    weight = PsdOperator.from_matrix(np.diag([1.0, 1.0, 0.01, 0.0]), tol)
+    sine, half = 1.1e-3, np.sqrt(0.5)
+    span = Subspace(4, np.array([[sine, 0.0], [0.0, half], [0.0, half], [np.sqrt(1.0 - sine**2), 0.0]]))
+    report = compatibility_diagnostics(weight, span, tol)
+    assert report.chain == (False, True, True, True, False, False)
+    assert report.sum_check
+    assert flag3_and_sum_check_by_svds(weight, span, tol) == (True, False)
+    assert not diagnostics_by_subspaces(weight, span, tol)["sum_check"]

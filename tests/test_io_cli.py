@@ -68,6 +68,13 @@ class TestFileFormats:
             {"rows": 1, "cols": 1, "data": ["x"]},
             {"rows": 1, "cols": 1, "data": [float("nan")]},
             [1, 2, 3],
+            # only JSON numbers: no strings, nested lists or booleans
+            {"rows": 2, "cols": 1, "data": ["1.5", "2"]},
+            {"rows": 2, "cols": 2, "data": [[1.0], [2.0], [3.0], [4.0]]},
+            {"rows": 1, "cols": 1, "data": [True]},
+            {"rows": True, "cols": 1, "data": [1.0]},
+            {"rows": 1, "cols": 1.0, "data": [1.0]},
+            {"rows": 1, "cols": 1, "data": [10**400]},
         ],
     )
     def test_malformed_matrix(self, obj):
@@ -100,8 +107,23 @@ class TestFileFormats:
             assert obj["data"] == []
 
     def test_malformed_subspace(self):
-        with pytest.raises(io.FormatError):
-            io.subspace_from_obj({"ambient": 3, "span": {"rows": 2, "cols": 1, "data": [1.0, 0.0]}})
+        for obj in (
+            {"ambient": 3, "span": {"rows": 2, "cols": 1, "data": [1.0, 0.0]}},
+            {"ambient": True, "span": {"rows": 1, "cols": 1, "data": [1.0]}},
+            {"ambient": 1.0, "span": {"rows": 1, "cols": 1, "data": [1.0]}},
+            {"ambient": 1, "span": {"rows": 1, "cols": 1, "data": [False]}},
+        ):
+            with pytest.raises(io.FormatError):
+                io.subspace_from_obj(obj)
+
+    def test_boolean_dimensions_are_named(self):
+        with pytest.raises(io.FormatError, match="rows/cols"):
+            io.matrix_from_obj({"rows": True, "cols": 1, "data": [1.0]})
+
+    def test_integer_data_loads_as_doubles(self):
+        m = io.matrix_from_obj({"rows": 1, "cols": 3, "data": [1, -2, 2.5]})
+        assert m.dtype == float
+        np.testing.assert_array_equal(m, [[1.0, -2.0, 2.5]])
 
 
 class TestWriter:
@@ -231,6 +253,11 @@ class TestCommands:
         assert cli.main(["compat", "--input-a", missing, "--input-s", p["s"]]) == 2
         shaped = write(tmp_path / "shaped.json", {"rows": 3, "cols": 2, "data": [0.0] * 6})
         assert cli.main(["compat", "--input-a", shaped, "--input-s", p["s"]]) == 2
+        texts = write(tmp_path / "texts.json", {"rows": 2, "cols": 2, "data": ["1", "0", "0", "1"]})
+        assert cli.main(["compat", "--input-a", texts, "--input-s", p["s"]]) == 2
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"rows": 1, "cols": 1, "data": [1' + "0" * 400 + "]}")
+        assert cli.main(["compat", "--input-a", str(huge), "--input-s", p["s"]]) == 2
 
     def test_missing_required_input_exits_2(self, fixtures):
         tmp, p = fixtures
