@@ -203,37 +203,70 @@ def _split_rows(m: np.ndarray, tol: Tolerance, scale: float | None = None) -> tu
 
 
 def complement(s: Subspace) -> Subspace:
-    """Orthogonal complement S^perp: Householder reflectors, compact WY; same
-    frame as the complete QR.
+    """Orthogonal complement S^perp: the trailing columns of the complete QR
+    of the basis, up to roundoff, formed from its Householder reflectors
+    (:class:`_Reflectors`) without the n x n orthogonal factor."""
+    return Subspace(s.ambient_dim, _reflectors(s.basis).perp())
 
-    The trailing ``n - k`` columns of ``Q = H_1 ... H_k = I - V T V^T``, with
-    ``V`` the reflectors of a QR of the basis and ``T`` from the forward
-    recurrence of LAPACK ``dlarft`` (Schreiber & Van Loan, SIAM J. Sci.
-    Stat. Comput. 10, 1989).  They equal the trailing columns of the
-    complete QR up to roundoff, without forming its n x n factor.  A
-    reflector with ``tau = 0`` is the identity and adds a zero column to T.
-    With ``k = 0`` there is no reflector and with ``k = n`` no trailing
-    column, so neither factorizes anything.
+
+@dataclass(frozen=True)
+class _Reflectors:
+    """The Householder reflectors of a QR of an n x k basis, compact WY.
+
+    ``Q = H_1 ... H_k = I - V T V^T``, with ``V`` unit lower trapezoidal and
+    ``T`` upper triangular from the forward recurrence of LAPACK ``dlarft``
+    (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989).  The
+    trailing ``n - k`` columns ``B_perp`` of ``Q`` are a basis of the
+    complement: :meth:`perp` forms them, :meth:`apply_perp` multiplies by
+    them without forming them.  With ``k = 0`` there is no reflector and
+    with ``k = n`` no trailing column; neither factorizes anything.
     """
-    n, k = s.ambient_dim, s.dim
+
+    k: int
+    v: np.ndarray
+    t: np.ndarray
+
+    def perp(self) -> np.ndarray:
+        """``B_perp = [0; I_{n-k}] - V T V[k:]^T``."""
+        v, k = self.v, self.k
+        n = v.shape[0]
+        if not self.t.size:
+            return np.eye(n, n - k)
+        # Formed in the buffer of the product, so that no n x (n-k) temporary
+        # is held beside it; 0 - x, not -x, leaves +0.0 where it is zero.
+        q = v @ (self.t @ v[k:].T)
+        np.subtract(0.0, q, out=q)
+        q[k:].flat[:: n - k + 1] += 1.0
+        return q
+
+    def apply_perp(self, x: np.ndarray) -> np.ndarray:
+        """``x B_perp = x[:, k:] - ((x V) T) V[k:]^T``, without forming ``B_perp``."""
+        k = self.k
+        if not self.t.size:
+            return x[:, k:]
+        # in the buffer of the product, as perp() does
+        y = ((x @ self.v) @ self.t) @ self.v[k:].T
+        return np.subtract(x[:, k:], y, out=y)
+
+
+def _reflectors(basis: np.ndarray) -> _Reflectors:
+    # One raw QR; V overwrites R in the n x k array LAPACK returned, and T
+    # takes one column per reflector (a reflector with tau = 0 is the
+    # identity and adds a zero column).
+    n, k = basis.shape
     if k in (0, n):
-        return Subspace(n, np.eye(n, n - k))
-    h, tau = np.linalg.qr(s.basis, mode="raw")
-    # V, unit lower trapezoidal, overwrites R in the n x k array LAPACK returned.
+        return _Reflectors(k, np.zeros((n, 0)), np.zeros((0, 0)))
+    h, tau = np.linalg.qr(basis, mode="raw")
     v = h.T
-    v[:k] = np.tril(v[:k], -1)
-    np.fill_diagonal(v, 1.0)
+    for i in range(k - 1):
+        v[i, i + 1 :] = 0.0
+    v[:k].flat[:: k + 1] = 1.0
     gram = v.T @ v
-    t = np.diag(tau)
+    t = np.zeros((k, k))
+    t.flat[:: k + 1] = tau
     for i in range(1, k):
         t[:i, i] = -tau[i] * (t[:i, :i] @ gram[:i, i])
-    # Q [0; I_{n-k}] = [0; I_{n-k}] - V T V[k:]^T, formed in the buffer of the
-    # product so that no n x (n-k) temporary is held beside it; 0 - x, not
-    # -x, leaves +0.0 where the product is zero.
-    q = v @ (t @ v[k:].T)
-    np.subtract(0.0, q, out=q)
-    q[k:].flat[:: n - k + 1] += 1.0
-    return Subspace(n, q)
+    return _Reflectors(k, v, t)
 
 
 def _check_same_ambient(s1: Subspace, s2: Subspace) -> None:
@@ -262,12 +295,6 @@ def _apart(sines: np.ndarray, tol: Tolerance) -> int:
     return int(np.count_nonzero(sines >= 2.0 * tol.rank_rel))
 
 
-def _meet_coordinates(sines: np.ndarray, vt: np.ndarray, tol: Tolerance) -> np.ndarray:
-    # From _sine_svd(): the combinations of the basis whose sine lies
-    # strictly below the cutoff, as orthonormal columns.
-    return vt[_apart(sines, tol):].T
-
-
 def intersect(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     """Intersection, read off the principal angles between the subspaces.
 
@@ -287,7 +314,8 @@ def intersect(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subsp
         s1, s2 = s2, s1
     b1, b2 = s1.basis, s2.basis
     _, sines, vt = _sine_svd(b1 - b2 @ (b2.T @ b1))
-    return Subspace(s1.ambient_dim, b1 @ _meet_coordinates(sines, vt, tol))
+    # the right singular vectors whose sine lies strictly below the cutoff
+    return Subspace(s1.ambient_dim, b1 @ vt[_apart(sines, tol) :].T)
 
 
 def subspace_sum(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:

@@ -36,9 +36,11 @@ from .linalg import (
     PsdOperator,
     Subspace,
     Tolerance,
-    _meet_coordinates,
+    _apart,
     _operator_norm,
     _rank_from_values,
+    _reflectors,
+    _Reflectors,
     _sine_svd,
     _split_rows,
     as_matrix,
@@ -111,14 +113,15 @@ class CompatibilityReport:
        ``dim S - dim(S ∩ N(A))``.  ``R(C)`` takes the rank cutoff of
        ``C`` relative to 1, so 5 and 6 read the same rank.
 
-    ``sum_check`` is ``(n - r) + rank[C, K] == n``, the dimension of
-    ``S + A^{-1}(S^perp)``.  As ``[C, K] = [Y, K] [[Y^T C, 0], [K^T C, I]]``,
-    it reads ``rank(Y^T C) == ρ = dim A S`` off the singular values of the
-    ρ x k matrix ``Y^T C`` (none when ρ = 0), with the cutoff relative to 1
-    of flags 5 and 6: ``||Y^T C|| <= 1``, as ``Y`` is orthonormal and ``C``
-    holds coordinates of unit vectors.  Since
-    ``σ_min(Y^T C) >= σ_ρ(Λ C) / λ_1 >= rank_rel``, only roundoff at the
-    cutoff can make it fail.  Both re-checks reduce to the range inclusion
+    ``sum_check`` states ``S + A^{-1}(S^perp) = R^n``, that is
+    ``(n - r) + rank[C, K] == n``.  As
+    ``[C, K] = [Y, K] [[Y^T C, 0], [K^T C, I]]``, this is
+    ``rank(Y^T C) == ρ = dim A S``, with the cutoff relative to 1 of flags 5
+    and 6 (``||Y^T C|| <= 1``).  It holds by construction, since
+    ``σ_min(Y^T C) >= σ_ρ(Λ C) / λ_1 >= rank_rel``, so like flags 2 and 4
+    it is True and not evaluated.
+
+    Both re-checks reduce to the range inclusion
     ``R(U^T Λ U_c) ⊆ R(U^T Λ U)``, with ``U`` a basis of ``R(C)`` and
     ``U_c`` of its complement in R^r: the N(A) blocks of either pair add
     only zero blocks to the coupling equation.
@@ -177,10 +180,13 @@ def _overlap(
     # The singular values of C = V_r^T B_S, with V_r the leading
     # eigenvectors, are the sines of the principal angles between S and
     # N(A); returns N, C, and the left singular vectors and singular values
-    # of C.
+    # of C.  At most dim N(A) = n - r directions meet, those of least sine,
+    # as intersect() measures from the smaller subspace: an angle cutoff
+    # 2 rank_rel >= 1 would admit every direction of S.
     cross = _cross(weight, span)
     left, sines, vt = _sine_svd(cross)
-    return Subspace(weight.dim, span.basis @ _meet_coordinates(sines, vt, tol)), cross, left, sines
+    apart = max(_apart(sines, tol), span.dim - (weight.dim - weight.rank))
+    return Subspace(weight.dim, span.basis @ vt[apart:].T), cross, left, sines
 
 
 def degenerate_overlap(weight: PsdOperator, span: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
@@ -202,9 +208,12 @@ class _Geometry:
     ``C = V_r^T B_S`` and ``shift = a^+ (B_S^T A - a B_S^T) = D B_perp^T``
     (None if ``a X = b`` is unsolvable).  On first read: ``split``
     (``R(Λ C)``, ``N(C^T Λ)``), ``preimage`` and ``projection``, for
-    :func:`weighted_projection`; ``perp`` (Householder reflectors, compact
-    WY; same frame as the complete QR) and ``coupling = a^+ b`` where that
-    frame is published (diagnostics, family members).
+    :func:`weighted_projection`; ``reflectors``, the Householder
+    reflectors of ``B_S`` (one raw QR, compact WY; the frame of the
+    complete QR), shared by ``coupling = shift B_perp = a^+ b``, which the
+    diagnostics publish and which is applied through the reflectors, and
+    ``perp``, the basis ``B_perp`` itself, formed only for
+    :func:`block_decompose`, family members and the identity battery.
     The range-space chart of :mod:`~obliqueproj.oprange` holds one of these
     and derives the chart image of ``A^{1/2} S`` from ``cross``.
     """
@@ -222,12 +231,17 @@ class _Geometry:
     cross_sines: np.ndarray  # singular values of C
 
     @cached_property
+    def reflectors(self) -> _Reflectors:
+        return _reflectors(self.span.basis)
+
+    @cached_property
     def perp(self) -> Subspace:
-        return complement(self.span)
+        return Subspace(self.span.ambient_dim, self.reflectors.perp())
 
     @cached_property
     def coupling(self) -> np.ndarray | None:
-        return None if self.shift is None else self.a_pinv @ (self.rows @ self.perp.basis)
+        # shift B_perp = a^+ b - a^+ a B_S^T B_perp = a^+ b, as B_S^T B_perp = 0
+        return None if self.shift is None else self.reflectors.apply_perp(self.shift)
 
     @cached_property
     def split(self) -> tuple[np.ndarray, np.ndarray]:
@@ -241,9 +255,10 @@ class _Geometry:
     def projection(self) -> ObliqueProjection:
         shift, weight, bs = self._solved_shift(), self.weight, self.span.basis
         n, r = weight.dim, weight.rank
-        # A^{-1}(S^perp) (-) N: N is taken out of N(A) in the coordinates of N(A).
+        # A^{-1}(S^perp) (-) N: N is taken out of N(A) in the coordinates of
+        # N(A), by the reflectors of V_0^T N applied to V_0.
         v0 = weight.eigvecs[:, r:]
-        rest = v0 @ complement(Subspace(n - r, v0.T @ self.overlap.basis)).basis
+        rest = _reflectors(v0.T @ self.overlap.basis).apply_perp(v0)
         # preimage.basis ends with V_r·N(C^T Λ), the part outside N(A)
         null = Subspace(n, np.hstack([rest, self.preimage.basis[:, n - r :]]))
         return ObliqueProjection(bs @ (bs.T + shift), self.span, null)
@@ -276,15 +291,12 @@ class _Geometry:
         # are those of P_R(A) B_S, so the cutoff relative to 1 is theirs.
         kept = _rank_from_values(self.cross_sines, tol, scale=1.0)
         projected = Subspace(r, self.cross_left[:, :kept])
-        # Flag 3 and sum_check from Y = R(Λ C); see CompatibilityReport.
+        # Flag 3 from Y = R(Λ C); see CompatibilityReport.
         image = self.split[0]
         pulled = Subspace(r, np.linalg.qr(image / lam[:, None])[0] if image.size else image)
         closed = kept == span.dim - self.overlap.dim
         # Flags 2 and 4 hold by construction; see CompatibilityReport.
         chain = (compatible, True, _equal_in_range(pulled, projected, n, tol), True, closed, closed)
-        spans = not image.size or _rank_from_values(
-            np.linalg.svd(image.T @ self.cross, compute_uv=False), tol, scale=1.0
-        ) == image.shape[1]
         rows = projected.basis.T * lam
         shift_invariant = douglas.range_inclusion(
             rows @ complement(projected).basis, rows @ projected.basis, tol
@@ -296,7 +308,7 @@ class _Geometry:
             coupling=self.coupling,
             projection=self.projection if compatible else None,
             chain=chain,
-            sum_check=spans,
+            sum_check=True,
             projected_pair_compatible=shift_invariant,
             shifted_pair_compatible=shift_invariant,
         )

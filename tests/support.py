@@ -232,6 +232,27 @@ def complement_by_complete_qr(s):
     return Subspace(n, q[:, k:])
 
 
+def complement_by_compact_wy(s):
+    """S^perp from the Householder reflectors of a raw QR, compact WY, with
+    ``V`` cut out by ``np.tril`` and ``T`` seeded by ``np.diag``: the
+    formation :func:`complement` must reproduce bit for bit."""
+    n, k = s.ambient_dim, s.dim
+    if k in (0, n):
+        return Subspace(n, np.eye(n, n - k))
+    h, tau = np.linalg.qr(s.basis, mode="raw")
+    v = h.T
+    v[:k] = np.tril(v[:k], -1)
+    np.fill_diagonal(v, 1.0)
+    gram = v.T @ v
+    t = np.diag(tau)
+    for i in range(1, k):
+        t[:i, i] = -tau[i] * (t[:i, :i] @ gram[:i, i])
+    q = v @ (t @ v[k:].T)
+    np.subtract(0.0, q, out=q)
+    q[k:].flat[:: n - k + 1] += 1.0
+    return Subspace(n, q)
+
+
 def intersect_by_complements(s1, s2, tol=DEFAULT_TOL):
     """Intersection as the complement of the sum of the complements."""
     joined = np.hstack([complement_by_svd(s1).basis, complement_by_svd(s2).basis])
@@ -351,6 +372,19 @@ def flag3_and_sum_check_by_svds(weight, span, tol=DEFAULT_TOL):
     pulled = nullspace_of(coupled.T * lam, tol, scale=_operator_norm(weight))
     spread = numerical_rank(np.hstack([geometry.cross, coupled]), tol)
     return oblique._equal_in_range(pulled, projected, n, tol), (n - r) + spread == n
+
+
+def rank_of_y_c(weight, span, tol=DEFAULT_TOL):
+    """``rank(Y^T C)`` and ρ, with ``Y`` the basis of ``R(Λ C)`` from the
+    split of R^r: the values-only SVD ``sum_check`` was read from, with the
+    cutoff relative to 1.  ``compatibility_diagnostics`` reports the theorem
+    that the two are equal."""
+    geometry = oblique._geometry(weight, span, tol)
+    image = geometry.split[0]
+    if not image.size:
+        return 0, 0
+    values = np.linalg.svd(image.T @ geometry.cross, compute_uv=False)
+    return _rank_from_values(values, tol, scale=1.0), image.shape[1]
 
 
 def weight_from_eigvals(rng, ev, tol=DEFAULT_TOL):

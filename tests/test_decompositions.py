@@ -14,6 +14,7 @@ import pytest
 
 from obliqueproj import (
     PsdOperator,
+    linalg,
     oblique,
     oprange,
     chart_extension,
@@ -98,30 +99,50 @@ def test_weighted_projection_budget(pair, counted):
     assert qr_of_n_rows(counted) == []
 
 
-def test_compatibility_diagnostics_budget(pair, counted):
+@pytest.fixture
+def formed(monkeypatch):
+    """The row count of every complement basis the library forms; each one,
+    public complement() included, comes from _Reflectors.perp."""
+    rows = []
+    perp = linalg._Reflectors.perp
+
+    def recording_perp(self):
+        basis = perp(self)
+        rows.append(basis.shape[0])
+        return basis
+
+    monkeypatch.setattr(linalg._Reflectors, "perp", recording_perp)
+    return rows
+
+
+def test_compatibility_diagnostics_budget(pair, counted, formed):
     weight, span, _ = pair
     report = compatibility_diagnostics(weight, span)
     assert all(report.chain) and report.sum_check
     assert counted["eigh"] == []
-    # the report publishes the coupling in the frame of S^perp, so it builds
-    # that basis once, from the Householder reflectors of B_S and without an
-    # n x n orthogonal factor; this also shows the QR counter sees the
-    # library's calls
+    # the report publishes the coupling in the frame of S^perp, which it
+    # applies through the Householder reflectors of B_S: one raw QR, no
+    # n x n orthogonal factor and no n x (n - k) basis of S^perp; this also
+    # shows the QR counter sees the library's calls
     assert qr_of_n_rows(counted) == [("raw", (N, span.dim))]
     assert [shape for mode, shape in qr_of_n_rows(counted) if mode == "complete"] == []
+    assert N not in formed
+    # the counter sees the shifted-pair inclusion's complement in R^r
+    assert weight.rank in formed
     # no n x n input, which also rules out spectral_norm(A)
     assert (N, N) not in counted["svd"]
-    # C, a^+, C^T Λ, the sum check (values only, on the ρ x k matrix Y^T C)
-    # and the shifted-pair inclusion; flags 2 and 4 hold by construction
-    assert counted.factorizations("svd") == 5
+    # C, a^+, C^T Λ and the shifted-pair inclusion; flags 2 and 4 and the
+    # sum check hold by construction
+    assert counted.factorizations("svd") == 4
     k, r = span.dim, weight.rank
     rho = N - report.preimage_of_complement.dim  # dim A(S); N(A) ⊕ V_r K has N - ρ
     assert 0 < rho < r
-    assert (rho, k) in counted.values_only
-    # flag 3 and the sum check no longer factorize K^T Λ or [C, K], with K
-    # the (r - ρ)-column basis of N(C^T Λ)
+    assert counted.values_only == []
+    # flag 3 and the sum check factorize none of K^T Λ, [C, K] and Y^T C,
+    # with K the (r - ρ)-column basis of N(C^T Λ) and Y that of R(Λ C)
     assert (r - rho, r) not in counted["svd"]
     assert (r, k + r - rho) not in counted["svd"]
+    assert (rho, k) not in counted["svd"]
     # flag 3 takes one reduced QR of Λ^{-1} Y, which has r rows
     assert ("reduced", (r, rho)) in counted["qr"]
 
@@ -189,16 +210,19 @@ def test_identity_battery_budget(pair, counted):
     weight, span, _ = pair
     assert all(check["pass"] for check in identity_battery(weight, span))
     assert counted["eigh"] == []
-    assert counted.factorizations("svd") == 323
+    assert counted.factorizations("svd") == 322
     # hermitian_tests_agree factorizes its 100 null spaces in one stacked
     # call, and norm_minimality takes the spectral norms of its 100 family
     # members from one stacked values-only call.
-    assert len(counted["svd"]) == 125
+    assert len(counted["svd"]) == 124
     assert (100, N, N - span.dim) in counted["svd"]
     assert (100, N, N) in counted.values_only
     # No family member is factorized by QR: the only QR of an N-row input
-    # is the raw one behind S^perp; the other five act on r = rank A rows,
-    # among them the diagnostics' reduced QR for flag 3.
+    # is the raw one of B_S, whose reflectors give both S^perp (the sampled
+    # projections and family members) and the diagnostics' coupling; the
+    # other five act on r = rank A rows (r = n - r here, so this includes
+    # the reflectors of V_0^T N in N(A)), among them the diagnostics'
+    # reduced QR for flag 3.
     assert qr_of_n_rows(counted) == [("raw", (N, span.dim))]
     assert len(counted["qr"]) == 6
     assert all(shape[0] == weight.rank for mode, shape in counted["qr"] if shape[0] != N)

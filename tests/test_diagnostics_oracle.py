@@ -13,6 +13,7 @@ from support import (
     make_near_null_pair,
     make_overlapping_pair,
     make_pair,
+    rank_of_y_c,
 )
 
 SCALES = (1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6)
@@ -34,6 +35,8 @@ def assert_matches_oracle(weight, span, tol):
     oracle = diagnostics_by_subspaces(weight, span, tol)
     assert report.chain[1:] == oracle["chain"][1:]
     assert report.sum_check == oracle["sum_check"]
+    rank, rho = rank_of_y_c(weight, span, tol)
+    assert rank == rho
     assert report.projected_pair_compatible == oracle["projected_pair_compatible"]
     if report.degenerate.dim == span.dim:
         # S ⊆ N(A): the pair itself and the shifted pair N(A) have coupling
@@ -70,20 +73,24 @@ def test_overlapping_pairs(n, seed):
         assert_matches_oracle(weight, span, Tolerance())
 
 
-# Chain flag 3 and sum_check are read off the split [Y, K] of R^r into
-# R(Λ C) and N(C^T Λ); support.flag3_and_sum_check_by_svds computes them from
-# K alone, with the two SVDs the library no longer makes.
+# Chain flag 3 is read off the split [Y, K] of R^r into R(Λ C) and
+# N(C^T Λ), and sum_check is the theorem rank(Y^T C) = ρ = dim A S;
+# support.flag3_and_sum_check_by_svds computes both from K alone, with the two
+# SVDs the library no longer makes, and support.rank_of_y_c takes the rank of
+# Y^T C from the values-only SVD the library no longer makes.
 
 WIDE_SCALES = (1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9)
 
 
 def flags_against_svds(pairs, tol):
-    """Asserts identical flag 3 and sum_check on every pair; returns how
-    often each read False."""
+    """Asserts identical flag 3 and sum_check on every pair, and
+    rank(Y^T C) = ρ; returns how often each flag read False."""
     false3 = false_sum = 0
     for weight, span in pairs:
         report = compatibility_diagnostics(weight, span, tol)
         assert (report.chain[2], report.sum_check) == flag3_and_sum_check_by_svds(weight, span, tol)
+        rank, rho = rank_of_y_c(weight, span, tol)
+        assert rank == rho
         false3 += not report.chain[2]
         false_sum += not report.sum_check
     return false3, false_sum
@@ -120,11 +127,12 @@ def test_flag3_and_sum_check_near_the_angle_cutoff(rank_rel):
 def test_sum_check_reads_the_rank_of_y_c_against_one():
     """The one kind of pair found where the two sum checks differ.
 
-    The library takes rank [C, K] as (r - ρ) + rank(Y^T C), with the cutoff
-    of Y^T C relative to 1.  As ``σ_min(Y^T C) >= σ_ρ(Λ C) / λ_1``, and ρ
-    counts ``σ_ρ(Λ C)`` only at or above ``rank_rel * λ_1``, that rank is ρ
-    unless roundoff moves a singular value across the cutoff: no pair with
-    sum_check False was found for the library.  The SVD of [C, K] took its
+    The library reports rank [C, K] = (r - ρ) + rank(Y^T C) with
+    rank(Y^T C) = ρ, the cutoff of Y^T C relative to 1.  As
+    ``σ_min(Y^T C) >= σ_ρ(Λ C) / λ_1``, and ρ counts ``σ_ρ(Λ C)`` only at
+    or above ``rank_rel * λ_1``, that rank is ρ unless roundoff moves a
+    singular value across the cutoff: no pair with rank(Y^T C) < ρ was
+    found, here or on the families above.  The SVD of [C, K] took its
     cutoff relative to ``σ_1([C, K])``, which exceeds 1 when R(C) and K are
     not orthogonal.  Here a direction of S at a sine of 1.1 * rank_rel from
     N(A), along the largest eigenvalue, leaves ``σ_min([C, K]) = 1.1e-3``
@@ -139,5 +147,7 @@ def test_sum_check_reads_the_rank_of_y_c_against_one():
     report = compatibility_diagnostics(weight, span, tol)
     assert report.chain == (False, True, True, True, False, False)
     assert report.sum_check
+    rank, rho = rank_of_y_c(weight, span, tol)
+    assert rank == rho > 0
     assert flag3_and_sum_check_by_svds(weight, span, tol) == (True, False)
     assert not diagnostics_by_subspaces(weight, span, tol)["sum_check"]

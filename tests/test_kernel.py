@@ -21,8 +21,9 @@ from obliqueproj import (
     subspace_from_span,
     subspace_sum,
 )
-from obliqueproj.linalg import _rank_from_values
+from obliqueproj.linalg import _rank_from_values, _reflectors
 from support import (
+    complement_by_compact_wy,
     complement_by_complete_qr,
     friedrichs_angle,
     intersection_by_nullspace,
@@ -137,17 +138,59 @@ class TestComplement:
         assert np.max(np.abs(s.basis.T @ c), initial=0.0) <= bound
         assert not c.flags.writeable
 
-    @settings(max_examples=120, deadline=None)
+    @staticmethod
+    def draw(rng, n, k, axes):
+        if axes:  # signed coordinate axes: some reflectors have tau = 0
+            columns = rng.permutation(n)[:k]
+            return Subspace(n, np.eye(n)[:, columns] * rng.choice([-1.0, 1.0], size=k))
+        return make_subspace(rng, n, k)
+
+    @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 64), st.floats(0.0, 1.0), st.booleans(), st.integers(0, 2**32 - 1))
     def test_matches_the_complete_qr(self, n, share, axes, seed):
         rng = np.random.default_rng(seed)
-        k = round(share * n)
-        if axes:  # signed coordinate axes: some reflectors have tau = 0
-            columns = rng.permutation(n)[:k]
-            s = Subspace(n, np.eye(n)[:, columns] * rng.choice([-1.0, 1.0], size=k))
-        else:
-            s = make_subspace(rng, n, k)
+        s = self.draw(rng, n, round(share * n), axes)
         self.assert_complete_qr_frame(s)
+        self.assert_formed_as_the_oracle(s)
+
+    @staticmethod
+    def assert_formed_as_the_oracle(s):
+        # The reflector kernel builds V and T without np.tril and np.diag;
+        # the basis it forms is the oracle's, bit for bit.
+        c, oracle = complement(s).basis, complement_by_compact_wy(s).basis
+        assert c.shape == oracle.shape and c.dtype == oracle.dtype
+        assert c.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("axes", [False, True])
+    def test_formed_bit_for_bit_at_every_k(self, axes):
+        rng = np.random.default_rng(17 + axes)
+        for n in range(1, 17):
+            for k in range(n + 1):
+                self.assert_formed_as_the_oracle(self.draw(rng, n, k, axes))
+
+    @staticmethod
+    def assert_applied_as_formed(s, x):
+        # x B_perp through the reflectors, against the product with the
+        # formed basis: the same frame, so they differ by roundoff only.
+        n, k = s.ambient_dim, s.dim
+        applied, formed = _reflectors(s.basis).apply_perp(x), x @ complement(s).basis
+        assert applied.shape == formed.shape == (x.shape[0], n - k)
+        bound = 2 * n * EPS * np.linalg.norm(x)
+        assert np.max(np.abs(applied - formed), initial=0.0) <= bound
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 64),
+        st.floats(0.0, 1.0),
+        st.booleans(),
+        st.integers(1, 6),
+        st.integers(-8, 8),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_applied_form_matches_the_formed_basis(self, n, share, axes, rows, scale, seed):
+        rng = np.random.default_rng(seed)
+        s = self.draw(rng, n, round(share * n), axes)
+        self.assert_applied_as_formed(s, rng.normal(size=(rows, n)) * 10.0**scale)
 
     @pytest.mark.parametrize(
         "n, axes, identity",
@@ -158,12 +201,22 @@ class TestComplement:
         s = Subspace(n, np.eye(n)[:, axes])
         assert np.array_equal(np.linalg.qr(s.basis, mode="raw")[1] == 0.0, identity)
         self.assert_complete_qr_frame(s)
+        self.assert_formed_as_the_oracle(s)
         rest = [i for i in range(n) if i not in axes]
         assert subspace_equal(complement(s), Subspace(n, np.eye(n)[:, rest]))
 
-    @pytest.mark.parametrize("n, k", [(1, 0), (1, 1), (2, 1), (5, 0), (5, 1), (5, 4), (5, 5), (64, 1), (64, 63)])
+    @pytest.mark.parametrize(
+        "n, k", [(1, 0), (1, 1), (2, 1), (5, 0), (5, 1), (5, 4), (5, 5), (64, 0), (64, 1), (64, 63), (64, 64)]
+    )
     def test_edge_dimensions(self, n, k):
-        self.assert_complete_qr_frame(make_subspace(np.random.default_rng(n + k), n, k))
+        rng = np.random.default_rng(n + k)
+        s = make_subspace(rng, n, k)
+        self.assert_complete_qr_frame(s)
+        self.assert_formed_as_the_oracle(s)
+        x = rng.normal(size=(2, n))
+        self.assert_applied_as_formed(s, x)
+        if k in (0, n):  # the identity, or no column at all
+            assert np.array_equal(_reflectors(s.basis).apply_perp(x), x[:, k:])
 
 
 class TestIntersect:

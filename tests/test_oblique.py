@@ -3,22 +3,29 @@ import pytest
 
 from obliqueproj import (
     DimensionMismatch,
+    Error,
     ObliqueProjection,
     PsdOperator,
     RangeMismatch,
     Singular,
     Tolerance,
     block_decompose,
+    chart_projected_range,
     chain_respects_implications,
+    cli,
     compatibility_diagnostics,
     complement,
     degenerate_overlap,
+    extension_matches_projection,
     Incompatible,
+    induced_projection,
     intersect,
+    io,
     is_compatible,
     is_weight_hermitian,
     moore_penrose,
     projection_family_member,
+    range_space_projection,
     reduced_solution,
     spectral_norm,
     spline_with_weight,
@@ -459,3 +466,90 @@ class TestStructuralIdentities:
             )
             assert span.dim + image_perp.dim == weight.dim
             assert intersect(span, image_perp).dim == 0
+
+
+class TestCoarseTolerance:
+    """A rank_rel of 0.5 or more puts the overlap's angle cutoff 2 rank_rel at
+    or above 1, past every sine; the overlap still keeps at most
+    dim N(A) = n - r directions, those of least sine."""
+
+    COARSE = (0.3, 0.5, 0.6, 0.9)
+
+    @staticmethod
+    def pairs(tol):
+        # A = I_2 with S = span(e_1), which meets no null direction, and
+        # small random pairs at every rank
+        rng = np.random.default_rng([1400, round(10 * tol.rank_rel)])
+        drawn = [make_pair(rng) for _ in range(40)]
+        identity = PsdOperator.from_matrix(np.eye(2), tol)
+        return [(identity, SPAN_E1)] + [(PsdOperator.from_matrix(w.base, tol), s) for w, s in drawn]
+
+    @staticmethod
+    def entry_points(weight, span, tol):
+        n, rng = weight.dim, np.random.default_rng(0)
+        overlap = degenerate_overlap(weight, span, tol)
+        return (
+            lambda: is_compatible(weight, span, tol),
+            lambda: weighted_projection(weight, span, tol),
+            lambda: weighted_projection_pinv(weight, span, tol),
+            lambda: weighted_projection_invertible(weight, span, tol),
+            lambda: compatibility_diagnostics(weight, span, tol),
+            lambda: spline_with_weight(weight, span, rng.normal(size=n), tol),
+            lambda: projection_family_member(weight, span, np.zeros((overlap.dim, n - span.dim)), tol),
+            lambda: block_decompose(weight, span),
+            lambda: extension_matches_projection(weight, span, tol),
+            lambda: chart_projected_range(weight, span, tol),
+            lambda: induced_projection(weight, span, tol),
+            lambda: range_space_projection(weight, span, tol).complement_density,
+            lambda: range_space_projection(weight, span, tol).decompositions,
+            lambda: identity_battery(weight, span, tol),
+        )
+
+    def test_identity_weight(self):
+        # N(A) = 0, so nothing of S meets it, whatever the cutoff
+        tol = Tolerance(rank_rel=0.6)
+        weight = PsdOperator.from_matrix(np.eye(2), tol)
+        assert degenerate_overlap(weight, SPAN_E1, tol).dim == 0
+        spline = spline_with_weight(weight, SPAN_E1, np.array([1.0, 2.0]), tol)
+        assert spline.unique and spline.freedom.dim == 0
+        projection = weighted_projection(weight, SPAN_E1, tol)
+        np.testing.assert_allclose(projection.matrix, np.diag([1.0, 0.0]), atol=1e-15)
+        assert projection.nullspace.dim == 1
+        report = compatibility_diagnostics(weight, SPAN_E1, tol)
+        assert report.compatible and report.degenerate.dim == 0
+
+    @pytest.mark.parametrize("rank_rel", COARSE)
+    def test_overlap_stays_inside_the_nullspace(self, rank_rel):
+        tol = Tolerance(rank_rel=rank_rel)
+        for weight, span in self.pairs(tol):
+            overlap = degenerate_overlap(weight, span, tol)
+            assert overlap.dim <= min(span.dim, weight.dim - weight.rank)
+            for call in self.entry_points(weight, span, tol):
+                try:
+                    call()
+                except Error:
+                    pass
+
+    @pytest.mark.parametrize("rank_rel", COARSE)
+    def test_cli_raises_only_library_errors(self, rank_rel, tmp_path):
+        tol = Tolerance(rank_rel=rank_rel)
+        for i, (weight, span) in enumerate(self.pairs(tol)[:12]):
+            files = {
+                "a": tmp_path / f"a{i}.json",
+                "s": tmp_path / f"s{i}.json",
+                "b": tmp_path / f"b{i}.json",
+                "x": tmp_path / f"x{i}.json",
+            }
+            io.save_obj(io.matrix_to_obj(weight.base), files["a"])
+            io.save_obj(io.subspace_to_obj(span), files["s"])
+            io.save_obj(io.matrix_to_obj(weight.base @ span.basis), files["b"])
+            io.save_obj(io.matrix_to_obj(np.ones((weight.dim, 1))), files["x"])
+            inputs = {key: str(path) for key, path in files.items()}
+            for command in ("compat", "project", "douglas", "interpolate", "oprange", "report"):
+                job = cli.JobSpec(command, inputs, tol)
+                try:
+                    cli.run(job)
+                except Error:
+                    pass
+                argv = [command, *(f"--input-{key}={path}" for key, path in inputs.items())]
+                assert cli.main([*argv, f"--tol-rank={rank_rel}", f"--output={tmp_path / 'out.json'}"]) != 2
