@@ -5,8 +5,8 @@ invocation and emits a single machine-readable JSON report with top-level
 keys ``inputs``, ``results``, ``checks``, ``tolerances`` and ``versions``.
 Identical invocations (including the seed) produce byte-identical reports.
 
-Exit codes: 0 success; 2 malformed input; 3 a numerical precondition fails;
-4 an identity check fails in ``report``.
+Exit codes: 0 success; 2 malformed input or flags, or an unwritable output;
+3 a numerical precondition fails; 4 an identity check fails in ``report``.
 """
 
 from __future__ import annotations
@@ -273,24 +273,28 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    job = JobSpec(
-        command=args.command,
-        inputs={"a": args.input_a, "s": args.input_s, "b": args.input_b, "x": args.input_x},
-        tol=Tolerance(rank_rel=args.tol_rank, eq_abs=args.tol_eq),
-        seed=args.seed,
-        output=args.output,
-        formula=args.formula,
-        least_squares=args.least_squares,
-    )
     try:
+        job = JobSpec(
+            command=args.command,
+            inputs={"a": args.input_a, "s": args.input_s, "b": args.input_b, "x": args.input_x},
+            tol=Tolerance(rank_rel=args.tol_rank, eq_abs=args.tol_eq),
+            seed=args.seed,
+            output=args.output,
+            formula=args.formula,
+            least_squares=args.least_squares,
+        )
         code, document = run(job)
-    except (ValueError, Error) as exc:  # io.FormatError is a ValueError
+    except (ValueError, Error) as exc:  # io.FormatError and a bad Tolerance are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, (ValueError, DimensionMismatch)):
             return EXIT_MALFORMED
         return EXIT_PRECONDITION if isinstance(exc, PreconditionError) else EXIT_IDENTITY
     if job.output:
-        io.save_obj(document, job.output)
+        try:
+            io.save_obj(document, job.output)
+        except OSError as exc:
+            print(f"error: cannot write {job.output}: {exc}", file=sys.stderr)
+            return EXIT_MALFORMED
     else:
         print(io.dumps(document))
     return code

@@ -22,7 +22,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import douglas
 from .errors import (
     DimensionMismatch,
     Incompatible,
@@ -44,7 +43,6 @@ from .linalg import (
     _sine_svd,
     _split_rows,
     as_matrix,
-    complement,
     contains,
     moore_penrose,
     nullspace_of,
@@ -87,10 +85,6 @@ class CompatibilityReport:
     report a health check for numerically ill-posed inputs; flags 2 and 4
     hold by construction and are not evaluated.
 
-    ``projected_pair_compatible`` and ``shifted_pair_compatible`` record
-    that compatibility is insensitive to projecting S onto the range of the
-    weight, or to enlarging S by the weight's nullspace.
-
     Every field is evaluated in the weight's eigen coordinates: with
     ``A = V_r Λ V_r^T`` and ``C = V_r^T B_S``, a subspace of R(A) is held
     by its coordinates in R^r, and one containing N(A) by those of its part
@@ -121,10 +115,15 @@ class CompatibilityReport:
     ``σ_min(Y^T C) >= σ_ρ(Λ C) / λ_1 >= rank_rel``, so like flags 2 and 4
     it is True and not evaluated.
 
-    Both re-checks reduce to the range inclusion
-    ``R(U^T Λ U_c) ⊆ R(U^T Λ U)``, with ``U`` a basis of ``R(C)`` and
-    ``U_c`` of its complement in R^r: the N(A) blocks of either pair add
-    only zero blocks to the coupling equation.
+    ``projected_pair_compatible`` and ``shifted_pair_compatible`` record
+    that compatibility survives projecting S onto R(A) and enlarging S by
+    N(A).  Both reduce to ``R(U^T Λ U_c) ⊆ R(U^T Λ U)``, with ``U`` an
+    orthonormal basis of ``R(C)`` and ``U_c`` of its complement in R^r, as
+    the N(A) blocks add only zero blocks to the coupling equation.  Since
+    ``σ_min(U^T Λ U) >= λ_r >= rank_rel λ_1 >= rank_rel σ_1(U^T Λ U)``,
+    ``U^T Λ U`` has full rank under the cutoff, so both are True and not
+    evaluated; a solve could read False only by roundoff, at a condition
+    number up to ``1 / rank_rel``.
     """
 
     compatible: bool
@@ -295,12 +294,8 @@ class _Geometry:
         image = self.split[0]
         pulled = Subspace(r, np.linalg.qr(image / lam[:, None])[0] if image.size else image)
         closed = kept == span.dim - self.overlap.dim
-        # Flags 2 and 4 hold by construction; see CompatibilityReport.
+        # Flags 2 and 4, sum_check and the re-checks are theorems; see CompatibilityReport.
         chain = (compatible, True, _equal_in_range(pulled, projected, n, tol), True, closed, closed)
-        rows = projected.basis.T * lam
-        shift_invariant = douglas.range_inclusion(
-            rows @ complement(projected).basis, rows @ projected.basis, tol
-        )
         return CompatibilityReport(
             compatible=compatible,
             degenerate=self.overlap,
@@ -309,8 +304,8 @@ class _Geometry:
             projection=self.projection if compatible else None,
             chain=chain,
             sum_check=True,
-            projected_pair_compatible=shift_invariant,
-            shifted_pair_compatible=shift_invariant,
+            projected_pair_compatible=True,
+            shifted_pair_compatible=True,
         )
 
 

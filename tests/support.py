@@ -387,6 +387,20 @@ def rank_of_y_c(weight, span, tol=DEFAULT_TOL):
     return _rank_from_values(values, tol, scale=1.0), image.shape[1]
 
 
+def shift_rechecks_by_inclusion(weight, span, tol=DEFAULT_TOL):
+    """``projected_pair_compatible`` and ``shifted_pair_compatible`` by the
+    range inclusion ``R(U^T Λ U_c) ⊆ R(U^T Λ U)`` in R^r, with ``U`` the
+    basis of ``R(C)`` and ``U_c`` its formed complement: the solve both were
+    read from.  ``compatibility_diagnostics`` reports the theorem that it
+    holds."""
+    geometry = oblique._geometry(weight, span, tol)
+    lam = weight.eigvals[: weight.rank]
+    kept = _rank_from_values(geometry.cross_sines, tol, scale=1.0)
+    projected = Subspace(weight.rank, geometry.cross_left[:, :kept])
+    rows = projected.basis.T * lam
+    return range_inclusion(rows @ complement(projected).basis, rows @ projected.basis, tol)
+
+
 def weight_from_eigvals(rng, ev, tol=DEFAULT_TOL):
     """``Q diag(ev) Q^T`` for a random orthogonal Q, with the eigen data held
     exactly as given (descending ``ev``) rather than recomputed by ``eigh``,

@@ -126,14 +126,14 @@ def test_compatibility_diagnostics_budget(pair, counted, formed):
     # shows the QR counter sees the library's calls
     assert qr_of_n_rows(counted) == [("raw", (N, span.dim))]
     assert [shape for mode, shape in qr_of_n_rows(counted) if mode == "complete"] == []
-    assert N not in formed
-    # the counter sees the shifted-pair inclusion's complement in R^r
-    assert weight.rank in formed
+    # nor any other complement basis: the shifted-pair re-checks are
+    # theorems and solve no inclusion in R^r
+    assert formed == []
     # no n x n input, which also rules out spectral_norm(A)
     assert (N, N) not in counted["svd"]
-    # C, a^+, C^T Λ and the shifted-pair inclusion; flags 2 and 4 and the
-    # sum check hold by construction
-    assert counted.factorizations("svd") == 4
+    # C, a^+ and C^T Λ; flags 2 and 4, the sum check and both re-checks
+    # hold by construction
+    assert counted.factorizations("svd") == 3
     k, r = span.dim, weight.rank
     rho = N - report.preimage_of_complement.dim  # dim A(S); N(A) ⊕ V_r K has N - ρ
     assert 0 < rho < r
@@ -145,6 +145,9 @@ def test_compatibility_diagnostics_budget(pair, counted, formed):
     assert (rho, k) not in counted["svd"]
     # flag 3 takes one reduced QR of Λ^{-1} Y, which has r rows
     assert ("reduced", (r, rho)) in counted["qr"]
+    # the counter sees a complement basis the library forms
+    linalg.complement(span)
+    assert formed == [N]
 
 
 def test_compatibility_diagnostics_evaluates_no_chart_image(pair, monkeypatch):
@@ -210,21 +213,21 @@ def test_identity_battery_budget(pair, counted):
     weight, span, _ = pair
     assert all(check["pass"] for check in identity_battery(weight, span))
     assert counted["eigh"] == []
-    assert counted.factorizations("svd") == 322
+    assert counted.factorizations("svd") == 321
     # hermitian_tests_agree factorizes its 100 null spaces in one stacked
     # call, and norm_minimality takes the spectral norms of its 100 family
     # members from one stacked values-only call.
-    assert len(counted["svd"]) == 124
+    assert len(counted["svd"]) == 123
     assert (100, N, N - span.dim) in counted["svd"]
     assert (100, N, N) in counted.values_only
     # No family member is factorized by QR: the only QR of an N-row input
     # is the raw one of B_S, whose reflectors give both S^perp (the sampled
     # projections and family members) and the diagnostics' coupling; the
-    # other five act on r = rank A rows (r = n - r here, so this includes
+    # other four act on r = rank A rows (r = n - r here, so this includes
     # the reflectors of V_0^T N in N(A)), among them the diagnostics'
     # reduced QR for flag 3.
     assert qr_of_n_rows(counted) == [("raw", (N, span.dim))]
-    assert len(counted["qr"]) == 6
+    assert len(counted["qr"]) == 5
     assert all(shape[0] == weight.rank for mode, shape in counted["qr"] if shape[0] != N)
 
 

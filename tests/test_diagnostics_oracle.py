@@ -14,6 +14,7 @@ from support import (
     make_overlapping_pair,
     make_pair,
     rank_of_y_c,
+    shift_rechecks_by_inclusion,
 )
 
 SCALES = (1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6)
@@ -38,6 +39,7 @@ def assert_matches_oracle(weight, span, tol):
     rank, rho = rank_of_y_c(weight, span, tol)
     assert rank == rho
     assert report.projected_pair_compatible == oracle["projected_pair_compatible"]
+    assert shift_rechecks_by_inclusion(weight, span, tol)
     if report.degenerate.dim == span.dim:
         # S ⊆ N(A): the pair itself and the shifted pair N(A) have coupling
         # blocks of pure roundoff in R^n, so the generic block test decides
@@ -151,3 +153,28 @@ def test_sum_check_reads_the_rank_of_y_c_against_one():
     assert rank == rho > 0
     assert flag3_and_sum_check_by_svds(weight, span, tol) == (True, False)
     assert not diagnostics_by_subspaces(weight, span, tol)["sum_check"]
+
+
+def test_shift_rechecks_are_true_where_the_inclusion_read_false():
+    """The one pair of the ill-conditioned parity family on which the
+    inclusion ``R(U^T Λ U_c) ⊆ R(U^T Λ U)`` read False: pair 77 of
+    ``tests/parity.py``'s ``ill`` set (n = 9, rank 8, dim S = 7, the
+    eigenvalues spread over the 12 decades ``rank_rel`` allows).  The
+    residual of the pair's own coupling equation misses its bound, so
+    ``compatible`` and flag 1 read False.  The inclusion missed its bound
+    the same way (residual 1.7e-8 against 4.8e-9), although ``U^T Λ U``
+    keeps full rank 7 at a condition number of 1.2e10.  Both re-checks
+    report the theorem, and the other flags and ``sum_check`` read as
+    before.
+    """
+    tol = Tolerance(rank_rel=1e-12)
+    rng = np.random.default_rng([1501, 0])
+    for _ in range(78):
+        weight, span = make_ill_conditioned_pair(rng, tol)
+    assert (weight.dim, weight.rank, span.dim) == (9, 8, 7)
+    assert not shift_rechecks_by_inclusion(weight, span, tol)
+    report = compatibility_diagnostics(weight, span, tol)
+    assert not report.compatible
+    assert report.chain == (False, True, True, True, True, True)
+    assert report.sum_check
+    assert report.projected_pair_compatible and report.shifted_pair_compatible

@@ -259,6 +259,27 @@ class TestCommands:
         huge.write_text('{"rows": 1, "cols": 1, "data": [1' + "0" * 400 + "]}")
         assert cli.main(["compat", "--input-a", str(huge), "--input-s", p["s"]]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [("--tol-rank", "2", "rank_rel must lie strictly in (0, 1), got 2.0"),
+         ("--tol-eq", "nan", "eq_abs must lie strictly in (0, 1), got nan")],
+        ids=["tol-rank-2", "tol-eq-nan"],
+    )
+    def test_bad_tolerance_exits_2(self, fixtures, capsys, flag, value, name):
+        tmp, p = fixtures
+        assert cli.main(["compat", "--input-a", p["a"], "--input-s", p["s"], flag, value]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: {name}\n")
+
+    def test_unwritable_output_exits_2(self, fixtures, capsys):
+        tmp, p = fixtures
+        out = tmp / "missing" / "compat.json"
+        assert cli.main(["compat", "--input-a", p["a"], "--input-s", p["s"], "--output", str(out)]) == 2
+        streams = capsys.readouterr()
+        assert streams.out == ""
+        assert streams.err.startswith(f"error: cannot write {out}: ")
+        assert not out.exists()
+
     def test_missing_required_input_exits_2(self, fixtures):
         tmp, p = fixtures
         assert cli.main(["interpolate", "--input-a", p["a"], "--input-s", p["s"]]) == 2
