@@ -15,7 +15,6 @@ from .errors import (
     Incompatible,
     InconsistentDiagnostics,
     NoSolution,
-    NotContained,
     NotExtendable,
     NotInRange,
     NotPsd,

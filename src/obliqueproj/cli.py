@@ -65,7 +65,7 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--input-s", help="subspace file")
         cmd.add_argument("--input-b", help="right-hand side matrix file")
         cmd.add_argument("--input-x", help="vector file (single-column matrix)")
-        cmd.add_argument("--tol-rank", type=float, default=1e-10, help="relative rank cutoff")
+        cmd.add_argument("--tol-rank", type=float, default=1e-10, help="relative rank cutoff, in (0, 0.5)")
         cmd.add_argument("--tol-eq", type=float, default=1e-8, help="absolute equality threshold")
         cmd.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
         cmd.add_argument("--output", help="write the report here instead of stdout")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NoSolution
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, moore_penrose, spectral_norm
+from .linalg import DEFAULT_TOL, Tolerance, _within, as_matrix, moore_penrose, spectral_norm
 
 __all__ = ["ReducedSolution", "range_inclusion", "reduced_solution",
            "least_squares_solution", "minimal_lambda"]
@@ -46,7 +46,7 @@ def _pinv_solve(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> tuple[np.ndarra
     # feasibility test on its residual ``||(I - A A^+) B||``.
     d = moore_penrose(a, tol) @ b
     residual = float(np.linalg.norm(a @ d - b))
-    return d, residual, residual <= tol.eq_abs * float(np.linalg.norm(b))
+    return d, residual, _within(residual, float(np.linalg.norm(b)), tol)
 
 
 def range_inclusion(b, a, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -23,10 +23,6 @@ class NotPsd(PreconditionError):
     """A matrix expected to be symmetric positive semidefinite is not."""
 
 
-class NotContained(PreconditionError):
-    """A subspace expected to be contained in another is not."""
-
-
 class NoSolution(PreconditionError):
     """The operator equation has no solution (range inclusion fails)."""
 

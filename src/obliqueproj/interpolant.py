@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPsd
 from .linalg import (
     DEFAULT_TOL,
     PsdOperator,
     Subspace,
     Tolerance,
+    _clip_sign,
     as_matrix,
     as_vector,
     intersect,
@@ -48,14 +48,12 @@ class SplineResult:
 def seminorm(weight: PsdOperator, x, tol: Tolerance = DEFAULT_TOL) -> float:
     """The seminorm ``|x|_A = <Ax, x>^{1/2}`` induced by the weight.
 
-    Quadratic forms in ``(-psd_neg, 0)`` are clipped to zero; anything more
+    Quadratic forms in ``[-psd_neg, 0)`` are clipped to zero; anything more
     negative raises ``NotPsd``.
     """
     x = as_vector(x, weight.dim)
-    q = float(x @ (weight.base @ x))
-    if q < -tol.psd_neg:
-        raise NotPsd(f"the quadratic form is negative ({q:.3e}); the weight is not PSD")
-    return float(np.sqrt(max(q, 0.0)))
+    message = "the quadratic form is negative ({:.3e}); the weight is not PSD"
+    return float(np.sqrt(_clip_sign(float(x @ (weight.base @ x)), tol, message)))
 
 
 def spline(t_factor, span: Subspace, x, tol: Tolerance = DEFAULT_TOL) -> SplineResult:

@@ -41,19 +41,21 @@ __all__ = [
 class Tolerance:
     """Numerical thresholds shared by every operation.
 
-    Parameters
-    ----------
-    rank_rel : float
-        Relative singular-value cutoff for rank decisions; a singular value
-        sitting exactly at ``rank_rel * sigma_max`` still counts toward the
-        rank (exclusion is strict).  Intersections map it onto principal
-        angles: two directions meet when the sine of their angle lies
-        strictly below ``2 * rank_rel``, and a sine exactly at the cutoff
-        keeps them apart (see :func:`intersect`).
-    eq_abs : float
-        Absolute threshold for matrix/vector equality tests.
-    psd_neg : float
-        Magnitude below which negative eigenvalues are clipped to zero.
+    Every accept/reject decision is one of four rules, each one private
+    function of this module:
+
+    - rank: a singular value at or above ``rank_rel`` times the anchor (the
+      largest one, or the norm of the operator of a product) counts, a tie
+      included;
+    - angle: two directions meet when the sine of their principal angle
+      lies strictly below ``2 * rank_rel``; a tie keeps them apart;
+    - residual: a norm passes at or under ``eq_abs`` times an anchor (and a
+      slack factor) fixed by the test, a tie passing;
+    - sign: a value of a PSD quantity down to ``-psd_neg`` clips to zero, a
+      tie included; a more negative one raises ``NotPsd``.
+
+    ``rank_rel`` lies in (0, 0.5): at 0.5 the angle cutoff reaches 1 and
+    orthogonal directions would meet.  ``eq_abs`` and ``psd_neg`` lie in (0, 1).
     """
 
     rank_rel: float = 1e-10
@@ -61,10 +63,10 @@ class Tolerance:
     psd_neg: float = 1e-10
 
     def __post_init__(self):
-        for name in ("rank_rel", "eq_abs", "psd_neg"):
+        for name, upper in (("rank_rel", 0.5), ("eq_abs", 1.0), ("psd_neg", 1.0)):
             value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must lie strictly in (0, 1), got {value!r}")
+            if not 0.0 < value < upper:
+                raise ValueError(f"{name} must lie strictly in (0, {upper:g}), got {value!r}")
 
 
 DEFAULT_TOL = Tolerance()
@@ -125,13 +127,42 @@ def _rank_from_values(s: np.ndarray, tol: Tolerance, scale: float | None = None)
     return ranks if s.ndim > 1 else int(ranks)
 
 
+def _ranked_svd(m: np.ndarray, tol: Tolerance, scale=None, *, full_matrices=False, compute_uv=True):
+    # The rank rule on a matrix: ``(u, s, vt, r)``, its SVD (``u`` and ``vt``
+    # None without vectors) and its rank.  An empty or exactly zero matrix has
+    # rank 0 and is not decomposed: ``u`` has no column and ``vt`` is I.
+    if m.size == 0 or not m.any():
+        return np.zeros((m.shape[0], 0)), np.zeros(0), np.eye(m.shape[1]), 0
+    svd = np.linalg.svd(m, full_matrices=full_matrices, compute_uv=compute_uv)
+    u, s, vt = svd if compute_uv else (None, svd, None)
+    return u, s, vt, _rank_from_values(s, tol, scale)
+
+
+def _apart(sines: np.ndarray, tol: Tolerance) -> int:
+    # The angle rule of intersect(): the number of principal angles whose
+    # sine is at or above 2 * rank_rel, so that their directions stay apart.
+    return int(np.count_nonzero(sines >= 2.0 * tol.rank_rel))
+
+
+def _within(residual, anchor, tol: Tolerance, slack: float = 1.0):
+    # The residual rule: a norm, or an array of them, passes at or under
+    # slack * eq_abs * anchor.
+    return residual <= slack * tol.eq_abs * anchor
+
+
+def _clip_sign(values, tol: Tolerance, message: str):
+    # The sign rule on the values of a PSD quantity: down to -psd_neg they
+    # are roundoff and clip to zero; a more negative least value raises
+    # NotPsd with ``message`` formatted with it.
+    least = np.minimum.reduce(values, axis=None, initial=0.0)
+    if least < -tol.psd_neg:
+        raise NotPsd(message.format(least))
+    return np.maximum(values, 0.0)
+
+
 def numerical_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
     """Count singular values above the relative cutoff ``rank_rel * sigma_max``."""
-    m = as_matrix(m)
-    if m.size == 0 or not m.any():
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    return _rank_from_values(s, tol)
+    return _ranked_svd(as_matrix(m), tol, compute_uv=False)[3]
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -174,12 +205,8 @@ def subspace_from_span(
     consisting of cancellation noise do not inflate the dimension.
     """
     v = as_matrix(vectors)
-    n = v.shape[0]
-    if v.shape[1] == 0 or not v.any():
-        return Subspace(n, np.zeros((n, 0)))
-    u, s, _ = np.linalg.svd(v, full_matrices=False)
-    r = _rank_from_values(s, tol, scale)
-    return Subspace(n, u[:, :r])
+    u, _, _, r = _ranked_svd(v, tol, scale)
+    return Subspace(v.shape[0], u[:, :r])
 
 
 def nullspace_of(m, tol: Tolerance = DEFAULT_TOL, *, scale: float | None = None) -> Subspace:
@@ -188,18 +215,8 @@ def nullspace_of(m, tol: Tolerance = DEFAULT_TOL, *, scale: float | None = None)
     ``scale`` anchors the rank cutoff as in :func:`subspace_from_span`.
     """
     m = as_matrix(m)
-    return Subspace(m.shape[1], _split_rows(m, tol, scale)[1])
-
-
-def _split_rows(m: np.ndarray, tol: Tolerance, scale: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    # Orthonormal bases of the row space and of the nullspace of ``m``, as
-    # columns, from one complete SVD with the cutoff of nullspace_of().
-    n = m.shape[1]
-    if m.size == 0 or not m.any():
-        return np.zeros((n, 0)), np.eye(n)
-    _, s, vt = np.linalg.svd(m, full_matrices=True)
-    r = _rank_from_values(s, tol, scale)
-    return vt[:r].T, vt[r:].T
+    _, _, vt, r = _ranked_svd(m, tol, scale, full_matrices=True)
+    return Subspace(m.shape[1], vt[r:].T)
 
 
 def complement(s: Subspace) -> Subspace:
@@ -289,12 +306,6 @@ def _sine_svd(residual: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return np.linalg.svd(residual, full_matrices=rows < cols)
 
 
-def _apart(sines: np.ndarray, tol: Tolerance) -> int:
-    # The angle cutoff of intersect(): the number of principal angles whose
-    # sine is at or above 2 * rank_rel, so that their directions stay apart.
-    return int(np.count_nonzero(sines >= 2.0 * tol.rank_rel))
-
-
 def intersect(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     """Intersection, read off the principal angles between the subspaces.
 
@@ -327,8 +338,6 @@ def subspace_sum(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> Su
 def contains(outer: Subspace, inner: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether ``inner`` is contained in ``outer`` within tolerance."""
     _check_same_ambient(outer, inner)
-    if inner.dim == 0:
-        return True
     return bool(_contains_bases(outer, inner.basis, tol))
 
 
@@ -336,14 +345,20 @@ def _contains_bases(outer: Subspace, bases: np.ndarray, tol: Tolerance) -> np.nd
     # The test of contains() on an orthonormal (n, m) basis, or on a stack of
     # them, one verdict each; zero columns leave the residual unchanged.
     residual = bases - outer.projector() @ bases
-    return np.linalg.norm(residual, axis=(-2, -1)) <= tol.eq_abs * outer.ambient_dim
+    return _within(np.linalg.norm(residual, axis=(-2, -1)), outer.ambient_dim, tol)
 
 
 def subspace_equal(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Basis-independent equality: Frobenius distance between projectors."""
     _check_same_ambient(s1, s2)
-    gap = np.linalg.norm(s1.projector() - s2.projector())
-    return float(gap) <= tol.eq_abs * s1.ambient_dim
+    return _equal(s1, s2, s1.ambient_dim, tol)
+
+
+def _equal(s1: Subspace, s2: Subspace, n: int, tol: Tolerance) -> bool:
+    # The test of subspace_equal() with the bound of R^n, also for subspaces
+    # of R(A) held in the coordinates of V_r: V_r has orthonormal columns,
+    # so their projector distance is that of the subspaces of R^n.
+    return _within(float(np.linalg.norm(s1.projector() - s2.projector())), n, tol)
 
 
 @dataclass(frozen=True)
@@ -360,12 +375,10 @@ class ObliqueProjection:
 
     def verify(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         """Check idempotency and the range/nullspace certificates."""
-        p, n = self.matrix, self.range.ambient_dim
-        ok = np.linalg.norm(p @ p - p) <= tol.eq_abs * n
-        ok &= np.linalg.norm(p @ self.range.basis - self.range.basis) <= tol.eq_abs * n
-        ok &= np.linalg.norm(p @ self.nullspace.basis) <= tol.eq_abs * n
-        ok &= self.range.dim + self.nullspace.dim == n
-        return bool(ok)
+        p, n, rb = self.matrix, self.range.ambient_dim, self.range.basis
+        gaps = (p @ p - p, p @ rb - rb, p @ self.nullspace.basis)
+        ok = all(_within(np.linalg.norm(g), n, tol) for g in gaps)
+        return ok and self.range.dim + self.nullspace.dim == n
 
 
 def moore_penrose(w, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -374,11 +387,7 @@ def moore_penrose(w, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     Satisfies the four Penrose identities within tolerance; characterized by
     ``W W+ = P_{R(W)}`` and ``W+ W = P_{R(W^T)}``.
     """
-    w = as_matrix(w)
-    if w.size == 0 or not w.any():
-        return np.zeros((w.shape[1], w.shape[0]))
-    u, s, vt = np.linalg.svd(w, full_matrices=False)
-    r = _rank_from_values(s, tol)
+    u, s, vt, r = _ranked_svd(as_matrix(w), tol)
     return (vt[:r].T / s[:r]) @ u[:, :r].T
 
 
@@ -442,7 +451,7 @@ class PsdOperator:
         ------
         NotPsd
             If the matrix is not symmetric within ``eq_abs`` or has an
-            eigenvalue below ``-psd_neg``.  Eigenvalues in ``(-psd_neg, 0)``
+            eigenvalue below ``-psd_neg``.  Eigenvalues in ``[-psd_neg, 0)``
             are clipped to zero.
         """
         m = as_matrix(matrix)
@@ -450,13 +459,11 @@ class PsdOperator:
         if m.shape[1] != n:
             raise DimensionMismatch(f"weight matrix must be square, got {m.shape}")
         scale = 1.0 + float(np.linalg.norm(m))
-        if np.linalg.norm(m - m.T) > tol.eq_abs * scale:
+        if not _within(np.linalg.norm(m - m.T), scale, tol):
             raise NotPsd("weight matrix is not symmetric within tolerance")
         w, v = np.linalg.eigh((m + m.T) / 2.0)
-        w, v = w[::-1], v[:, ::-1]
-        if w.size and w[-1] < -tol.psd_neg:
-            raise NotPsd(f"weight matrix has negative eigenvalue {w[-1]:.3e}")
-        w = np.clip(w, 0.0, None)
+        w = _clip_sign(w[::-1], tol, "weight matrix has negative eigenvalue {:.3e}")
+        v = v[:, ::-1]
         r = _rank_from_values(w, tol)
         # Eigenvalues under the rank cutoff are solver noise around zero;
         # zeroing them keeps the square root exactly null on the computed

@@ -36,12 +36,14 @@ from .linalg import (
     Subspace,
     Tolerance,
     _apart,
+    _equal,
     _operator_norm,
     _rank_from_values,
+    _ranked_svd,
     _reflectors,
     _Reflectors,
     _sine_svd,
-    _split_rows,
+    _within,
     as_matrix,
     contains,
     moore_penrose,
@@ -179,13 +181,11 @@ def _overlap(
     # The singular values of C = V_r^T B_S, with V_r the leading
     # eigenvectors, are the sines of the principal angles between S and
     # N(A); returns N, C, and the left singular vectors and singular values
-    # of C.  At most dim N(A) = n - r directions meet, those of least sine,
-    # as intersect() measures from the smaller subspace: an angle cutoff
-    # 2 rank_rel >= 1 would admit every direction of S.
+    # of C.  At most dim N(A) = n - r sines lie below 1, so the angle
+    # cutoff 2 rank_rel < 1 keeps N inside N(A).
     cross = _cross(weight, span)
     left, sines, vt = _sine_svd(cross)
-    apart = max(_apart(sines, tol), span.dim - (weight.dim - weight.rank))
-    return Subspace(weight.dim, span.basis @ vt[apart:].T), cross, left, sines
+    return Subspace(weight.dim, span.basis @ vt[_apart(sines, tol) :].T), cross, left, sines
 
 
 def degenerate_overlap(weight: PsdOperator, span: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
@@ -295,7 +295,7 @@ class _Geometry:
         pulled = Subspace(r, np.linalg.qr(image / lam[:, None])[0] if image.size else image)
         closed = kept == span.dim - self.overlap.dim
         # Flags 2 and 4, sum_check and the re-checks are theorems; see CompatibilityReport.
-        chain = (compatible, True, _equal_in_range(pulled, projected, n, tol), True, closed, closed)
+        chain = (compatible, True, _equal(pulled, projected, n, tol), True, closed, closed)
         return CompatibilityReport(
             compatible=compatible,
             degenerate=self.overlap,
@@ -314,7 +314,9 @@ def _split_range(weight: PsdOperator, cross: np.ndarray, tol: Tolerance) -> tupl
     # A^{-1}(S^perp) exactly when C^T Λ y = 0.  One SVD of that product
     # splits R^r into its row space R(Λ C), the coordinates of A S, and its
     # nullspace.  The rank cutoff is anchored at ||A|| = λ_1.
-    return _split_rows(cross.T * weight.eigvals[: weight.rank], tol, _operator_norm(weight))
+    product = cross.T * weight.eigvals[: weight.rank]
+    _, _, vt, r = _ranked_svd(product, tol, _operator_norm(weight), full_matrices=True)
+    return vt[:r].T, vt[r:].T
 
 
 def _preimage(weight: PsdOperator, coupled: np.ndarray) -> Subspace:
@@ -335,7 +337,7 @@ def _geometry(weight: PsdOperator, span: Subspace, tol: Tolerance) -> _Geometry:
     gap = rows - a @ span.basis.T  # b B_perp^T
     shift = a_pinv @ gap
     # ||a D - b|| against ||B_S^T A||, not ||b||: b is roundoff on an A-invariant S.
-    if not exact and np.linalg.norm(a @ shift - gap) > tol.eq_abs * np.linalg.norm(rows):
+    if not exact and not _within(np.linalg.norm(a @ shift - gap), np.linalg.norm(rows), tol):
         shift = None
     return _Geometry(weight, span, tol, rows, a, a_pinv, shift, overlap, cross, left, sines)
 
@@ -430,7 +432,7 @@ def _is_hermitian(
     if not subspace_equal(projection.range, span, tol):
         raise RangeMismatch("the projection's range differs from the given subspace")
     a, q = weight.base, projection.matrix
-    algebraic = float(np.linalg.norm(a @ q - q.T @ a)) <= _hermitian_bound(a, tol)
+    algebraic = _within(float(np.linalg.norm(a @ q - q.T @ a)), _hermitian_anchor(a), tol)
     containment = contains(preimage, projection.nullspace, tol)
     if algebraic != containment:
         raise InconsistentDiagnostics(
@@ -439,10 +441,10 @@ def _is_hermitian(
     return algebraic
 
 
-def _hermitian_bound(a: np.ndarray, tol: Tolerance) -> float:
-    # The threshold of the algebraic test ||A Q - Q^T A|| <= bound, shared by
-    # is_weight_hermitian() and the identity battery.
-    return tol.eq_abs * (1.0 + float(np.linalg.norm(a)))
+def _hermitian_anchor(a: np.ndarray) -> float:
+    # The anchor of the residual rule on ||A Q - Q^T A||, shared by
+    # is_weight_hermitian() and the identity battery, so both test one bound.
+    return 1.0 + float(np.linalg.norm(a))
 
 
 def projection_family_member(
@@ -460,13 +462,6 @@ def projection_family_member(
     coefficient matrix is accepted.
     """
     return _geometry(weight, span, tol).member(coefficients)
-
-
-def _equal_in_range(s1: Subspace, s2: Subspace, n: int, tol: Tolerance) -> bool:
-    # subspace_equal() for subspaces of R(A) held in the coordinates of V_r:
-    # V_r has orthonormal columns, so the projector distance is that of the
-    # subspaces of R^n, and so is the bound.
-    return float(np.linalg.norm(s1.projector() - s2.projector())) <= tol.eq_abs * n
 
 
 def compatibility_diagnostics(

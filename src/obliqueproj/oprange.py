@@ -35,8 +35,10 @@ from .linalg import (
     Subspace,
     Tolerance,
     _apart,
+    _equal,
     _frobenius,
     _operator_norm,
+    _within,
     as_matrix,
     as_vector,
     complement,
@@ -45,7 +47,7 @@ from .linalg import (
     subspace_from_span,
     subspace_sum,
 )
-from .oblique import _Geometry, _equal_in_range, _geometry
+from .oblique import _Geometry, _geometry
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,7 @@ def in_weight_range(weight: PsdOperator, u, tol: Tolerance = DEFAULT_TOL) -> boo
 def _in_range(weight: PsdOperator, u: np.ndarray, tol: Tolerance) -> np.ndarray:
     # The test of in_weight_range() on each column of an (n, m) block.
     gap = u - weight.range_proj @ u
-    return np.linalg.norm(gap, axis=0) <= tol.eq_abs * (1.0 + np.linalg.norm(u, axis=0))
+    return _within(np.linalg.norm(gap, axis=0), 1.0 + np.linalg.norm(u, axis=0), tol)
 
 
 def lift(weight: PsdOperator, u, tol: Tolerance = DEFAULT_TOL) -> RangeVector:
@@ -145,6 +147,8 @@ class RangeSpaceProjection:
     is its projector, symmetric idempotent (orthogonality in the range space
     equals symmetry in the witness chart); ``null_image`` is its
     orthocomplement, the chart image of ``S^perp ∩ R(A^{1/2})``.
+    ``weight_image`` is ``A S`` in R^n, from the columns of ``A B_S`` (rank
+    cutoff anchored at ``λ_1``).
     """
 
     geometry: _Geometry
@@ -168,6 +172,11 @@ class RangeSpaceProjection:
     @cached_property
     def null_image(self) -> Subspace:
         return complement(self.range_image)
+
+    @cached_property
+    def weight_image(self) -> Subspace:
+        g = self.geometry
+        return subspace_from_span(g.weight.base @ g.span.basis, g.tol, scale=_operator_norm(g.weight))
 
     def apply(self, x: RangeVector) -> RangeVector:
         """Project a certified range vector; the result lies in the image of S."""
@@ -194,9 +203,8 @@ class RangeSpaceProjection:
         True for every compatible pair; this is the bridge identity between
         the ambient oblique picture and the range-space orthogonal picture.
         """
-        scale = 1.0 + float(np.linalg.norm(self.coord_matrix))
         gap = float(np.linalg.norm(self.extension - self.coord_matrix))
-        return gap <= 10.0 * self.geometry.tol.eq_abs * scale
+        return _within(gap, 1.0 + float(np.linalg.norm(self.coord_matrix)), self.geometry.tol, slack=10.0)
 
     @cached_property
     def projected_range(self) -> tuple[Subspace, bool]:
@@ -211,7 +219,7 @@ class RangeSpaceProjection:
         image = subspace_from_span(_root(weight)[:, None] * self.range_image.basis, tol)
         target = Subspace(weight.rank, self.geometry.split[0])
         ambient = Subspace(weight.dim, chart_basis(weight) @ image.basis)
-        return ambient, _equal_in_range(image, target, weight.dim, tol)
+        return ambient, _equal(image, target, weight.dim, tol)
 
     @cached_property
     def induced(self) -> np.ndarray:
@@ -269,8 +277,7 @@ class RangeSpaceProjection:
         """
         g = self.geometry
         weight, tol = g.weight, g.tol
-        rng = weight.range_subspace
-        image = subspace_from_span(weight.base @ g.span.basis, tol, scale=_operator_norm(weight))
+        rng, image = weight.range_subspace, self.weight_image
         perp = Subspace(weight.dim, chart_basis(weight) @ self._perp_in_range)
         third = subspace_equal(subspace_sum(image, perp, tol), rng, tol) and subspace_equal(
             intersect(image, rng, tol), image, tol
@@ -291,8 +298,7 @@ def is_chart_extendable(weight: PsdOperator, operator, tol: Tolerance = DEFAULT_
 def _extendable(weight: PsdOperator, b: np.ndarray, tol: Tolerance) -> np.ndarray:
     # The test of is_chart_extendable() on each operator of an (m, n, n) stack.
     image_of_null = b @ weight.null_subspace.basis
-    scale = 1.0 + _frobenius(image_of_null)
-    return _frobenius(weight.range_proj @ image_of_null) <= tol.eq_abs * scale
+    return _within(_frobenius(weight.range_proj @ image_of_null), 1.0 + _frobenius(image_of_null), tol)
 
 
 def chart_extension(

@@ -26,8 +26,8 @@ from .linalg import (
     Tolerance,
     _contains_bases,
     _frobenius,
-    _operator_norm,
     _rank_from_values,
+    _within,
     complement,
     intersect,
     nullspace_of,
@@ -57,20 +57,20 @@ def _stacks(count: int, n: int):
         yield min(step, count - start)
 
 
-def _hermitian_tests_agree(rng: np.random.Generator, geometry: oblique._Geometry, bound: float) -> dict:
+def _hermitian_tests_agree(rng: np.random.Generator, geometry: oblique._Geometry, anchor: float) -> dict:
     # Hermitian symmetry and nullspace containment decide the same question
     # on sampled projections with the prescribed range, Q = B_S (B_S^T +
-    # X B_perp^T): ||A Q - Q^T A|| within the bound, and N(Q), the span of
-    # B_perp - B_S X, inside A^{-1}(S^perp).  The samples are evaluated as
-    # stacks, each null space by the rank rule of subspace_from_span() on a
-    # stacked SVD.
+    # X B_perp^T): ||A Q - Q^T A|| under the residual rule at ``anchor``,
+    # and N(Q), the span of B_perp - B_S X, inside A^{-1}(S^perp).  The
+    # samples are evaluated as stacks, each null space by the rank rule of
+    # subspace_from_span() on a stacked SVD.
     span, tol, a = geometry.span, geometry.tol, geometry.weight.base
     bs, bp = span.basis, geometry.perp.basis
     disagreements = 0
     for size in _stacks(SAMPLES, span.ambient_dim):
         x = rng.normal(size=(size, bs.shape[1], bp.shape[1]))
         q = bs @ bs.T + bs @ x @ bp.T
-        algebraic = np.linalg.norm(a @ q - q.transpose(0, 2, 1) @ a, axis=(1, 2)) <= bound
+        algebraic = _within(np.linalg.norm(a @ q - q.transpose(0, 2, 1) @ a, axis=(1, 2)), anchor, tol)
         containment = True  # S^perp = 0: every N(Q) is zero
         if bp.shape[1]:
             u, s, _ = np.linalg.svd(bp - bs @ x, full_matrices=False)
@@ -148,7 +148,7 @@ def identity_battery(
     n = weight.dim
     eq = tol.eq_abs
     a = weight.base
-    hermitian_bound = oblique._hermitian_bound(a, tol)
+    hermitian_anchor = oblique._hermitian_anchor(a)
     checks: list[dict] = []
 
     geometry = oblique._geometry(weight, span, tol)
@@ -169,7 +169,7 @@ def identity_battery(
     checks.append(_record("projection_nullspace", null_ok))
 
     sym_gap = float(np.linalg.norm(a @ p - p.T @ a))
-    checks.append(_record("weight_symmetry", sym_gap <= hermitian_bound, sym_gap))
+    checks.append(_record("weight_symmetry", _within(sym_gap, hermitian_anchor, tol), sym_gap))
 
     pinv_gap = float(np.linalg.norm(oblique.weighted_projection_pinv(weight, span, tol).matrix - p))
     checks.append(_record("construction_pinv_agrees", pinv_gap <= 10 * eq, pinv_gap))
@@ -182,7 +182,7 @@ def identity_battery(
     else:
         checks.append(_record("construction_inverse_agrees", True, applicable=False))
 
-    checks.append(_hermitian_tests_agree(rng, geometry, hermitian_bound))
+    checks.append(_hermitian_tests_agree(rng, geometry, hermitian_anchor))
 
     checks.append(_norm_minimality(rng, geometry))
 
@@ -203,11 +203,8 @@ def identity_battery(
     )
 
     if overlap.dim == 0:
-        image_perp = complement(subspace_from_span(a @ bs, tol, scale=_operator_norm(weight)))
-        split_ok = (
-            span.dim + image_perp.dim == n
-            and intersect(span, image_perp, tol).dim == 0
-        )
+        image_perp = complement(chart.weight_image)
+        split_ok = span.dim + image_perp.dim == n and intersect(span, image_perp, tol).dim == 0
         checks.append(_record("trivial_overlap_split", split_ok))
     else:
         checks.append(_record("trivial_overlap_split", True, applicable=False))

@@ -5,7 +5,6 @@ import numpy as np
 from obliqueproj import (
     DEFAULT_TOL,
     InconsistentDiagnostics,
-    NotContained,
     ObliqueProjection,
     PsdOperator,
     Subspace,
@@ -24,7 +23,7 @@ from obliqueproj import (
     subspace_sum,
 )
 from obliqueproj import oblique, oprange
-from obliqueproj.linalg import _operator_norm, _rank_from_values, as_matrix
+from obliqueproj.linalg import _equal, _operator_norm, _rank_from_values, as_matrix
 from obliqueproj.report import SAMPLES, _record
 
 
@@ -188,6 +187,10 @@ def preimage(w, s, tol=DEFAULT_TOL):
     """
     w = as_matrix(w, rows=s.ambient_dim, cols=s.ambient_dim)
     return nullspace_of(complement(s).basis.T @ w, tol, scale=spectral_norm(w))
+
+
+class NotContained(Exception):
+    """The subspace handed to :func:`subtract` is not inside the first."""
 
 
 def subtract(s, inner, tol=DEFAULT_TOL):
@@ -371,7 +374,7 @@ def flag3_and_sum_check_by_svds(weight, span, tol=DEFAULT_TOL):
     coupled = geometry.split[1]
     pulled = nullspace_of(coupled.T * lam, tol, scale=_operator_norm(weight))
     spread = numerical_rank(np.hstack([geometry.cross, coupled]), tol)
-    return oblique._equal_in_range(pulled, projected, n, tol), (n - r) + spread == n
+    return _equal(pulled, projected, n, tol), (n - r) + spread == n
 
 
 def rank_of_y_c(weight, span, tol=DEFAULT_TOL):
@@ -531,7 +534,7 @@ def decompositions_by_subspaces(weight, span, tol=DEFAULT_TOL):
 # battery evaluated them before it drew each check's samples as one array.
 
 
-def hermitian_tests_agree_by_loop(rng, geometry, hermitian_bound):
+def hermitian_tests_agree_by_loop(rng, geometry, hermitian_anchor):
     """``hermitian_tests_agree`` from one ``subspace_from_span`` and one
     ``contains`` per sampled projection."""
     span, tol, a = geometry.span, geometry.tol, geometry.weight.base
@@ -541,7 +544,7 @@ def hermitian_tests_agree_by_loop(rng, geometry, hermitian_bound):
     for _ in range(SAMPLES):
         x = rng.normal(size=(span.dim, n - span.dim))
         q = bs @ bs.T + bs @ x @ bp.T
-        algebraic = float(np.linalg.norm(a @ q - q.T @ a)) <= hermitian_bound
+        algebraic = float(np.linalg.norm(a @ q - q.T @ a)) <= tol.eq_abs * hermitian_anchor
         null_q = subspace_from_span(bp - bs @ x, tol)
         containment = contains(pre, null_q, tol)
         disagreements += algebraic != containment

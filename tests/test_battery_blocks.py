@@ -118,13 +118,13 @@ def test_hermitian_tests_agree_matches_loop(cases):
     disagreeing = []
     for label, weight, span, tol in cases:
         geometry = oblique._geometry(weight, span, tol)
-        bound = oblique._hermitian_bound(weight.base, tol)
-        # A bound near the typical ||AQ - Q^T A|| splits the samples, so the
-        # count also tells which projections were drawn.
-        split = np.linalg.norm(weight.base) * np.sqrt(span.dim * (weight.dim - span.dim))
+        anchor = oblique._hermitian_anchor(weight.base)
+        # An anchor whose bound is near the typical ||AQ - Q^T A|| splits the
+        # samples, so the count also tells which projections were drawn.
+        split = np.linalg.norm(weight.base) * np.sqrt(span.dim * (weight.dim - span.dim)) / tol.eq_abs
         for seed in (0, 3):
-            stacked = outcome(_hermitian_tests_agree, seed, geometry, bound)
-            assert_same(stacked, outcome(hermitian_tests_agree_by_loop, seed, geometry, bound))
+            stacked = outcome(_hermitian_tests_agree, seed, geometry, anchor)
+            assert_same(stacked, outcome(hermitian_tests_agree_by_loop, seed, geometry, anchor))
             if stacked[0]["detail"]:
                 disagreeing.append(label)
             assert_same(

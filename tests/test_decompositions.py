@@ -231,6 +231,28 @@ def test_identity_battery_budget(pair, counted):
     assert all(shape[0] == weight.rank for mode, shape in counted["qr"] if shape[0] != N)
 
 
+def test_identity_battery_budget_without_overlap(counted, monkeypatch):
+    # With S ∩ N(A) = 0 the battery also evaluates trivial_overlap_split,
+    # which reads A S in R^n off the chart projection, as the decomposition
+    # conditions do: one SVD of the (N, dim S) matrix A B_S.
+    rng = np.random.default_rng(2024)
+    weight, span = make_overlapping_pair(rng, N, N // 2, N // 3, 0)
+    image = weight.base @ span.basis
+    of_image = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        of_image.append(np.array_equal(a, image))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    records = {check["name"]: check for check in identity_battery(weight, span)}
+    assert all(check["pass"] for check in records.values())
+    assert records["trivial_overlap_split"]["applicable"]
+    assert of_image.count(True) == 1
+    assert counted.factorizations("svd") == 222
+
+
 def test_identity_battery_builds_one_chart(pair, monkeypatch):
     # One pair geometry for the battery and one per spline sample (20); one
     # chart image of A^{1/2} S, read by every chart identity.

@@ -261,7 +261,7 @@ class TestCommands:
 
     @pytest.mark.parametrize(
         "flag, value, name",
-        [("--tol-rank", "2", "rank_rel must lie strictly in (0, 1), got 2.0"),
+        [("--tol-rank", "2", "rank_rel must lie strictly in (0, 0.5), got 2.0"),
          ("--tol-eq", "nan", "eq_abs must lie strictly in (0, 1), got nan")],
         ids=["tol-rank-2", "tol-eq-nan"],
     )

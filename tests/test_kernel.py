@@ -1,3 +1,6 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,7 +9,6 @@ from hypothesis import strategies as st
 
 from obliqueproj import (
     DimensionMismatch,
-    NotContained,
     NotPsd,
     PsdOperator,
     Subspace,
@@ -17,12 +19,15 @@ from obliqueproj import (
     moore_penrose,
     nullspace_of,
     numerical_rank,
+    seminorm,
     subspace_equal,
     subspace_from_span,
     subspace_sum,
 )
-from obliqueproj.linalg import _rank_from_values, _reflectors
+from obliqueproj import douglas, interpolant, linalg, oblique, oprange
+from obliqueproj.linalg import _clip_sign, _contains_bases, _rank_from_values, _reflectors, _within
 from support import (
+    NotContained,
     complement_by_compact_wy,
     complement_by_complete_qr,
     friedrichs_angle,
@@ -54,6 +59,11 @@ class TestTolerance:
         with pytest.raises(ValueError):
             Tolerance(rank_rel=bad)
 
+    def test_orthogonal_lines_stay_apart_up_to_one_half(self):
+        # the angle cutoff 2 rank_rel stays under 1 on the whole domain
+        e1, e2 = subspace_from_span(np.eye(3)[:, :1]), subspace_from_span(np.eye(3)[:, 1:2])
+        assert intersect(e1, e2, Tolerance(rank_rel=np.nextafter(0.5, 0.0))).dim == 0
+
 
 class TestNumericalRank:
     def test_identity(self):
@@ -71,9 +81,9 @@ class TestNumericalRank:
 
     def test_tie_is_included(self):
         # a singular value sitting exactly at the cutoff counts toward the rank
-        tol = Tolerance(rank_rel=0.5)
-        assert numerical_rank(np.diag([2.0, 1.0]), tol) == 2
-        assert numerical_rank(np.diag([2.0, 0.999]), tol) == 1
+        tol = Tolerance(rank_rel=0.25)
+        assert numerical_rank(np.diag([4.0, 1.0]), tol) == 2
+        assert numerical_rank(np.diag([4.0, 0.999]), tol) == 1
 
     @pytest.mark.parametrize("scale", [None, 1.0])
     def test_stack_ranks_each_row(self, scale):
@@ -83,13 +93,102 @@ class TestNumericalRank:
         rows = np.abs(rng.normal(size=(40, 6))) * 10.0 ** rng.integers(-14, 1, size=(40, 6))
         rows = -np.sort(-rows, axis=1)
         rows[0] = 0.0
-        rows[1] = [2.0, 1.0, 1.0, 0.999, 0.0, 0.0]
-        tol = Tolerance(rank_rel=0.5)
+        rows[1] = [4.0, 1.0, 1.0, 0.999, 0.0, 0.0]
+        tol = Tolerance(rank_rel=0.25)
         for t in (tol, Tolerance()):
             ranks = _rank_from_values(rows, t, scale)
             assert ranks.tolist() == [_rank_from_values(row, t, scale) for row in rows]
         assert _rank_from_values(rows[:2], tol).tolist() == [0, 3]
         assert _rank_from_values(np.zeros((3, 0)), tol).tolist() == [0, 0, 0]
+
+
+class TestResidualRule:
+    def test_tie_passes(self):
+        tol = Tolerance(eq_abs=0.25)
+        assert _within(1.0, 4.0, tol) and not _within(np.nextafter(1.0, 2.0), 4.0, tol)
+        assert _within(2.5, 1.0, tol, slack=10.0)
+        assert not _within(np.nextafter(2.5, 3.0), 1.0, tol, slack=10.0)
+
+    @pytest.mark.parametrize("slack", [1.0, 10.0])
+    def test_array_decides_each_item(self, slack):
+        # The rule on an array of residuals and anchors is the rule on each
+        # pair: ties, zero residuals and zero anchors.
+        rng = np.random.default_rng(5)
+        tol = Tolerance(eq_abs=0.25)
+        anchors = rng.uniform(0.0, 4.0, size=40)
+        residuals = slack * 0.25 * anchors * rng.uniform(0.5, 1.5, size=40)
+        anchors[:3] = [0.0, 0.0, 4.0]
+        residuals[:3] = [0.0, 1e-300, slack]
+        verdicts = _within(residuals, anchors, tol, slack)
+        one_by_one = [_within(float(r), float(a), tol, slack) for r, a in zip(residuals, anchors)]
+        assert verdicts.tolist() == one_by_one
+        assert verdicts[:3].tolist() == [True, False, True]
+
+    def test_stacked_and_per_column_forms(self):
+        # contains() on a stack of bases and in_weight_range() on a block of
+        # columns give the verdicts of one call per item.
+        rng = np.random.default_rng(6)
+        tol = Tolerance(eq_abs=1e-3)
+        outer = make_subspace(rng, 5, 3)
+        inside = outer.basis @ np.linalg.qr(rng.normal(size=(3, 2)))[0]
+        bases = [np.linalg.qr(inside + 10.0 ** -e * rng.normal(size=(5, 2)))[0] for e in range(1, 7)]
+        verdicts = _contains_bases(outer, np.stack(bases), tol)
+        assert verdicts.tolist() == [contains(outer, Subspace(5, b), tol) for b in bases]
+        assert 0 < np.count_nonzero(verdicts) < len(bases)
+        weight = make_psd(rng, 5, 3)
+        u = weight.base @ rng.normal(size=(5, 6)) + 10.0 ** -np.arange(1.0, 7.0) * rng.normal(size=(5, 6))
+        verdicts = oprange._in_range(weight, u, tol)
+        assert verdicts.tolist() == [oprange.in_weight_range(weight, col, tol) for col in u.T]
+        assert 0 < np.count_nonzero(verdicts) < 6
+
+
+class TestSignRule:
+    def test_tie_clips(self):
+        tol = Tolerance(psd_neg=0.25)
+        assert _clip_sign(np.array([1.0, -0.25]), tol, "{}").tolist() == [1.0, 0.0]
+        assert _clip_sign(-0.25, tol, "{}") == 0.0
+        with pytest.raises(NotPsd, match="^least -2.500e-01$"):
+            _clip_sign(np.array([1.0, np.nextafter(-0.25, -1.0)]), tol, "least {:.3e}")
+
+    def test_array_decides_as_each_value(self):
+        # An array clips as its values do one by one, and raises exactly when
+        # one of them would, with its least value in the message.
+        rng = np.random.default_rng(7)
+        tol = Tolerance()
+        values = rng.normal(scale=1e-10, size=40)
+        values[:2] = [-1e-10, 0.0]
+        kept = values[values >= -1e-10]
+        assert _clip_sign(kept, tol, "{}").tolist() == [float(_clip_sign(v, tol, "{}")) for v in kept]
+        for v in values[values < -1e-10]:
+            with pytest.raises(NotPsd):
+                _clip_sign(v, tol, "{}")
+        with pytest.raises(NotPsd) as raised:
+            _clip_sign(values, tol, "{:.17g}")
+        assert str(raised.value) == f"{values.min():.17g}"
+
+    def test_messages(self):
+        with pytest.raises(NotPsd, match=r"^weight matrix has negative eigenvalue -1\.000e\+00$"):
+            PsdOperator.from_matrix(-np.eye(2))
+        message = r"^the quadratic form is negative \(-2\.000e\+00\); the weight is not PSD$"
+        with pytest.raises(NotPsd, match=message):
+            seminorm(PsdOperator(-np.eye(2), -np.ones(2), np.eye(2), 0), np.ones(2))
+
+
+def test_library_modules_decide_through_linalg():
+    # Outside linalg, the library modules read neither threshold of the
+    # residual and sign rules; they call the rules.  Docstrings do not count.
+    def thresholds_read(module):
+        tree = ast.parse(inspect.getsource(module))
+        return [
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("eq_abs", "psd_neg")
+        ]
+
+    for module in (oblique, oprange, douglas, interpolant):
+        assert thresholds_read(module) == [], module.__name__
+    # the walk sees the reads where the rules live
+    assert set(thresholds_read(linalg)) == {"eq_abs", "psd_neg"}
 
 
 class TestSubspaceFromSpan:

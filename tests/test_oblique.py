@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -150,9 +152,9 @@ class TestWeightedProjection:
             np.array([[1.0, 0.0, 0.0], [0.0, 0.01, 0.1], [0.0, 0.1, 1.0]])
         )
         span = subspace_from_span(np.eye(3)[:, :2])
-        rough = Tolerance(rank_rel=0.5)
-        with pytest.raises(Incompatible):
-            weighted_projection(weight, span, rough)
+        for rank_rel in (0.25, 0.49):
+            with pytest.raises(Incompatible):
+                weighted_projection(weight, span, Tolerance(rank_rel=rank_rel))
 
     def test_projection_laws(self):
         rng = np.random.default_rng(36)
@@ -469,11 +471,12 @@ class TestStructuralIdentities:
 
 
 class TestCoarseTolerance:
-    """A rank_rel of 0.5 or more puts the overlap's angle cutoff 2 rank_rel at
-    or above 1, past every sine; the overlap still keeps at most
-    dim N(A) = n - r directions, those of least sine."""
+    """A coarse rank_rel keeps the overlap inside N(A), as at most
+    dim N(A) = n - r sines lie below the angle cutoff 2 rank_rel < 1.  From
+    0.5 on the cutoff would pass every sine, and Tolerance refuses it."""
 
-    COARSE = (0.3, 0.5, 0.6, 0.9)
+    COARSE = (0.3, 0.49)
+    REFUSED = (0.5, 0.6, 0.9)
 
     @staticmethod
     def pairs(tol):
@@ -507,7 +510,7 @@ class TestCoarseTolerance:
 
     def test_identity_weight(self):
         # N(A) = 0, so nothing of S meets it, whatever the cutoff
-        tol = Tolerance(rank_rel=0.6)
+        tol = Tolerance(rank_rel=0.49)
         weight = PsdOperator.from_matrix(np.eye(2), tol)
         assert degenerate_overlap(weight, SPAN_E1, tol).dim == 0
         spline = spline_with_weight(weight, SPAN_E1, np.array([1.0, 2.0]), tol)
@@ -517,6 +520,24 @@ class TestCoarseTolerance:
         assert projection.nullspace.dim == 1
         report = compatibility_diagnostics(weight, SPAN_E1, tol)
         assert report.compatible and report.degenerate.dim == 0
+
+    @staticmethod
+    def refusal(rank_rel):
+        return f"rank_rel must lie strictly in (0, 0.5), got {rank_rel}"
+
+    @pytest.mark.parametrize("rank_rel", REFUSED)
+    def test_refused(self, rank_rel):
+        with pytest.raises(ValueError, match=rf"^{re.escape(self.refusal(rank_rel))}$"):
+            Tolerance(rank_rel=rank_rel)
+
+    @pytest.mark.parametrize("rank_rel", REFUSED)
+    def test_cli_refuses(self, rank_rel, tmp_path, capsys):
+        a, s = tmp_path / "a.json", tmp_path / "s.json"
+        io.save_obj(io.matrix_to_obj(np.eye(2)), a)
+        io.save_obj(io.subspace_to_obj(SPAN_E1), s)
+        assert cli.main(["compat", f"--input-a={a}", f"--input-s={s}", f"--tol-rank={rank_rel}"]) == 2
+        streams = capsys.readouterr()
+        assert (streams.out, streams.err) == ("", f"error: {self.refusal(rank_rel)}\n")
 
     @pytest.mark.parametrize("rank_rel", COARSE)
     def test_overlap_stays_inside_the_nullspace(self, rank_rel):

@@ -15,7 +15,6 @@ PACKAGE = [
     "Incompatible",
     "InconsistentDiagnostics",
     "NoSolution",
-    "NotContained",
     "NotExtendable",
     "NotInRange",
     "NotPsd",
