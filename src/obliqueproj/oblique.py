@@ -203,7 +203,7 @@ class _Geometry:
     """A pair (A, S) decomposed once, and only as far as it is read.
 
     :func:`_geometry` computes the core, all :func:`spline_with_weight`
-    reads: ``a = B_S^T A B_S``, ``a^+``, the overlap from the SVD of
+    reads: ``a = B_S^T A B_S``, the overlap from the SVD of
     ``C = V_r^T B_S`` and ``shift = a^+ (B_S^T A - a B_S^T) = D B_perp^T``
     (None if ``a X = b`` is unsolvable).  On first read: ``split``
     (``R(Λ C)``, ``N(C^T Λ)``), ``preimage`` and ``projection``, for
@@ -222,7 +222,6 @@ class _Geometry:
     tol: Tolerance
     rows: np.ndarray  # B_S^T A
     a: np.ndarray
-    a_pinv: np.ndarray  # a^+, or 0 where the coupling is 0
     shift: np.ndarray | None
     overlap: Subspace  # N = S ∩ N(A)
     cross: np.ndarray  # C = V_r^T B_S
@@ -339,7 +338,7 @@ def _geometry(weight: PsdOperator, span: Subspace, tol: Tolerance) -> _Geometry:
     # ||a D - b|| against ||B_S^T A||, not ||b||: b is roundoff on an A-invariant S.
     if not exact and not _within(np.linalg.norm(a @ shift - gap), np.linalg.norm(rows), tol):
         shift = None
-    return _Geometry(weight, span, tol, rows, a, a_pinv, shift, overlap, cross, left, sines)
+    return _Geometry(weight, span, tol, rows, a, shift, overlap, cross, left, sines)
 
 
 def weighted_projection(
@@ -393,7 +392,8 @@ def weighted_projection_pinv(
     """
     _check_pair(weight, span)
     p = span.projector()
-    reduced = moore_penrose(p @ weight.base @ p, tol) @ (p @ weight.base)
+    pa = p @ weight.base
+    reduced = moore_penrose(pa @ p, tol) @ pa
     overlap = degenerate_overlap(weight, span, tol)
     matrix = reduced + overlap.projector()
     return ObliqueProjection(matrix, span, nullspace_of(matrix, tol))

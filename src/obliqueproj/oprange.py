@@ -38,6 +38,7 @@ from .linalg import (
     _equal,
     _frobenius,
     _operator_norm,
+    _readonly,
     _within,
     as_matrix,
     as_vector,
@@ -56,12 +57,17 @@ class RangeVector:
 
     ``witness`` is the unique preimage of ``ambient`` under ``A^{1/2}``
     that is orthogonal to the nullspace; its Euclidean norm is the range
-    space norm of ``ambient``.
+    space norm of ``ambient``.  Both are read-only views, shared as a
+    :class:`~obliqueproj.linalg.Subspace` basis is; :func:`lift` passes a copy.
     """
 
     weight: PsdOperator
     ambient: np.ndarray
     witness: np.ndarray
+
+    def __post_init__(self):
+        for name in ("ambient", "witness"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
 
 
 def in_weight_range(weight: PsdOperator, u, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -79,12 +85,14 @@ def _in_range(weight: PsdOperator, u: np.ndarray, tol: Tolerance) -> np.ndarray:
 def lift(weight: PsdOperator, u, tol: Tolerance = DEFAULT_TOL) -> RangeVector:
     """Certify ``u`` as a member of the range space and attach its witness.
 
+    The range vector holds a copy of ``u``, which later writes do not reach.
+
     Raises
     ------
     NotInRange
         If ``u`` is farther from R(A) than ``eq_abs * (1 + ||u||)``.
     """
-    u = as_vector(u, weight.dim)
+    u = as_vector(u, weight.dim).copy()
     return RangeVector(weight, u, _witnesses(weight, u[:, None], tol)[:, 0])
 
 

@@ -161,11 +161,13 @@ def identity_battery(
     gap = float(np.linalg.norm(p @ p - p))
     checks.append(_record("projection_idempotent", gap <= eq * n, gap))
 
+    # One SVD of P gives its null space and, P being square, its rank.
+    null = nullspace_of(p, tol)
     range_gap = float(np.linalg.norm(p @ span.basis - span.basis))
-    rank_ok = subspace_from_span(p, tol).dim == span.dim
+    rank_ok = n - null.dim == span.dim
     checks.append(_record("projection_range", range_gap <= eq * n and rank_ok, range_gap))
 
-    null_ok = subspace_equal(nullspace_of(p, tol), geometry.projection.nullspace, tol)
+    null_ok = subspace_equal(null, geometry.projection.nullspace, tol)
     checks.append(_record("projection_nullspace", null_ok))
 
     sym_gap = float(np.linalg.norm(a @ p - p.T @ a))
@@ -190,8 +192,9 @@ def identity_battery(
 
     ps, bs = span.projector(), span.basis
     p_m = subspace_from_span(weight.sqrt @ bs, tol).projector()
-    q1 = douglas.reduced_solution(ps @ a @ ps, ps @ a, tol).matrix
-    q2 = douglas.reduced_solution(weight.sqrt @ ps, p_m @ weight.sqrt, tol).matrix
+    ps_a = ps @ a
+    q1 = douglas._solve(ps_a @ ps, ps_a, tol, gate=True)[0]
+    q2 = douglas._solve(weight.sqrt @ ps, p_m @ weight.sqrt, tol, gate=True)[0]
     pair_gap = float(np.linalg.norm(q1 - q2))
     strip_gap = float(np.linalg.norm((p - overlap.projector()) - q1))
     checks.append(

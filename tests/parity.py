@@ -2,6 +2,8 @@
 
     python tests/parity.py --out FILE
     python tests/parity.py --compare A B
+    python tests/parity.py --cli-out DIR
+    python tests/parity.py --cli-compare A B
 
 ``--out`` imports ``obliqueproj`` from the ``src/`` of the checkout this file
 lives in and writes one JSON record per line: for every pair, every flag and
@@ -12,6 +14,16 @@ Floats other than decisions are left out, so a change that moves only
 roundoff dumps the same file.  ``--compare`` prints every record that
 differs between two dumps and exits 1 if any does.  To compare two
 checkouts, copy this file into the ``tests/`` of each and dump both.
+
+``--cli-out`` writes the CLI's bytes instead: every invocation of one
+``cli-roundtrip`` round (``bench/workloads._make_round`` of the same
+checkout), plus ``report``, ``douglas --least-squares`` and the unsolvable
+``douglas`` on the round's ``x`` as ``B``, at seeds ``CLI_SEEDS`` and sizes
+``CLI_SIZES``.  It runs in-process from inside ``DIR`` with relative paths,
+because reports record their input paths, and writes next to each output
+a ``.status`` file with the exit code, stdout and stderr.
+``--cli-compare`` names every file that differs between two such
+directories, or is missing from one, and exits 1 if any does.
 
 The sets, all at fixed seeds:
 
@@ -29,6 +41,9 @@ Not collected by pytest: the full dump takes about a minute.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib.util
+import io
 import json
 import os
 import sys
@@ -44,6 +59,7 @@ import numpy as np  # noqa: E402
 from obliqueproj import (  # noqa: E402
     PsdOperator,
     Tolerance,
+    cli,
     compatibility_diagnostics,
     spline_with_weight,
     weighted_projection,
@@ -58,6 +74,8 @@ from support import (  # noqa: E402
 )
 
 SCALES = (1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9)
+CLI_SEEDS = range(4)
+CLI_SIZES = (8, 64)
 
 
 def _acceptance():
@@ -167,14 +185,89 @@ def compare(a: str, b: str) -> int:
     return 1 if differ else 0
 
 
+def _invocations(workloads, seed: int, n: int):
+    # (argv, output) of one round and of the extra invocations, with paths
+    # relative to the working directory.
+    tag = f"s{seed}-n{n}"
+    round_ = workloads._make_round(np.random.default_rng(seed), Path("."), tag, n)
+    for inv in round_.invocations:
+        yield inv.argv, inv.output
+    (argv,) = [inv.argv for inv in round_.invocations if inv.stage == "interpolate"]
+    files = dict(zip(argv[1::2], argv[2::2]))
+    pair = ["--input-a", files["--input-a"], "--input-s", files["--input-s"]]
+    unsolvable = ["douglas", "--input-a", files["--input-a"], "--input-b", files["--input-x"]]
+    for stage, argv in (
+        ("report", ["report", *pair, "--seed", str(seed)]),
+        ("douglas-least-squares", [*unsolvable, "--least-squares"]),
+        ("douglas-unsolvable", unsolvable),
+    ):
+        output = f"{tag}-out-{stage}.json"
+        yield argv + ["--output", output], output
+
+
+def _workloads():
+    # bench/workloads.py, loaded as conftest.py loads it, without writing
+    # bytecode next to it; kept here so that this file also runs when copied
+    # into an older checkout.  dataclasses look the module up while it executes.
+    spec = importlib.util.spec_from_file_location("parity_workloads", HERE.parent / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = writes
+        del sys.modules[spec.name]
+    return module
+
+
+def cli_out(directory: str) -> int:
+    workloads = _workloads()
+    os.makedirs(directory, exist_ok=True)
+    # os.chdir and not contextlib.chdir, which needs Python 3.11
+    home = os.getcwd()
+    os.chdir(directory)
+    try:
+        for seed in CLI_SEEDS:
+            for n in CLI_SIZES:
+                for argv, output in _invocations(workloads, seed, n):
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = cli.main(argv)
+                    status = f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+                    Path(f"{output}.status").write_text(status)
+    finally:
+        os.chdir(home)
+    return 0
+
+
+def cli_compare(a: str, b: str) -> int:
+    def load(root):
+        root = Path(root)
+        return {path.relative_to(root).as_posix(): path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+    left, right = load(a), load(b)
+    differ = sorted(name for name in left.keys() | right.keys() if left.get(name) != right.get(name))
+    for name in differ:
+        print(name)
+    print(f"{len(left)} and {len(right)} files, {len(differ)} differ")
+    return 1 if differ else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--out", help="write the dump of this checkout here")
     group.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two dumps")
+    group.add_argument("--cli-out", metavar="DIR", help="write the CLI outputs of this checkout here")
+    group.add_argument("--cli-compare", nargs=2, metavar=("A", "B"), help="compare two CLI output directories")
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
+    if args.cli_out:
+        return cli_out(args.cli_out)
+    if args.cli_compare:
+        return cli_compare(*args.cli_compare)
     with open(args.out, "w") as fh:
         for record in records():
             fh.write(json.dumps(record, sort_keys=True) + "\n")

@@ -1,4 +1,4 @@
-"""``tests/parity.py``, the decision-parity dump, on small dumps written here."""
+"""``tests/parity.py``, the decision-parity and CLI-byte dumps, on small dumps written here."""
 
 import copy
 import itertools
@@ -71,3 +71,36 @@ def test_a_dump_compares_equal_to_a_second_dump(parity, tmp_path, monkeypatch, c
     assert all({"diagnostics", "projection", "spline", "battery"} <= r.keys() for r in records)
     assert parity.compare(str(a), str(b)) == 0
     assert capsys.readouterr().out == "3 and 3 records, 0 differ\n"
+
+
+@pytest.fixture
+def cli_dumps(parity, tmp_path, monkeypatch):
+    # Two CLI dumps of one round at seed 0 and n = 8.
+    monkeypatch.setattr(parity, "CLI_SEEDS", (0,))
+    monkeypatch.setattr(parity, "CLI_SIZES", (8,))
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert parity.main(["--cli-out", str(a)]) == parity.main(["--cli-out", str(b)]) == 0
+    return a, b
+
+
+def test_identical_cli_dumps_do_not_differ(parity, cli_dumps, capsys):
+    a, b = cli_dumps
+    # inputs, outputs and a status per invocation; reports record relative paths
+    status = (a / "s0-n8-out-malformed.json.status").read_text()
+    assert status.startswith("exit 2\n") and "error:" in status
+    assert (a / "s0-n8-out-douglas-unsolvable.json.status").read_text().startswith("exit 3\n")
+    assert json.loads((a / "s0-n8-out-report.json").read_text())["inputs"]["a"]["path"] == "s0-n8-a.json"
+    files = len(list(a.iterdir()))
+    assert parity.cli_compare(str(a), str(b)) == 0
+    assert capsys.readouterr().out == f"{files} and {files} files, 0 differ\n"
+
+
+def test_a_flipped_byte_names_its_file(parity, cli_dumps, capsys):
+    a, b = cli_dumps
+    target = b / "s0-n8-out-douglas.json"
+    data = bytearray(target.read_bytes())
+    data[len(data) // 2] ^= 1
+    target.write_bytes(bytes(data))
+    files = len(list(a.iterdir()))
+    assert parity.main(["--cli-compare", str(a), str(b)]) == 1
+    assert capsys.readouterr().out == f"s0-n8-out-douglas.json\n{files} and {files} files, 1 differ\n"
