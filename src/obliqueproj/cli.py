@@ -141,9 +141,11 @@ def _run_project(job: JobSpec) -> tuple[dict, dict, dict]:
     weight, span, loaded = _load_pair(job)
     # One pair geometry gives the block projection and A^{-1}(S^perp) for
     # the Hermitian check; its projection raises Incompatible when read.
-    geometry = oblique._geometry(weight, span, job.tol)
+    # It is built on first use, so a formula that raises first (invertible
+    # on a singular weight) decomposes nothing more.
+    geometry = functools.cache(lambda: oblique._geometry(weight, span, job.tol))
     builders = {
-        "block": lambda: geometry.projection,
+        "block": lambda: geometry().projection,
         "pinv": functools.partial(oblique.weighted_projection_pinv, weight, span, job.tol),
         "invertible": functools.partial(oblique.weighted_projection_invertible, weight, span, job.tol),
     }
@@ -157,7 +159,7 @@ def _run_project(job: JobSpec) -> tuple[dict, dict, dict]:
             continue
         gap = float(np.linalg.norm(builder().matrix - proj.matrix))
         checks[f"agrees_{name}"] = bool(gap <= 10 * job.tol.eq_abs)
-    checks["hermitian"] = bool(oblique._is_hermitian(proj, weight, span, geometry.preimage, job.tol))
+    checks["hermitian"] = bool(oblique._is_hermitian(proj, weight, span, geometry().preimage, job.tol))
     return {"projection": _projection_obj(proj)}, checks, loaded
 
 

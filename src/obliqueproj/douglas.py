@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NoSolution
-from .linalg import DEFAULT_TOL, Tolerance, _within, as_matrix, moore_penrose, spectral_norm
+from .linalg import DEFAULT_TOL, Tolerance, _readonly, _within, as_matrix, moore_penrose, spectral_norm
 
 __all__ = ["ReducedSolution", "range_inclusion", "reduced_solution",
            "least_squares_solution", "minimal_lambda"]
@@ -30,11 +30,15 @@ class ReducedSolution:
 
     ``norm_sq`` is the squared spectral norm of ``D`` (the least ``lam``
     with ``B B^T <= lam A A^T``); ``residual`` is ``||A D - B||_F``.
+    ``matrix`` is held as a read-only view.
     """
 
     matrix: np.ndarray
     norm_sq: float
     residual: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", _readonly(self.matrix))
 
 
 def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:

@@ -20,13 +20,14 @@ from .linalg import (
     Subspace,
     Tolerance,
     _clip_sign,
+    _readonly,
     as_matrix,
     as_vector,
     intersect,
     moore_penrose,
     nullspace_of,
 )
-from .oblique import _geometry
+from .oblique import _geometry, _Geometry
 
 
 @dataclass(frozen=True)
@@ -37,12 +38,16 @@ class SplineResult:
     attained seminorm, ``unique`` whether the optimum set is a single point,
     and ``freedom`` the subspace ``S ∩ N(A)`` of directions along which the
     optimum is degenerate (the full solution set is ``minimizer + freedom``).
+    ``minimizer`` is held as a read-only view.
     """
 
     minimizer: np.ndarray
     value: float
     unique: bool
     freedom: Subspace
+
+    def __post_init__(self):
+        object.__setattr__(self, "minimizer", _readonly(self.minimizer))
 
 
 def seminorm(weight: PsdOperator, x, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -69,7 +74,7 @@ def spline(t_factor, span: Subspace, x, tol: Tolerance = DEFAULT_TOL) -> SplineR
     """
     t = as_matrix(t_factor, cols=span.ambient_dim)
     x = as_vector(x, span.ambient_dim)
-    return _spline(PsdOperator.from_matrix(t.T @ t, tol), span, x, tol)
+    return _spline(_geometry(PsdOperator.from_matrix(t.T @ t, tol), span, tol), x)
 
 
 def spline_with_weight(
@@ -79,16 +84,23 @@ def spline_with_weight(
 
     Works on the weight's own eigendecomposition; nothing is decomposed again.
     """
-    return _spline(weight, span, as_vector(x, span.ambient_dim), tol)
+    x = as_vector(x, span.ambient_dim)
+    return _spline(_geometry(weight, span, tol), x)
 
 
-def _spline(weight: PsdOperator, span: Subspace, x: np.ndarray, tol: Tolerance) -> SplineResult:
-    geometry = _geometry(weight, span, tol)
+def _spline(geometry: _Geometry, x: np.ndarray) -> SplineResult:
+    """The interpolant of a validated ``x`` on a pair already decomposed.
+
+    The minimizer is ``x - P x``, applied through ``geometry.apply`` without
+    forming ``P``; its seminorm, the overlap and the uniqueness verdict are
+    read off the same geometry.  The public entry points build one geometry
+    per call; the identity battery passes the one it holds for every sample.
+    """
     minimizer = x - geometry.apply(x)
     freedom = geometry.overlap
     return SplineResult(
         minimizer=minimizer,
-        value=seminorm(weight, minimizer, tol),
+        value=seminorm(geometry.weight, minimizer, geometry.tol),
         unique=freedom.dim == 0,
         freedom=freedom,
     )

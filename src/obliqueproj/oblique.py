@@ -40,6 +40,7 @@ from .linalg import (
     _operator_norm,
     _rank_from_values,
     _ranked_svd,
+    _readonly,
     _reflectors,
     _Reflectors,
     _sine_svd,
@@ -58,13 +59,17 @@ class BlockDecomposition:
 
     ``a`` is the S-to-S block, ``b`` the S^perp-to-S block and ``c`` the
     S^perp-to-S^perp block; reassembling ``[[a, b], [b^T, c]]`` in the frame
-    recovers the weight.
+    recovers the weight.  The blocks are held as read-only views.
     """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     frame: tuple[Subspace, Subspace]
+
+    def __post_init__(self):
+        for name in ("a", "b", "c"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     def reassemble(self) -> np.ndarray:
         bs, bp = self.frame[0].basis, self.frame[1].basis
@@ -126,6 +131,8 @@ class CompatibilityReport:
     ``U^T Λ U`` has full rank under the cutoff, so both are True and not
     evaluated; a solve could read False only by roundoff, at a condition
     number up to ``1 / rank_rel``.
+
+    ``coupling``, when not None, is held as a read-only view.
     """
 
     compatible: bool
@@ -137,6 +144,10 @@ class CompatibilityReport:
     sum_check: bool
     projected_pair_compatible: bool
     shifted_pair_compatible: bool
+
+    def __post_init__(self):
+        if self.coupling is not None:
+            object.__setattr__(self, "coupling", _readonly(self.coupling))
 
 
 def _check_pair(weight: PsdOperator, span: Subspace) -> None:

@@ -10,8 +10,9 @@ their samples as arrays and evaluate them in stacked form:
 single stack for n <= 51), ``chart_isometry`` and ``witness_minimal_norm``
 one array of vectors.  The arrays hold the values a loop over the samples
 would draw, in the same stream order, so every later check sees the same
-generator state.  ``spline_agrees_normal_equations`` still solves one
-sample at a time.
+generator state.  ``spline_agrees_normal_equations`` reads each of its
+20 interpolants off the battery's own pair geometry; only its oracle, the
+normal-equation solve, still works one sample at a time.
 """
 
 from __future__ import annotations
@@ -137,6 +138,19 @@ def _witness_minimal_norm(rng: np.random.Generator, weight: PsdOperator, tol: To
     return _record("witness_minimal_norm", worst <= tol.eq_abs, worst)
 
 
+def _spline_agrees_normal_equations(rng: np.random.Generator, geometry: oblique._Geometry) -> dict:
+    # The interpolant of 20 sampled x, each read off the pair geometry,
+    # against the normal-equation solve on the weight's square root.
+    weight, span, tol = geometry.weight, geometry.span, geometry.tol
+    worst = 0.0
+    for _ in range(20):
+        x = rng.normal(size=weight.dim)
+        direct = interpolant._spline(geometry, x).minimizer
+        oracle = interpolant.spline_by_normal_equations(weight.sqrt, span, x, tol)
+        worst = max(worst, float(np.linalg.norm(direct - oracle)) / (1.0 + float(np.linalg.norm(x))))
+    return _record("spline_agrees_normal_equations", worst <= tol.eq_abs, worst)
+
+
 def identity_battery(
     weight: PsdOperator,
     span: Subspace,
@@ -242,13 +256,7 @@ def identity_battery(
     checks.append(_chart_isometry(rng, weight, tol))
     checks.append(_witness_minimal_norm(rng, weight, tol))
 
-    worst = 0.0
-    for _ in range(20):
-        x = rng.normal(size=n)
-        direct = interpolant.spline_with_weight(weight, span, x, tol).minimizer
-        oracle = interpolant.spline_by_normal_equations(weight.sqrt, span, x, tol)
-        worst = max(worst, float(np.linalg.norm(direct - oracle)) / (1.0 + float(np.linalg.norm(x))))
-    checks.append(_record("spline_agrees_normal_equations", worst <= eq, worst))
+    checks.append(_spline_agrees_normal_equations(rng, geometry))
 
     checks.append(
         _record(

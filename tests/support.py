@@ -18,6 +18,8 @@ from obliqueproj import (
     numerical_rank,
     range_inclusion,
     spectral_norm,
+    spline_by_normal_equations,
+    spline_with_weight,
     subspace_equal,
     subspace_from_span,
     subspace_sum,
@@ -603,3 +605,16 @@ def family_extension_constant_by_loop(rng, geometry, ext_p):
         member = geometry.member(t).matrix
         worst = max(worst, float(np.linalg.norm(oprange.chart_extension(weight, member, tol) - ext_p)))
     return _record("family_extension_constant", worst <= 10 * eq, worst)
+
+
+def spline_agrees_normal_equations_by_loop(rng, geometry):
+    """``spline_agrees_normal_equations`` from one public ``spline_with_weight``
+    call per sample, each of which decomposes the pair again."""
+    weight, span, tol = geometry.weight, geometry.span, geometry.tol
+    worst = 0.0
+    for _ in range(20):
+        x = rng.normal(size=weight.dim)
+        direct = spline_with_weight(weight, span, x, tol).minimizer
+        oracle = spline_by_normal_equations(weight.sqrt, span, x, tol)
+        worst = max(worst, float(np.linalg.norm(direct - oracle)) / (1.0 + float(np.linalg.norm(x))))
+    return _record("spline_agrees_normal_equations", worst <= tol.eq_abs, worst)

@@ -11,7 +11,15 @@ the stacking changes, so it is compared within a hundredth of ``eq_abs``.
 The two family checks form each member, its spectral norm and its chart
 extension with the operations a loop applies to one member, so their
 details agree bit for bit.
+
+``spline_agrees_normal_equations`` reads its 20 interpolants off the
+battery's own pair geometry; a loop over the public ``spline_with_weight``
+decomposes the pair once per sample.  Replayed from the generator state the
+battery hands the check, both give every minimizer bit for bit, the same
+record and the same ``NotPsd`` message.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -27,9 +35,12 @@ from obliqueproj import (
     PsdOperator,
     Subspace,
     Tolerance,
+    interpolant,
     lift,
     oblique,
     oprange,
+    report,
+    spline_with_weight,
 )
 from obliqueproj.report import (
     _STACK_ENTRIES,
@@ -40,6 +51,7 @@ from obliqueproj.report import (
     _norm_minimality,
     _stacks,
     _witness_minimal_norm,
+    identity_battery,
 )
 from support import (
     chart_isometry_by_loop,
@@ -47,8 +59,10 @@ from support import (
     hermitian_tests_agree_by_loop,
     make_pair,
     make_psd,
+    make_subspace,
     norm_minimality_by_loop,
     random_orthogonal,
+    spline_agrees_normal_equations_by_loop,
     witness_minimal_norm_by_loop,
 )
 
@@ -192,6 +206,63 @@ def test_norm_minimality_splits_its_stack(cases, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     assert _norm_minimality(np.random.default_rng(0), geometry)["pass"]
     assert stacked == [(64, 64, 64), (36, 64, 64)]
+
+
+def spline_pairs():
+    """(label, weight, span): the first 40 pairs of the acceptance battery's
+    generator, and pair 20 of ``make_pair(default_rng(0))`` at c = 1e6, on
+    which the battery's per-sample seminorm raises NotPsd."""
+    rng = np.random.default_rng(20260809)  # tests/test_acceptance.py's SEED
+    out = []
+    for i in range(40):
+        n = int(rng.integers(2, 9))
+        rank, k = int(rng.integers(0, n + 1)), int(rng.integers(0, n + 1))
+        out.append((f"acceptance {i}", make_psd(rng, n, rank), make_subspace(rng, n, k)))
+    rng = np.random.default_rng(0)
+    weight, span = [make_pair(rng) for _ in range(21)][20]
+    out.append(("c=1e6", PsdOperator.from_matrix(1e6 * weight.base), span))
+    return out
+
+
+def caught(fn, *args):
+    try:
+        return fn(*args)
+    except Error as exc:
+        return type(exc), str(exc)
+
+
+def test_spline_samples_read_the_battery_geometry(monkeypatch):
+    entered, check = [], report._spline_agrees_normal_equations
+
+    def recording(rng, geometry):
+        entered.append((geometry, copy.deepcopy(rng.bit_generator.state)))
+        return check(rng, geometry)
+
+    monkeypatch.setattr(report, "_spline_agrees_normal_equations", recording)
+    raised = []
+    for label, weight, span in spline_pairs():
+        entered.clear()
+        records = caught(identity_battery, weight, span)
+        ((geometry, state),) = entered
+        replay = np.random.default_rng()
+        replay.bit_generator.state = state
+        for _ in range(20):
+            x = replay.normal(size=weight.dim)
+            got = caught(lambda: interpolant._spline(geometry, x).minimizer)
+            want = caught(lambda: spline_with_weight(weight, span, x).minimizer)
+            if isinstance(want, tuple):
+                assert got == want
+                break
+            assert got.tobytes() == want.tobytes()
+        replay.bit_generator.state = state
+        loop = caught(spline_agrees_normal_equations_by_loop, replay, geometry)
+        if isinstance(records, tuple):
+            assert records == loop
+            raised.append((label, records[0]))
+        else:
+            (record,) = [r for r in records if r["name"] == "spline_agrees_normal_equations"]
+            assert record == loop
+    assert raised == [("c=1e6", NotPsd)]
 
 
 @pytest.mark.parametrize("n", [0, 1, 8, 51, 52, 64, 115, 512, 513])

@@ -209,17 +209,18 @@ def test_one_pseudoinverse_per_solve(counted):
 def test_identity_battery_budget(pair, counted):
     # The battery decomposes the pair once and takes the projection, the
     # overlap, the preimage, the diagnostics, every family member and the
-    # chart projection from that one value.  One SVD of P gives both its
-    # rank and its null space, and the two Douglas solves of
-    # reduced_solutions_coincide take no spectral norm.
+    # chart projection from that one value; the 20 spline samples read their
+    # interpolants off it too.  One SVD of P gives both its rank and its null
+    # space, and the two Douglas solves of reduced_solutions_coincide take
+    # no spectral norm.
     weight, span, _ = pair
     assert all(check["pass"] for check in identity_battery(weight, span))
     assert counted["eigh"] == []
-    assert counted.factorizations("svd") == 318
+    assert counted.factorizations("svd") == 278
     # hermitian_tests_agree factorizes its 100 null spaces in one stacked
     # call, and norm_minimality takes the spectral norms of its 100 family
     # members from one stacked values-only call.
-    assert len(counted["svd"]) == 120
+    assert len(counted["svd"]) == 80
     assert (100, N, N - span.dim) in counted["svd"]
     assert (100, N, N) in counted.values_only
     # No family member is factorized by QR: the only QR of an N-row input
@@ -252,12 +253,13 @@ def test_identity_battery_budget_without_overlap(counted, monkeypatch):
     assert all(check["pass"] for check in records.values())
     assert records["trivial_overlap_split"]["applicable"]
     assert of_image.count(True) == 1
-    assert counted.factorizations("svd") == 219
+    assert counted.factorizations("svd") == 179
 
 
 def test_identity_battery_builds_one_chart(pair, monkeypatch):
-    # One pair geometry for the battery and one per spline sample (20); one
-    # chart image of A^{1/2} S, read by every chart identity.
+    # One pair geometry for the battery, read by the 20 spline samples as by
+    # every other check; one chart image of A^{1/2} S, read by every chart
+    # identity.
     builds = {"geometry": 0, "sqrt_image": 0}
     geometry, sqrt_image = oblique._Geometry, oprange._sqrt_image
 
@@ -273,7 +275,7 @@ def test_identity_battery_builds_one_chart(pair, monkeypatch):
     monkeypatch.setattr(oprange, "_sqrt_image", counting_sqrt_image)
     weight, span, _ = pair
     assert all(check["pass"] for check in identity_battery(weight, span))
-    assert builds == {"geometry": 21, "sqrt_image": 1}
+    assert builds == {"geometry": 1, "sqrt_image": 1}
 
 
 def test_cli_oprange_decomposes_the_pair_once(workloads, tmp_path, counted):
@@ -306,6 +308,20 @@ def test_cli_project_block_splits_the_pair_once(workloads, tmp_path, counted):
     assert counted.factorizations("svd") == 7
     dim_s, rank = 64 // 3, 64 // 2
     assert counted["svd"].count((dim_s, rank)) == 1
+
+
+def test_cli_project_invertible_on_a_singular_weight_decomposes_no_pair(workloads, tmp_path, counted):
+    # The closed formula refuses a singular weight before the pair geometry
+    # is built: the weight's eigh and the subspace load are all it costs.
+    round_ = workloads._make_round(np.random.default_rng(0), tmp_path, "count", 64)
+    (argv,) = [inv.argv for inv in round_.invocations if inv.stage == "singular invertible"]
+    assert argv[argv.index("--formula") + 1] == "invertible"
+    for calls in counted.values():
+        calls.clear()
+    assert cli.main(argv) == 3
+    assert counted["eigh"] == [(64, 64)]
+    assert counted["svd"] == [(64, 64 // 3)]
+    assert counted["qr"] == []
 
 
 def test_cli_douglas_solves_once(workloads, tmp_path, counted):
