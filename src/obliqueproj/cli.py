@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, douglas, interpolant, io, oblique, oprange
 from .errors import DimensionMismatch, Error, PreconditionError
-from .linalg import PsdOperator, Subspace, Tolerance
+from .linalg import PsdOperator, Subspace, Tolerance, _within
 from .report import identity_battery
 
 EXIT_OK = 0
@@ -139,26 +139,31 @@ def _run_compat(job: JobSpec) -> tuple[dict, dict, dict]:
 
 def _run_project(job: JobSpec) -> tuple[dict, dict, dict]:
     weight, span, loaded = _load_pair(job)
-    # One pair geometry gives the block projection and A^{-1}(S^perp) for
-    # the Hermitian check; its projection raises Incompatible when read.
-    # It is built on first use, so a formula that raises first (invertible
-    # on a singular weight) decomposes nothing more.
+    # One pair geometry gives the block projection, the overlap of the
+    # pseudoinverse construction and A^{-1}(S^perp) for the Hermitian check;
+    # its projection raises Incompatible when read.  It is built on first
+    # use, so a formula that raises first (invertible on a singular weight)
+    # decomposes nothing more.  The agreement checks compare matrices only,
+    # so only the chosen construction certifies its nullspace.
     geometry = functools.cache(lambda: oblique._geometry(weight, span, job.tol))
-    builders = {
-        "block": lambda: geometry().projection,
-        "pinv": functools.partial(oblique.weighted_projection_pinv, weight, span, job.tol),
-        "invertible": functools.partial(oblique.weighted_projection_invertible, weight, span, job.tol),
+    matrices = {
+        "block": lambda: geometry().projection.matrix,
+        "pinv": lambda: oblique._pinv_matrix(weight, span, geometry().overlap, job.tol),
+        "invertible": functools.partial(oblique._invertible_matrix, weight, span),
     }
-    proj = builders[job.formula]()
+    if job.formula == "block":
+        proj = geometry().projection
+    else:
+        proj = oblique._certified(matrices[job.formula](), span, job.tol)
     checks = {"formula": job.formula}
-    for name, builder in builders.items():
+    for name, matrix in matrices.items():
         if name == job.formula:
             continue
         if name == "invertible" and weight.rank < weight.dim:
             checks[f"agrees_{name}"] = None
             continue
-        gap = float(np.linalg.norm(builder().matrix - proj.matrix))
-        checks[f"agrees_{name}"] = bool(gap <= 10 * job.tol.eq_abs)
+        gap = float(np.linalg.norm(matrix() - proj.matrix))
+        checks[f"agrees_{name}"] = bool(_within(gap, 1.0, job.tol, slack=10.0))
     checks["hermitian"] = bool(oblique._is_hermitian(proj, weight, span, geometry().preimage, job.tol))
     return {"projection": _projection_obj(proj)}, checks, loaded
 
@@ -202,7 +207,7 @@ def _run_interpolate(job: JobSpec) -> tuple[dict, dict, dict]:
         "unique": bool(result.unique),
         "freedom": io.subspace_to_obj(result.freedom),
     }
-    checks = {"matches_normal_equations": bool(gap <= 10 * job.tol.eq_abs)}
+    checks = {"matches_normal_equations": bool(_within(gap, 1.0, job.tol, slack=10.0))}
     return results, checks, loaded
 
 

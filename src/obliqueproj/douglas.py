@@ -73,10 +73,7 @@ def range_inclusion(b, a, tol: Tolerance = DEFAULT_TOL) -> bool:
     Decided by the projector residual ``||(I - A A^+) B|| <= eq_abs ||B||``,
     which is equivalent to ``rank([A | B]) = rank(A)`` under the same cutoff.
     """
-    a, b = _operands(a, b)
-    if b.size == 0 or not b.any():
-        return True
-    return _solve(a, b, tol, gate=False)[2]
+    return _solve(*_operands(a, b), tol, gate=False)[2]
 
 
 def reduced_solution(a, b, tol: Tolerance = DEFAULT_TOL) -> ReducedSolution:

@@ -1,10 +1,12 @@
 """Numerical substrate: tolerances, pseudoinverses, subspaces and projections.
 
-Everything downstream works on plain float64 numpy arrays.  Subspaces are
-canonicalized to orthonormal bases at construction (no lazy spans), which
-makes every invariant checkable at module boundaries.  All public objects
-are immutable values and all operations are pure functions, so unrestricted
-concurrent use is safe.
+Everything downstream works on plain float64 numpy arrays.  A subspace is
+held as an orthonormal basis (no lazy spans), which makes every invariant
+checkable at module boundaries.  ``Subspace(n, basis)`` trusts the caller's
+basis to be orthonormal; :func:`subspace_from_span` and the subspace readers
+of :mod:`~obliqueproj.io` canonicalize arbitrary spanning columns into one.
+All public objects are immutable values and all operations are pure
+functions, so unrestricted concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -41,16 +43,18 @@ __all__ = [
 class Tolerance:
     """Numerical thresholds shared by every operation.
 
-    Every accept/reject decision is one of four rules, each one private
-    function of this module:
+    Every accept/reject decision, in the library as in the identity
+    battery's records and the CLI checks, is one of four rules, each one
+    private function of this module:
 
     - rank: a singular value at or above ``rank_rel`` times the anchor (the
       largest one, or the norm of the operator of a product) counts, a tie
       included;
     - angle: two directions meet when the sine of their principal angle
       lies strictly below ``2 * rank_rel``; a tie keeps them apart;
-    - residual: a norm passes at or under ``eq_abs`` times an anchor (and a
-      slack factor) fixed by the test, a tie passing;
+    - residual: a norm passes at or under ``eq_abs`` times an anchor fixed
+      by the test, a tie passing; the ``10 * eq_abs`` bounds of the checks
+      that compare two constructions are an anchor of 1 with a slack of 10;
     - sign: a value of a PSD quantity down to ``-psd_neg`` clips to zero, a
       tie included; a more negative one raises ``NotPsd``.
 
@@ -135,14 +139,19 @@ def _rank_from_values(s: np.ndarray, tol: Tolerance, scale: float | None = None)
     return ranks if s.ndim > 1 else int(ranks)
 
 
-def _ranked_svd(m: np.ndarray, tol: Tolerance, scale=None, *, full_matrices=False, compute_uv=True):
-    # The rank rule on a matrix: ``(u, s, vt, r)``, its SVD (``u`` and ``vt``
-    # None without vectors) and its rank.  An empty or exactly zero matrix has
-    # rank 0 and is not decomposed: ``u`` has no column and ``vt`` is I.
+def _svd(m: np.ndarray, *, full_matrices=False, compute_uv=True):
+    # The guarded SVD: ``(u, s, vt)``, ``u`` and ``vt`` None without vectors.
+    # An empty or exactly zero matrix has no nonzero singular value and is
+    # not decomposed: ``u`` has no column, ``s`` is empty and ``vt`` is I.
     if m.size == 0 or not m.any():
-        return np.zeros((m.shape[0], 0)), np.zeros(0), np.eye(m.shape[1]), 0
+        return np.zeros((m.shape[0], 0)), np.zeros(0), np.eye(m.shape[1])
     svd = np.linalg.svd(m, full_matrices=full_matrices, compute_uv=compute_uv)
-    u, s, vt = svd if compute_uv else (None, svd, None)
+    return svd if compute_uv else (None, svd, None)
+
+
+def _ranked_svd(m: np.ndarray, tol: Tolerance, scale=None, *, full_matrices=False, compute_uv=True):
+    # The rank rule on a matrix: ``(u, s, vt, r)``, its guarded SVD and its rank.
+    u, s, vt = _svd(m, full_matrices=full_matrices, compute_uv=compute_uv)
     return u, s, vt, _rank_from_values(s, tol, scale)
 
 
@@ -303,19 +312,6 @@ def _check_same_ambient(s1: Subspace, s2: Subspace) -> None:
         )
 
 
-def _sine_svd(residual: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # ``residual`` holds what is left of an orthonormal basis after the
-    # other subspace is projected out, in any orthonormal coordinates; its
-    # singular values are the sines of the principal angles (columns beyond
-    # its row count have sine zero).  Returns its SVD with every right
-    # singular vector.  A residual that is exactly zero has every sine zero
-    # and needs no decomposition.
-    rows, cols = residual.shape
-    if rows == 0 or cols == 0 or not residual.any():
-        return np.zeros((rows, 0)), np.zeros(0), np.eye(cols)
-    return np.linalg.svd(residual, full_matrices=rows < cols)
-
-
 def intersect(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     """Intersection, read off the principal angles between the subspaces.
 
@@ -334,7 +330,9 @@ def intersect(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subsp
     if s1.dim > s2.dim:
         s1, s2 = s2, s1
     b1, b2 = s1.basis, s2.basis
-    _, sines, vt = _sine_svd(b1 - b2 @ (b2.T @ b1))
+    # n x dim s1 with n >= dim s1, so the reduced SVD has every right
+    # singular vector; an exactly zero residual has every sine zero.
+    _, sines, vt = _svd(b1 - b2 @ (b2.T @ b1))
     # the right singular vectors whose sine lies strictly below the cutoff
     return Subspace(s1.ambient_dim, b1 @ vt[_apart(sines, tol) :].T)
 

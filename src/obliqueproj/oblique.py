@@ -43,9 +43,10 @@ from .linalg import (
     _readonly,
     _reflectors,
     _Reflectors,
-    _sine_svd,
+    _svd,
     _within,
     as_matrix,
+    complement,
     contains,
     moore_penrose,
     nullspace_of,
@@ -163,9 +164,11 @@ def block_decompose(weight: PsdOperator, span: Subspace) -> BlockDecomposition:
     The frame is pinned by the canonical orthonormalization of the inputs,
     so results are reproducible bit for bit for identical input data.
     """
-    geometry = _geometry(weight, span, DEFAULT_TOL)
-    bp = geometry.perp.basis
-    return BlockDecomposition(geometry.a, geometry.rows @ bp, bp.T @ weight.base @ bp, (span, geometry.perp))
+    _check_pair(weight, span)
+    rows = span.basis.T @ weight.base
+    perp = complement(span)
+    bp = perp.basis
+    return BlockDecomposition(rows @ span.basis, rows @ bp, bp.T @ weight.base @ bp, (span, perp))
 
 
 def is_compatible(weight: PsdOperator, span: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -193,9 +196,11 @@ def _overlap(
     # eigenvectors, are the sines of the principal angles between S and
     # N(A); returns N, C, and the left singular vectors and singular values
     # of C.  At most dim N(A) = n - r sines lie below 1, so the angle
-    # cutoff 2 rank_rel < 1 keeps N inside N(A).
+    # cutoff 2 rank_rel < 1 keeps N inside N(A).  With r < dim S the
+    # columns of B_S beyond r have sine zero: the full SVD keeps their
+    # right singular vectors.
     cross = _cross(weight, span)
-    left, sines, vt = _sine_svd(cross)
+    left, sines, vt = _svd(cross, full_matrices=cross.shape[0] < cross.shape[1])
     return Subspace(weight.dim, span.basis @ vt[_apart(sines, tol) :].T), cross, left, sines
 
 
@@ -214,25 +219,22 @@ class _Geometry:
     """A pair (A, S) decomposed once, and only as far as it is read.
 
     :func:`_geometry` computes the core, all :func:`spline_with_weight`
-    reads: ``a = B_S^T A B_S``, the overlap from the SVD of
-    ``C = V_r^T B_S`` and ``shift = a^+ (B_S^T A - a B_S^T) = D B_perp^T``
-    (None if ``a X = b`` is unsolvable).  On first read: ``split``
-    (``R(Λ C)``, ``N(C^T Λ)``), ``preimage`` and ``projection``, for
-    :func:`weighted_projection`; ``reflectors``, the Householder
-    reflectors of ``B_S`` (one raw QR, compact WY; the frame of the
-    complete QR), shared by ``coupling = shift B_perp = a^+ b``, which the
-    diagnostics publish and which is applied through the reflectors, and
-    ``perp``, the basis ``B_perp`` itself, formed only for
-    :func:`block_decompose`, family members and the identity battery.
-    The range-space chart of :mod:`~obliqueproj.oprange` holds one of these
+    reads: the overlap from the SVD of ``C = V_r^T B_S`` and
+    ``shift = a^+ (B_S^T A - a B_S^T) = D B_perp^T`` with
+    ``a = B_S^T A B_S`` (None if ``a X = b`` is unsolvable).  On first
+    read: ``split`` (``R(Λ C)``, ``N(C^T Λ)``), ``preimage`` and
+    ``projection``, for :func:`weighted_projection`; ``reflectors``, the
+    Householder reflectors of ``B_S`` (one raw QR, compact WY; the frame
+    of the complete QR), shared by ``coupling = shift B_perp = a^+ b``,
+    which the diagnostics publish and which is applied through the
+    reflectors, and ``perp``, the basis ``B_perp`` itself, formed only for
+    family members and the identity battery.  The range-space chart of :mod:`~obliqueproj.oprange` holds one of these
     and derives the chart image of ``A^{1/2} S`` from ``cross``.
     """
 
     weight: PsdOperator
     span: Subspace
     tol: Tolerance
-    rows: np.ndarray  # B_S^T A
-    a: np.ndarray
     shift: np.ndarray | None
     overlap: Subspace  # N = S ∩ N(A)
     cross: np.ndarray  # C = V_r^T B_S
@@ -349,7 +351,7 @@ def _geometry(weight: PsdOperator, span: Subspace, tol: Tolerance) -> _Geometry:
     # ||a D - b|| against ||B_S^T A||, not ||b||: b is roundoff on an A-invariant S.
     if not exact and not _within(np.linalg.norm(a @ shift - gap), np.linalg.norm(rows), tol):
         shift = None
-    return _Geometry(weight, span, tol, rows, a, shift, overlap, cross, left, sines)
+    return _Geometry(weight, span, tol, shift, overlap, cross, left, sines)
 
 
 def weighted_projection(
@@ -382,14 +384,19 @@ def weighted_projection_invertible(
     Singular
         If the weight does not have full numerical rank.
     """
+    return _certified(_invertible_matrix(weight, span), span, tol)
+
+
+def _invertible_matrix(weight: PsdOperator, span: Subspace) -> np.ndarray:
+    # The matrix of weighted_projection_invertible(), which a caller that
+    # only compares it takes without the certified nullspace.
     _check_pair(weight, span)
     if weight.rank < weight.dim:
         raise Singular("the closed formula requires a weight of full rank")
     p = span.projector()
     q = np.eye(weight.dim) - p
     middle = p @ weight.base @ p + q @ weight.base @ q
-    matrix = p @ np.linalg.solve(middle, weight.base)
-    return ObliqueProjection(matrix, span, nullspace_of(matrix, tol))
+    return p @ np.linalg.solve(middle, weight.base)
 
 
 def weighted_projection_pinv(
@@ -401,12 +408,20 @@ def weighted_projection_pinv(
     the orthogonal projector onto ``N`` recovers the full projection.  Always
     applicable in finite dimension, where ``P A P`` has closed range.
     """
-    _check_pair(weight, span)
+    overlap = degenerate_overlap(weight, span, tol)
+    return _certified(_pinv_matrix(weight, span, overlap, tol), span, tol)
+
+
+def _pinv_matrix(weight: PsdOperator, span: Subspace, overlap: Subspace, tol: Tolerance) -> np.ndarray:
+    # The matrix of weighted_projection_pinv() given the overlap N, which a
+    # caller holding the pair geometry reads off it.
     p = span.projector()
     pa = p @ weight.base
-    reduced = moore_penrose(pa @ p, tol) @ pa
-    overlap = degenerate_overlap(weight, span, tol)
-    matrix = reduced + overlap.projector()
+    return moore_penrose(pa @ p, tol) @ pa + overlap.projector()
+
+
+def _certified(matrix: np.ndarray, span: Subspace, tol: Tolerance) -> ObliqueProjection:
+    # A projection onto span with its nullspace from one SVD of its matrix.
     return ObliqueProjection(matrix, span, nullspace_of(matrix, tol))
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from obliqueproj import (
     PsdOperator,
+    block_decompose,
     linalg,
     oblique,
     oprange,
@@ -97,6 +98,16 @@ def test_weighted_projection_budget(pair, counted):
     assert (N, N) not in counted["svd"]
     # P = B_S (B_S^T + a^+ (B_S^T A - a B_S^T)) needs no basis of S^perp
     assert qr_of_n_rows(counted) == []
+
+
+def test_block_decompose_budget(pair, counted):
+    # The blocks read B_S^T A and the frame's complement only: no pair
+    # geometry, so neither C nor a is decomposed.
+    weight, span, _ = pair
+    block_decompose(weight, span)
+    assert counted["svd"] == []
+    assert counted["eigh"] == []
+    assert counted["qr"] == [("raw", (N, span.dim))]
 
 
 @pytest.fixture
@@ -211,16 +222,18 @@ def test_identity_battery_budget(pair, counted):
     # overlap, the preimage, the diagnostics, every family member and the
     # chart projection from that one value; the 20 spline samples read their
     # interpolants off it too.  One SVD of P gives both its rank and its null
-    # space, and the two Douglas solves of reduced_solutions_coincide take
-    # no spectral norm.
+    # space, the two Douglas solves of reduced_solutions_coincide take no
+    # spectral norm, and the pseudoinverse construction, compared by its
+    # matrix only, reads the overlap off the geometry and certifies no
+    # nullspace.
     weight, span, _ = pair
     assert all(check["pass"] for check in identity_battery(weight, span))
     assert counted["eigh"] == []
-    assert counted.factorizations("svd") == 278
+    assert counted.factorizations("svd") == 276
     # hermitian_tests_agree factorizes its 100 null spaces in one stacked
     # call, and norm_minimality takes the spectral norms of its 100 family
     # members from one stacked values-only call.
-    assert len(counted["svd"]) == 80
+    assert len(counted["svd"]) == 78
     assert (100, N, N - span.dim) in counted["svd"]
     assert (100, N, N) in counted.values_only
     # No family member is factorized by QR: the only QR of an N-row input
@@ -253,7 +266,7 @@ def test_identity_battery_budget_without_overlap(counted, monkeypatch):
     assert all(check["pass"] for check in records.values())
     assert records["trivial_overlap_split"]["applicable"]
     assert of_image.count(True) == 1
-    assert counted.factorizations("svd") == 179
+    assert counted.factorizations("svd") == 177
 
 
 def test_identity_battery_builds_one_chart(pair, monkeypatch):
@@ -304,10 +317,48 @@ def test_cli_project_block_splits_the_pair_once(workloads, tmp_path, counted):
     assert cli.main(argv) == 0
     assert counted["eigh"] == [(64, 64)]
     # the subspace load, C, a^+ and C^T Λ; the pinv agreement check's
-    # pseudoinverse, overlap and nullspace
-    assert counted.factorizations("svd") == 7
+    # pseudoinverse, which reads the overlap off the geometry and, as it
+    # compares matrices only, certifies no nullspace
+    assert counted.factorizations("svd") == 5
     dim_s, rank = 64 // 3, 64 // 2
     assert counted["svd"].count((dim_s, rank)) == 1
+    assert counted["svd"].count((64, 64)) == 1  # the pseudoinverse of P A P
+
+
+def test_cli_project_pinv_reads_the_overlap_off_the_geometry(workloads, tmp_path, counted):
+    # The chosen pseudoinverse construction certifies its nullspace; the
+    # block agreement check builds the pair geometry, whose overlap the
+    # construction reads instead of taking the SVD of C again.
+    round_ = workloads._make_round(np.random.default_rng(0), tmp_path, "count", 64)
+    (argv,) = [inv.argv for inv in round_.invocations if inv.stage == "project pinv"]
+    assert argv[argv.index("--formula") + 1] == "pinv"
+    for calls in counted.values():
+        calls.clear()
+    assert cli.main(argv) == 0
+    assert counted["eigh"] == [(64, 64)]
+    # the subspace load, C, a^+ and C^T Λ; the pseudoinverse of P A P and
+    # the nullspace of the result
+    assert counted.factorizations("svd") == 6
+    dim_s, rank = 64 // 3, 64 // 2
+    assert counted["svd"].count((dim_s, rank)) == 1
+    assert counted["svd"].count((64, 64)) == 2
+
+
+def test_cli_project_invertible_certifies_only_its_own_nullspace(workloads, tmp_path, counted):
+    # On a full-rank weight the closed formula certifies its nullspace, and
+    # the pseudoinverse agreement check, which reads the overlap off the
+    # pair geometry, certifies none.
+    round_ = workloads._make_round(np.random.default_rng(0), tmp_path, "count", 64)
+    (argv,) = [inv.argv for inv in round_.invocations if inv.stage == "project invertible"]
+    assert argv[argv.index("--formula") + 1] == "invertible"
+    for calls in counted.values():
+        calls.clear()
+    assert cli.main(argv) == 0
+    assert counted["eigh"] == [(64, 64)]
+    # the subspace load, the nullspace of the closed formula's matrix, then
+    # C (r = n), a^+ and C^T Λ, and the pseudoinverse of P A P
+    dim_s = 64 // 3
+    assert counted["svd"] == [(64, dim_s), (64, 64), (64, dim_s), (dim_s, dim_s), (dim_s, 64), (64, 64)]
 
 
 def test_cli_project_invertible_on_a_singular_weight_decomposes_no_pair(workloads, tmp_path, counted):

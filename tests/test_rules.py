@@ -1,0 +1,72 @@
+"""One home per decision rule, checked on the source of the library.
+
+Every tolerance decision goes through one of the four rule functions of
+``obliqueproj.linalg`` (rank, angle, residual, sign; see ``Tolerance``), so
+a later change of anchors or a trace of the decisions has one place to act.
+Two checks keep it so:
+
+- outside ``linalg.py`` no module reads a threshold field of a
+  ``Tolerance`` (``eq_abs``, ``rank_rel``, ``psd_neg``); the one exception
+  is the ``tolerances`` block of ``cli.run``, which publishes them;
+- inside ``linalg.py`` ``np.linalg.svd`` is called only by the guarded SVD
+  ``_svd``, which every rank and angle decision reads.
+
+The CLI ``douglas`` check ``lambda_matches_norm_sq`` compares with a
+literal ``1e-6``, not a tolerance field, so the first check does not see
+it.  It is a placeholder that reads True on every feasible input; making it
+an independent check (ROADMAP item 6) is where its bound gets decided.
+"""
+
+import ast
+from pathlib import Path
+
+import obliqueproj
+
+PACKAGE = Path(obliqueproj.__file__).resolve().parent
+FIELDS = {"eq_abs", "rank_rel", "psd_neg"}
+
+
+def parsed(name: str) -> ast.Module:
+    return ast.parse((PACKAGE / name).read_text(), filename=name)
+
+
+def published_tolerances(cli: ast.Module) -> set[int]:
+    """The ids of the attribute reads inside the ``tolerances`` block of
+    ``run`` in the parsed ``cli.py``."""
+    (run,) = [node for node in cli.body if isinstance(node, ast.FunctionDef) and node.name == "run"]
+    blocks = [
+        value
+        for node in ast.walk(run)
+        if isinstance(node, ast.Dict)
+        for key, value in zip(node.keys, node.values)
+        if isinstance(key, ast.Constant) and key.value == "tolerances"
+    ]
+    assert len(blocks) == 1
+    return {id(node) for node in ast.walk(blocks[0]) if isinstance(node, ast.Attribute)}
+
+
+def test_no_module_but_linalg_reads_a_threshold():
+    reads, published = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        tree = parsed(path.name)
+        allowed = published_tolerances(tree) if path.name == "cli.py" else set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in FIELDS:
+                (published if id(node) in allowed else reads).append((path.name, node.lineno, node.attr))
+    assert reads == []
+    # the walk sees the reads the CLI publishes
+    assert sorted(attr for _, _, attr in published) == sorted(FIELDS)
+
+
+def test_linalg_calls_the_svd_only_in_the_guarded_svd():
+    callers = [
+        (function.name, node.lineno)
+        for function in ast.walk(parsed("linalg.py"))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "np.linalg.svd"
+    ]
+    assert [name for name, _ in callers] == ["_svd"]
