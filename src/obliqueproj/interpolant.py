@@ -111,12 +111,35 @@ def spline_by_normal_equations(t_factor, span: Subspace, x, tol: Tolerance = DEF
 
     Solves ``min_c ||T (x + B c)||`` by pseudoinverse normal equations over
     the coefficient vector, then picks the minimal-Euclidean-norm member of
-    the optimum set (the set is an affine translate of ``S ∩ N(T)``).
+    the optimum set (the set is an affine translate of ``S ∩ N(T)``).  The
+    pseudoinverse of ``T B``, ``N(T)`` and ``S ∩ N(T)`` do not depend on
+    ``x`` and are factorized once; only the coefficients, the optimum and
+    its projection onto ``S ∩ N(T)`` are formed from ``x``.
     """
     t = as_matrix(t_factor, cols=span.ambient_dim)
     x = as_vector(x, span.ambient_dim)
-    design = t @ span.basis
-    coeff = moore_penrose(design, tol) @ (-(t @ x))
-    optimum = x + span.basis @ coeff
-    freedom = intersect(span, nullspace_of(t, tol), tol)
-    return optimum - freedom.projector() @ optimum
+    return _normal_equations(t, span, tol).solve(x)
+
+
+@dataclass(frozen=True)
+class _NormalEquations:
+    """The ``x``-independent part of :func:`spline_by_normal_equations`:
+    the factor ``T``, the basis ``B`` of ``S``, the pseudoinverse of ``T B``
+    and the orthogonal projector onto ``S ∩ N(T)``."""
+
+    t: np.ndarray
+    basis: np.ndarray
+    pinv: np.ndarray
+    freedom: np.ndarray
+
+    def solve(self, x: np.ndarray) -> np.ndarray:
+        """The minimal-Euclidean-norm optimum for a validated ``x``."""
+        coeff = self.pinv @ (-(self.t @ x))
+        optimum = x + self.basis @ coeff
+        return optimum - self.freedom @ optimum
+
+
+def _normal_equations(t: np.ndarray, span: Subspace, tol: Tolerance) -> _NormalEquations:
+    pinv = moore_penrose(t @ span.basis, tol)
+    freedom = intersect(span, nullspace_of(t, tol), tol).projector()
+    return _NormalEquations(t, span.basis, pinv, freedom)

@@ -11,8 +11,8 @@ single stack for n <= 51), ``chart_isometry`` and ``witness_minimal_norm``
 one array of vectors.  The arrays hold the values a loop over the samples
 would draw, in the same stream order, so every later check sees the same
 generator state.  ``spline_agrees_normal_equations`` reads each of its
-20 interpolants off the battery's own pair geometry; only its oracle, the
-normal-equation solve, still works one sample at a time.
+20 interpolants off the battery's own pair geometry; its oracle, the
+normal-equation solve, factorizes once and solves for each sample.
 """
 
 from __future__ import annotations
@@ -140,13 +140,15 @@ def _witness_minimal_norm(rng: np.random.Generator, weight: PsdOperator, tol: To
 
 def _spline_agrees_normal_equations(rng: np.random.Generator, geometry: oblique._Geometry) -> dict:
     # The interpolant of 20 sampled x, each read off the pair geometry,
-    # against the normal-equation solve on the weight's square root.
+    # against the normal-equation solve on the weight's square root, whose
+    # factorizations are made once and solved for each x.
     weight, span, tol = geometry.weight, geometry.span, geometry.tol
+    normal_equations = interpolant._normal_equations(weight.sqrt, span, tol)
     worst = 0.0
     for _ in range(20):
         x = rng.normal(size=weight.dim)
         direct = interpolant._spline(geometry, x).minimizer
-        oracle = interpolant.spline_by_normal_equations(weight.sqrt, span, x, tol)
+        oracle = normal_equations.solve(x)
         worst = max(worst, float(np.linalg.norm(direct - oracle)) / (1.0 + float(np.linalg.norm(x))))
     return _record("spline_agrees_normal_equations", _within(worst, 1.0, tol), worst)
 

@@ -232,17 +232,30 @@ def caught(fn, *args):
 
 
 def test_spline_samples_read_the_battery_geometry(monkeypatch):
+    # One pair geometry and one normal-equation factorization per battery:
+    # the oracle's N(T) is the only SVD of the factor T = A^{1/2}, made once
+    # for the 20 samples (none when A = 0, whose zero factor is not
+    # decomposed).
     entered, check = [], report._spline_agrees_normal_equations
+    inputs, svd = [], np.linalg.svd
 
     def recording(rng, geometry):
         entered.append((geometry, copy.deepcopy(rng.bit_generator.state)))
         return check(rng, geometry)
 
+    def recording_svd(a, *args, **kwargs):
+        inputs.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
     monkeypatch.setattr(report, "_spline_agrees_normal_equations", recording)
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
     raised = []
     for label, weight, span in spline_pairs():
         entered.clear()
+        inputs.clear()
         records = caught(identity_battery, weight, span)
+        of_sqrt = [np.array_equal(a, weight.sqrt) for a in inputs]
+        assert of_sqrt.count(True) == int(weight.sqrt.any()), label
         ((geometry, state),) = entered
         replay = np.random.default_rng()
         replay.bit_generator.state = state

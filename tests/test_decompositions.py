@@ -221,19 +221,20 @@ def test_identity_battery_budget(pair, counted):
     # The battery decomposes the pair once and takes the projection, the
     # overlap, the preimage, the diagnostics, every family member and the
     # chart projection from that one value; the 20 spline samples read their
-    # interpolants off it too.  One SVD of P gives both its rank and its null
-    # space, the two Douglas solves of reduced_solutions_coincide take no
-    # spectral norm, and the pseudoinverse construction, compared by its
-    # matrix only, reads the overlap off the geometry and certifies no
-    # nullspace.
+    # interpolants off it too, and their normal-equation oracle factorizes
+    # T B_S, N(T) and S ∩ N(T) once per battery, not once per sample.  One
+    # SVD of P gives both its rank and its null space, the two Douglas
+    # solves of reduced_solutions_coincide take no spectral norm, and the
+    # pseudoinverse construction, compared by its matrix only, reads the
+    # overlap off the geometry and certifies no nullspace.
     weight, span, _ = pair
     assert all(check["pass"] for check in identity_battery(weight, span))
     assert counted["eigh"] == []
-    assert counted.factorizations("svd") == 276
+    assert counted.factorizations("svd") == 219
     # hermitian_tests_agree factorizes its 100 null spaces in one stacked
     # call, and norm_minimality takes the spectral norms of its 100 family
     # members from one stacked values-only call.
-    assert len(counted["svd"]) == 78
+    assert len(counted["svd"]) == 21
     assert (100, N, N - span.dim) in counted["svd"]
     assert (100, N, N) in counted.values_only
     # No family member is factorized by QR: the only QR of an N-row input
@@ -266,7 +267,7 @@ def test_identity_battery_budget_without_overlap(counted, monkeypatch):
     assert all(check["pass"] for check in records.values())
     assert records["trivial_overlap_split"]["applicable"]
     assert of_image.count(True) == 1
-    assert counted.factorizations("svd") == 177
+    assert counted.factorizations("svd") == 120
 
 
 def test_identity_battery_builds_one_chart(pair, monkeypatch):

@@ -173,13 +173,17 @@ class TestNormalEquationsSolver:
         np.testing.assert_allclose(got, [0.0, 1.0], atol=1e-12)
 
     def test_agrees_with_spline(self):
+        # Both the square root and the r x n generating factor
+        # sqrt(lambda_r) V_r^T, whose N(T) is the wide full SVD.
         rng = np.random.default_rng(78)
         for _ in range(100):
             weight, span = make_pair(rng)
             x = rng.normal(size=weight.dim)
             direct = spline_with_weight(weight, span, x).minimizer
-            oracle = spline_by_normal_equations(weight.sqrt, span, x)
-            np.testing.assert_allclose(direct, oracle, atol=1e-8)
+            generating = np.sqrt(weight.eigvals[: weight.rank])[:, None] * weight.range_subspace.basis.T
+            for factor in (weight.sqrt, generating):
+                oracle = spline_by_normal_equations(factor, span, x)
+                np.testing.assert_allclose(direct, oracle, atol=1e-8)
 
     def test_grid_scan_confirms_value(self):
         rng = np.random.default_rng(79)
