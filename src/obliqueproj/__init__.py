@@ -67,10 +67,7 @@ from .oprange import (
     chart_basis,
     chart_coords,
     chart_extension,
-    chart_projected_range,
-    extension_matches_projection,
     in_weight_range,
-    induced_projection,
     is_chart_extendable,
     lift,
     range_inner,

@@ -404,11 +404,10 @@ class PsdOperator:
     """A symmetric positive semidefinite matrix with cached spectral data.
 
     :meth:`from_matrix` performs one eigendecomposition and derives the
-    numerical rank.  The square root, the pseudoinverses, the range projector
-    and the range and null subspaces are derived on first read and kept
-    read-only: the chart helpers and the battery read all but the
-    pseudoinverses, which only test oracles read; the projection, diagnostics
-    and spline entry points read none.  In finite dimension the ranges of
+    numerical rank.  The square root, the range projector and the range and
+    null subspaces are derived on first read and kept read-only: the chart
+    helpers and the battery read them; the projection, diagnostics and spline
+    entry points read none.  In finite dimension the ranges of
     ``A`` and ``A^{1/2}`` coincide, spanned by the leading eigenvectors.
     Built directly, it shares the arrays passed as a :class:`Subspace` basis
     is shared; :meth:`from_matrix` keeps its own copy of the caller's matrix.
@@ -435,16 +434,6 @@ class PsdOperator:
     def sqrt(self) -> np.ndarray:
         vr = self.range_subspace.basis
         return _readonly((vr * np.sqrt(self.eigvals[: self.rank])) @ vr.T)
-
-    @cached_property
-    def pinv(self) -> np.ndarray:
-        vr = self.range_subspace.basis
-        return _readonly((vr / self.eigvals[: self.rank]) @ vr.T)
-
-    @cached_property
-    def sqrt_pinv(self) -> np.ndarray:
-        vr = self.range_subspace.basis
-        return _readonly((vr / np.sqrt(self.eigvals[: self.rank])) @ vr.T)
 
     @cached_property
     def range_proj(self) -> np.ndarray:

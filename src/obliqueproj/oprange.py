@@ -165,10 +165,6 @@ class RangeSpaceProjection:
     def weight(self) -> PsdOperator:
         return self.geometry.weight
 
-    @property
-    def target(self) -> Subspace:
-        return self.geometry.span
-
     @cached_property
     def range_image(self) -> Subspace:
         return _sqrt_image(self.weight, self.geometry.cross, self.geometry.tol)
@@ -347,23 +343,3 @@ def range_space_projection(
     """
     return RangeSpaceProjection(_geometry(weight, span, tol))
 
-
-def extension_matches_projection(
-    weight: PsdOperator, span: Subspace, tol: Tolerance = DEFAULT_TOL
-) -> bool:
-    """:attr:`RangeSpaceProjection.extension_matches`; propagates ``Incompatible``."""
-    return range_space_projection(weight, span, tol).extension_matches
-
-
-def chart_projected_range(
-    weight: PsdOperator, span: Subspace, tol: Tolerance = DEFAULT_TOL
-) -> tuple[Subspace, bool]:
-    """:attr:`RangeSpaceProjection.projected_range`."""
-    return range_space_projection(weight, span, tol).projected_range
-
-
-def induced_projection(
-    weight: PsdOperator, span: Subspace, tol: Tolerance = DEFAULT_TOL
-) -> np.ndarray:
-    """:attr:`RangeSpaceProjection.induced`."""
-    return range_space_projection(weight, span, tol).induced

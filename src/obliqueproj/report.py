@@ -27,7 +27,6 @@ from .linalg import (
     Tolerance,
     _contains_bases,
     _frobenius,
-    _rank_from_values,
     _within,
     complement,
     intersect,
@@ -63,8 +62,8 @@ def _hermitian_tests_agree(rng: np.random.Generator, geometry: oblique._Geometry
     # on sampled projections with the prescribed range, Q = B_S (B_S^T +
     # X B_perp^T): ||A Q - Q^T A|| under the residual rule at ``anchor``,
     # and N(Q), the span of B_perp - B_S X, inside A^{-1}(S^perp).  The
-    # samples are evaluated as stacks, each null space by the rank rule of
-    # subspace_from_span() on a stacked SVD.
+    # samples are evaluated as stacks; B_perp^T (B_perp - B_S X) = I, so its
+    # columns are independent and a stacked QR gives each null space.
     span, tol, a = geometry.span, geometry.tol, geometry.weight.base
     bs, bp = span.basis, geometry.perp.basis
     disagreements = 0
@@ -74,9 +73,7 @@ def _hermitian_tests_agree(rng: np.random.Generator, geometry: oblique._Geometry
         algebraic = _within(np.linalg.norm(a @ q - q.transpose(0, 2, 1) @ a, axis=(1, 2)), anchor, tol)
         containment = True  # S^perp = 0: every N(Q) is zero
         if bp.shape[1]:
-            u, s, _ = np.linalg.svd(bp - bs @ x, full_matrices=False)
-            kept = np.arange(s.shape[1]) < _rank_from_values(s, tol)[:, None]
-            containment = _contains_bases(geometry.preimage, u * kept[:, None, :], tol)
+            containment = _contains_bases(geometry.preimage, np.linalg.qr(bp - bs @ x)[0], tol)
         disagreements += int(np.count_nonzero(algebraic != containment))
     return _record("hermitian_tests_agree", disagreements == 0, disagreements)
 

@@ -460,16 +460,28 @@ def make_near_null_pair(rng, tol=DEFAULT_TOL):
 # pseudoinverses, independent of the library's eigen-coordinate formulas.
 
 
+def weight_pinv(weight):
+    """``A^+`` from the weight's eigen-data."""
+    vr = weight.eigvecs[:, : weight.rank]
+    return (vr / weight.eigvals[: weight.rank]) @ vr.T
+
+
+def weight_sqrt_pinv(weight):
+    """``(A^{1/2})^+`` from the weight's eigen-data."""
+    vr = weight.eigvecs[:, : weight.rank]
+    return (vr / np.sqrt(weight.eigvals[: weight.rank])) @ vr.T
+
+
 def in_sqrt_range_by_pinv(weight, u, tol=DEFAULT_TOL):
     """Membership in R(A^{1/2}) by the residual of ``A^{1/2} (A^{1/2})^+ u``."""
-    gap = u - weight.sqrt @ (weight.sqrt_pinv @ u)
+    gap = u - weight.sqrt @ (weight_sqrt_pinv(weight) @ u)
     return float(np.linalg.norm(gap)) <= tol.eq_abs * (1.0 + float(np.linalg.norm(u)))
 
 
 def chart_extension_by_products(weight, b):
     """``A^{1/2} B (A^{1/2})^+`` pushed into chart coordinates."""
     vr = weight.eigvecs[:, : weight.rank]
-    return vr.T @ (weight.sqrt @ b @ weight.sqrt_pinv) @ vr
+    return vr.T @ (weight.sqrt @ b @ weight_sqrt_pinv(weight)) @ vr
 
 
 def chart_image_of_span_by_products(weight, span, tol=DEFAULT_TOL):
@@ -484,7 +496,7 @@ def chart_projected_range_by_products(weight, span, tol=DEFAULT_TOL):
     it equals ``A S``; both as subspaces of R^n."""
     vr = weight.eigvecs[:, : weight.rank]
     coord = chart_image_of_span_by_products(weight, span, tol).projector()
-    range_coords = vr.T @ (weight.sqrt_pinv @ vr)
+    range_coords = vr.T @ (weight_sqrt_pinv(weight) @ vr)
     image = subspace_from_span(weight.sqrt @ vr @ (coord @ range_coords), tol)
     scale = float(weight.eigvals[0]) if weight.eigvals.size else 0.0
     target = subspace_from_span(weight.base @ span.basis, tol, scale=scale)
@@ -495,7 +507,7 @@ def induced_projection_by_products(weight, span, tol=DEFAULT_TOL):
     """``A^+ (A^{1/2} V_r P V_r^T (A^{1/2})^+) A`` for the chart projection P."""
     vr = weight.eigvecs[:, : weight.rank]
     coord = chart_image_of_span_by_products(weight, span, tol).projector()
-    return weight.pinv @ (weight.sqrt @ vr @ coord @ vr.T @ weight.sqrt_pinv) @ weight.base
+    return weight_pinv(weight) @ (weight.sqrt @ vr @ coord @ vr.T @ weight_sqrt_pinv(weight)) @ weight.base
 
 
 def complement_density_by_complements(weight, span, tol=DEFAULT_TOL):

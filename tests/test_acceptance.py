@@ -16,14 +16,11 @@ from obliqueproj import (
     PsdOperator,
     chain_respects_implications,
     chart_extension,
-    chart_projected_range,
     cli,
     compatibility_diagnostics,
     complement,
     contains,
     degenerate_overlap,
-    extension_matches_projection,
-    induced_projection,
     io,
     is_compatible,
     is_weight_hermitian,
@@ -34,6 +31,7 @@ from obliqueproj import (
     projection_family_member,
     range_inner,
     range_norm,
+    range_space_projection,
     reduced_solution,
     spectral_norm,
     spline_by_normal_equations,
@@ -226,8 +224,9 @@ def test_criterion_7_chart_identities(instances):
     ok = True
     for inst in instances:
         ok &= is_compatible(inst.weight, inst.span)
-        ok &= extension_matches_projection(inst.weight, inst.span)
-        _, equal = chart_projected_range(inst.weight, inst.span)
+        chart = range_space_projection(inst.weight, inst.span)
+        ok &= chart.extension_matches
+        _, equal = chart.projected_range
         ok &= equal == is_compatible(inst.weight, inst.span)
         ok &= equal
         base_ext = chart_extension(inst.weight, inst.proj.matrix)
@@ -236,7 +235,7 @@ def test_criterion_7_chart_identities(instances):
             t = rng.normal(size=(inst.overlap.dim, inst.n - inst.span.dim))
             member = inst.proj.matrix + bn @ t @ bp.T
             ok &= np.linalg.norm(chart_extension(inst.weight, member) - base_ext) <= 1e-7
-        sharp = induced_projection(inst.weight, inst.span)
+        sharp = chart.induced
         ok &= np.linalg.norm(sharp @ sharp - sharp) <= 1e-8
         if not ok:
             break

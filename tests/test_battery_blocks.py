@@ -6,7 +6,10 @@ one array per stack and evaluate them in stacked form; the oracles in
 ``support`` draw and evaluate one sample at a time.  On the same generator
 both must reach the same verdicts, count the same disagreements, raise the
 same exception and, when they return, leave the generator in the same
-state.  ``chart_isometry``'s detail measures roundoff in sums whose order
+state.  ``hermitian_tests_agree`` takes each sampled null space from a QR,
+and the loop from ``subspace_from_span``'s rank rule; a separate test
+checks the premise that makes the rule keep every column.
+``chart_isometry``'s detail measures roundoff in sums whose order
 the stacking changes, so it is compared within a hundredth of ``eq_abs``.
 The two family checks form each member, its spectral norm and its chart
 extension with the operations a loop applies to one member, so their
@@ -148,6 +151,26 @@ def test_hermitian_tests_agree_matches_loop(cases):
     # The tolerance defect at c = 1e-9 (the algebraic test passes every Q
     # there) shows in the stacked count as in the loop's.
     assert 1e-9 in disagreeing
+
+
+def test_sampled_null_spaces_need_no_rank_rule(cases):
+    # The premise of hermitian_tests_agree's stacked QR: B_perp^T (B_perp -
+    # B_S X) = I, so every singular value of B_perp - B_S X is at least 1 and
+    # each sampled N(Q) has dimension n - dim S.  Checked on X far larger
+    # than the battery draws; a computed singular value is exact only to
+    # roundoff in the largest one, so that anchors the bound.
+    rng = np.random.default_rng(12)
+    for label, weight, span, tol in cases:
+        bs, bp = span.basis, oblique._geometry(weight, span, tol).perp.basis
+        if not bp.size:
+            continue
+        for scale in (1.0, 1e4, 1e8):
+            x = scale * rng.normal(size=(SAMPLES, bs.shape[1], bp.shape[1]))
+            m = bp - bs @ x
+            gaps = np.linalg.norm(bp.T @ m - np.eye(bp.shape[1]), axis=(1, 2))
+            assert np.all(gaps <= 1e-12 * (1.0 + np.linalg.norm(x, axis=(1, 2)))), label
+            values = np.linalg.svd(m, compute_uv=False)
+            assert np.all(values >= 1.0 - 1e-12 * values[:, :1]), label
 
 
 @pytest.mark.parametrize(

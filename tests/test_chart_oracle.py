@@ -1,10 +1,10 @@
 """The chart helpers in the weight's eigen coordinates against n x n products.
 
-``chart_extension``, ``induced_projection``, ``chart_projected_range`` and
-``range_space_projection`` work on ``Λ`` and ``C = V_r^T B_S``; the oracles
-in ``support`` multiply by ``A^{1/2}``, ``(A^{1/2})^+`` and ``A^+``.  Both
-evaluate the same identities, so they agree to roundoff, far inside
-``eq_abs``.
+``chart_extension`` and the fields of ``range_space_projection``, the
+induced projection and the projected range among them, work on ``Λ`` and
+``C = V_r^T B_S``; the oracles in ``support`` multiply by ``A^{1/2}``,
+``(A^{1/2})^+`` and ``A^+``.  Both evaluate the same identities, so they
+agree to roundoff, far inside ``eq_abs``.
 
 The chart's ``complement_density`` and ``decompositions`` read
 ``S^perp ∩ R(A)`` off the SVD of ``C`` in R^r; the oracles intersect an
@@ -19,8 +19,6 @@ import pytest
 
 from obliqueproj import (
     chart_extension,
-    chart_projected_range,
-    induced_projection,
     range_space_projection,
     weighted_projection,
 )
@@ -52,10 +50,10 @@ def assert_matches_products(rng, weight, span):
     assert proj.range_image.dim == image.dim
     assert np.linalg.norm(proj.coord_matrix - image.projector()) <= GAP
 
-    gap = np.linalg.norm(induced_projection(weight, span) - induced_projection_by_products(weight, span))
+    gap = np.linalg.norm(proj.induced - induced_projection_by_products(weight, span))
     assert gap <= GAP
 
-    projected, equal = chart_projected_range(weight, span)
+    projected, equal = proj.projected_range
     oracle, oracle_equal = chart_projected_range_by_products(weight, span)
     assert equal == oracle_equal
     assert projected.dim == oracle.dim

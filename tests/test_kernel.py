@@ -38,6 +38,7 @@ from support import (
     preimage,
     singular_values_by_eig,
     subtract,
+    weight_pinv,
 )
 
 EPS = np.finfo(float).eps
@@ -523,7 +524,7 @@ class TestPsdOperator:
             n = int(rng.integers(1, 8))
             a = make_psd(rng, n, int(rng.integers(0, n + 1)))
             np.testing.assert_allclose(a.sqrt @ a.sqrt, a.base, atol=1e-10)
-            np.testing.assert_allclose(a.base @ a.pinv @ a.base, a.base, atol=1e-10)
+            np.testing.assert_allclose(a.base @ weight_pinv(a) @ a.base, a.base, atol=1e-10)
             np.testing.assert_allclose(a.eigvecs.T @ a.eigvecs, np.eye(n), atol=1e-12)
             assert np.all(a.eigvals >= 0) and np.all(np.diff(a.eigvals) <= 1e-15)
             # range of the operator equals range of its square root

@@ -12,15 +12,12 @@ from obliqueproj import (
     Singular,
     Tolerance,
     block_decompose,
-    chart_projected_range,
     chain_respects_implications,
     cli,
     compatibility_diagnostics,
     complement,
     degenerate_overlap,
-    extension_matches_projection,
     Incompatible,
-    induced_projection,
     intersect,
     io,
     is_compatible,
@@ -500,9 +497,9 @@ class TestCoarseTolerance:
             lambda: spline_with_weight(weight, span, rng.normal(size=n), tol),
             lambda: projection_family_member(weight, span, np.zeros((overlap.dim, n - span.dim)), tol),
             lambda: block_decompose(weight, span),
-            lambda: extension_matches_projection(weight, span, tol),
-            lambda: chart_projected_range(weight, span, tol),
-            lambda: induced_projection(weight, span, tol),
+            lambda: range_space_projection(weight, span, tol).extension_matches,
+            lambda: range_space_projection(weight, span, tol).projected_range,
+            lambda: range_space_projection(weight, span, tol).induced,
             lambda: range_space_projection(weight, span, tol).complement_density,
             lambda: range_space_projection(weight, span, tol).decompositions,
             lambda: identity_battery(weight, span, tol),

@@ -11,11 +11,9 @@ from obliqueproj import (
     chart_basis,
     chart_coords,
     chart_extension,
-    chart_projected_range,
     cli,
     complement,
     degenerate_overlap,
-    extension_matches_projection,
     in_weight_range,
     intersect,
     io,
@@ -31,7 +29,6 @@ from obliqueproj import (
     subspace_from_span,
     unchart,
     weighted_projection,
-    induced_projection,
 )
 from support import (
     chart_image,
@@ -41,6 +38,8 @@ from support import (
     make_subspace,
     nullspace_preserving,
     random_orthogonal,
+    weight_pinv,
+    weight_sqrt_pinv,
 )
 
 RANK1 = PsdOperator.from_matrix(np.ones((2, 2)))
@@ -230,7 +229,7 @@ class TestChartExtension:
         weight = PsdOperator.from_matrix(np.diag([1.0, 0.0]))
         b = np.array([[0.0, 0.0], [1.0, 0.0]])
         # oracle: the direct matrix product collapses to zero on the chart
-        np.testing.assert_allclose(weight.sqrt @ b @ weight.sqrt_pinv, np.zeros((2, 2)))
+        np.testing.assert_allclose(weight.sqrt @ b @ weight_sqrt_pinv(weight), np.zeros((2, 2)))
         np.testing.assert_allclose(chart_extension(weight, b), np.zeros((1, 1)))
 
     def test_not_extendable(self):
@@ -280,19 +279,19 @@ class TestChartExtension:
 class TestBridgeIdentities:
     def test_identity_weight(self):
         weight = PsdOperator.from_matrix(np.eye(2))
-        assert extension_matches_projection(weight, SPAN_E1)
+        assert range_space_projection(weight, SPAN_E1).extension_matches
 
     def test_rank_one(self):
-        assert extension_matches_projection(RANK1, SPAN_E1)
+        assert range_space_projection(RANK1, SPAN_E1).extension_matches
 
     def test_degenerate(self):
-        assert extension_matches_projection(DEGENERATE, SPAN_E1)
+        assert range_space_projection(DEGENERATE, SPAN_E1).extension_matches
 
     def test_random_pairs(self):
         rng = np.random.default_rng(62)
         for _ in range(30):
             weight, span = make_pair(rng)
-            assert extension_matches_projection(weight, span)
+            assert range_space_projection(weight, span).extension_matches
 
     def test_family_extension_invariance(self):
         # all members of the projection family induce the same chart operator
@@ -311,18 +310,18 @@ class TestBridgeIdentities:
 class TestProjectedRange:
     def test_identity_weight(self):
         weight = PsdOperator.from_matrix(np.eye(2))
-        image, equal = chart_projected_range(weight, SPAN_E1)
+        image, equal = range_space_projection(weight, SPAN_E1).projected_range
         assert equal and subspace_equal(image, SPAN_E1)
 
     def test_degenerate(self):
-        image, equal = chart_projected_range(DEGENERATE, SPAN_E1)
+        image, equal = range_space_projection(DEGENERATE, SPAN_E1).projected_range
         assert equal and image.dim == 0
 
     def test_random_rank_two(self):
         rng = np.random.default_rng(64)
         weight = make_psd(rng, 4, 2)
         span = make_subspace(rng, 4, 2)
-        image, equal = chart_projected_range(weight, span)
+        image, equal = range_space_projection(weight, span).projected_range
         target = subspace_from_span(weight.base @ span.basis, scale=weight.eigvals[0])
         assert equal and subspace_equal(image, target)
 
@@ -330,27 +329,28 @@ class TestProjectedRange:
         rng = np.random.default_rng(65)
         for _ in range(30):
             weight, span = make_pair(rng)
-            _, equal = chart_projected_range(weight, span)
+            _, equal = range_space_projection(weight, span).projected_range
             assert equal == is_compatible(weight, span)
 
 
 class TestInducedProjection:
     def test_identity_weight(self):
         weight = PsdOperator.from_matrix(np.eye(2))
-        np.testing.assert_allclose(induced_projection(weight, SPAN_E1), np.diag([1.0, 0.0]), atol=1e-12)
+        induced = range_space_projection(weight, SPAN_E1).induced
+        np.testing.assert_allclose(induced, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_degenerate_collapses(self):
         # oracle: composing the pieces by hand gives the zero matrix
         proj = range_space_projection(DEGENERATE, SPAN_E1)
         vr = chart_basis(DEGENERATE)
-        by_hand = DEGENERATE.pinv @ (
-            DEGENERATE.sqrt @ vr @ proj.coord_matrix @ vr.T @ DEGENERATE.sqrt_pinv
+        by_hand = weight_pinv(DEGENERATE) @ (
+            DEGENERATE.sqrt @ vr @ proj.coord_matrix @ vr.T @ weight_sqrt_pinv(DEGENERATE)
         ) @ DEGENERATE.base
         np.testing.assert_allclose(by_hand, np.zeros((2, 2)), atol=1e-12)
-        np.testing.assert_allclose(induced_projection(DEGENERATE, SPAN_E1), np.zeros((2, 2)), atol=1e-12)
+        np.testing.assert_allclose(proj.induced, np.zeros((2, 2)), atol=1e-12)
 
     def test_rank_one_factorization(self):
-        got = induced_projection(RANK1, SPAN_E1)
+        got = range_space_projection(RANK1, SPAN_E1).induced
         expected = RANK1.range_proj @ np.array([[1.0, 1.0], [0.0, 0.0]])
         np.testing.assert_allclose(got, expected, atol=1e-10)
         assert np.linalg.norm(got @ got - got) < 1e-10
@@ -359,7 +359,7 @@ class TestInducedProjection:
         rng = np.random.default_rng(66)
         for _ in range(25):
             weight, span = make_pair(rng)
-            sharp = induced_projection(weight, span)
+            sharp = range_space_projection(weight, span).induced
             assert np.linalg.norm(sharp @ sharp - sharp) <= 1e-8
             factored = weight.range_proj @ weighted_projection(weight, span).matrix
             assert np.linalg.norm(sharp - factored) <= 1e-7

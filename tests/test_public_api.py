@@ -4,7 +4,7 @@ this file, so the change shows up in review."""
 import types
 
 import obliqueproj
-from obliqueproj import linalg
+from obliqueproj import PsdOperator, RangeSpaceProjection, linalg
 
 PACKAGE = [
     "BlockDecomposition",
@@ -35,14 +35,11 @@ PACKAGE = [
     "chart_basis",
     "chart_coords",
     "chart_extension",
-    "chart_projected_range",
     "compatibility_diagnostics",
     "complement",
     "contains",
     "degenerate_overlap",
-    "extension_matches_projection",
     "in_weight_range",
-    "induced_projection",
     "intersect",
     "is_chart_extendable",
     "is_compatible",
@@ -72,6 +69,24 @@ PACKAGE = [
     "weighted_projection_invertible",
     "weighted_projection_pinv",
 ]
+
+MEMBERS = {
+    PsdOperator: ["dim", "from_matrix", "null_subspace", "range_proj", "range_subspace", "sqrt"],
+    RangeSpaceProjection: [
+        "apply",
+        "complement_density",
+        "coord_matrix",
+        "decompositions",
+        "extension",
+        "extension_matches",
+        "induced",
+        "null_image",
+        "projected_range",
+        "range_image",
+        "weight",
+        "weight_image",
+    ],
+}
 
 LINALG = [
     "DEFAULT_TOL",
@@ -108,3 +123,9 @@ def test_package_names():
 def test_linalg_all():
     assert sorted(linalg.__all__) == LINALG
     assert all(hasattr(linalg, name) for name in linalg.__all__)
+
+
+def test_class_members():
+    # the public methods and derived fields of the weight and the chart
+    for cls, members in MEMBERS.items():
+        assert sorted(name for name in vars(cls) if not name.startswith("_")) == members

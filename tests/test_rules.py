@@ -3,13 +3,16 @@
 Every tolerance decision goes through one of the four rule functions of
 ``obliqueproj.linalg`` (rank, angle, residual, sign; see ``Tolerance``), so
 a later change of anchors or a trace of the decisions has one place to act.
-Two checks keep it so:
+Three checks keep it so:
 
 - outside ``linalg.py`` no module reads a threshold field of a
   ``Tolerance`` (``eq_abs``, ``rank_rel``, ``psd_neg``); the one exception
   is the ``tolerances`` block of ``cli.run``, which publishes them;
 - inside ``linalg.py`` ``np.linalg.svd`` is called only by the guarded SVD
-  ``_svd``, which every rank and angle decision reads.
+  ``_svd``, which every rank and angle decision reads;
+- outside ``linalg.py`` every ``np.linalg.svd`` call asks for the singular
+  values only (``compute_uv=False``), so no module takes a rank decision on
+  a raw SVD.
 
 The CLI ``douglas`` check ``lambda_matches_norm_sq`` compares with a
 literal ``1e-6``, not a tolerance field, so the first check does not see
@@ -70,3 +73,24 @@ def test_linalg_calls_the_svd_only_in_the_guarded_svd():
         and ast.unparse(node.func) == "np.linalg.svd"
     ]
     assert [name for name, _ in callers] == ["_svd"]
+
+
+
+def values_only(call: ast.Call) -> bool:
+    return any(
+        kw.arg == "compute_uv" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+        for kw in call.keywords
+    )
+
+
+def test_no_module_but_linalg_takes_singular_vectors():
+    calls = [
+        (path.name, node.lineno, values_only(node))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "linalg.py"
+        for node in ast.walk(parsed(path.name))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.svd"
+    ]
+    assert [(name, line) for name, line, kept in calls if not kept] == []
+    # the walk sees the values-only SVD of the battery's norm_minimality
+    assert ("report.py", True) in [(name, kept) for name, _, kept in calls]
