@@ -29,6 +29,8 @@ from .linalg import (
 )
 from .oblique import _geometry, _Geometry
 
+_NEGATIVE_FORM = "the quadratic form is negative ({:.3e}); the weight is not PSD"
+
 
 @dataclass(frozen=True)
 class SplineResult:
@@ -57,8 +59,7 @@ def seminorm(weight: PsdOperator, x, tol: Tolerance = DEFAULT_TOL) -> float:
     negative raises ``NotPsd``.
     """
     x = as_vector(x, weight.dim)
-    message = "the quadratic form is negative ({:.3e}); the weight is not PSD"
-    return float(np.sqrt(_clip_sign(float(x @ (weight.base @ x)), tol, message)))
+    return float(np.sqrt(_clip_sign(float(x @ (weight.base @ x)), tol, _NEGATIVE_FORM)))
 
 
 def spline(t_factor, span: Subspace, x, tol: Tolerance = DEFAULT_TOL) -> SplineResult:
@@ -93,8 +94,7 @@ def _spline(geometry: _Geometry, x: np.ndarray) -> SplineResult:
 
     The minimizer is ``x - P x``, applied through ``geometry.apply`` without
     forming ``P``; its seminorm, the overlap and the uniqueness verdict are
-    read off the same geometry.  The public entry points build one geometry
-    per call; the identity battery passes the one it holds for every sample.
+    read off the same geometry.
     """
     minimizer = x - geometry.apply(x)
     freedom = geometry.overlap
@@ -133,7 +133,8 @@ class _NormalEquations:
     freedom: np.ndarray
 
     def solve(self, x: np.ndarray) -> np.ndarray:
-        """The minimal-Euclidean-norm optimum for a validated ``x``."""
+        """The minimal-Euclidean-norm optimum for a validated ``x``, a vector
+        or an ``(m, n, 1)`` stack of them."""
         coeff = self.pinv @ (-(self.t @ x))
         optimum = x + self.basis @ coeff
         return optimum - self.freedom @ optimum

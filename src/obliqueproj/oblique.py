@@ -280,7 +280,8 @@ class _Geometry:
         return self.shift
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """``P x`` for the minimal projection ``P``, without forming ``P``."""
+        """``P x`` for the minimal projection ``P``, without forming ``P``; ``x``
+        is a vector or an ``(m, n, 1)`` stack of them."""
         return self.span.basis @ (self.span.basis.T @ x + self._solved_shift() @ x)
 
     def member(self, coefficients) -> ObliqueProjection:

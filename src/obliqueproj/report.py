@@ -3,16 +3,19 @@
 Each check evaluates one executable identity of the theory on a concrete
 pair (A, S) and yields a pass/fail record with an error metric.  Randomized
 checks draw from a single seeded generator in a fixed order, so a report is
-a deterministic function of (inputs, tolerances, seed).  Five checks draw
+a deterministic function of (inputs, tolerances, seed).  Six checks draw
 their samples as arrays and evaluate them in stacked form:
 ``hermitian_tests_agree``, ``norm_minimality`` and
 ``family_extension_constant`` one array per stack of n x n samples (a
 single stack for n <= 51), ``chart_isometry`` and ``witness_minimal_norm``
-one array of vectors.  The arrays hold the values a loop over the samples
-would draw, in the same stream order, so every later check sees the same
-generator state.  ``spline_agrees_normal_equations`` reads each of its
-20 interpolants off the battery's own pair geometry; its oracle, the
-normal-equation solve, factorizes once and solves for each sample.
+one array of vectors, and ``spline_agrees_normal_equations`` one
+(20, n, 1) stack of vectors.  The arrays hold the values a loop over the
+samples would draw, in the same stream order, so every later check sees
+the same generator state.  ``spline_agrees_normal_equations`` reads its
+interpolants off the battery's own pair geometry, and its oracle, the
+normal-equation solve, factorizes once; numpy takes each product of an
+(n, 1) stack with the gemv or dot kernel of one vector, so each of its
+values is the one a loop would compute, bit for bit.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .linalg import (
     PsdOperator,
     Subspace,
     Tolerance,
+    _clip_sign,
     _contains_bases,
     _frobenius,
     _within,
@@ -136,17 +140,18 @@ def _witness_minimal_norm(rng: np.random.Generator, weight: PsdOperator, tol: To
 
 
 def _spline_agrees_normal_equations(rng: np.random.Generator, geometry: oblique._Geometry) -> dict:
-    # The interpolant of 20 sampled x, each read off the pair geometry,
+    # The interpolants x - P x of 20 sampled x, read off the pair geometry,
     # against the normal-equation solve on the weight's square root, whose
-    # factorizations are made once and solved for each x.
+    # factorizations are made once.  The seminorm's sign rule is applied to
+    # each sample in draw order, so NotPsd names the first negative form, as
+    # a loop over the samples would, not the least.
     weight, span, tol = geometry.weight, geometry.span, geometry.tol
     normal_equations = interpolant._normal_equations(weight.sqrt, span, tol)
-    worst = 0.0
-    for _ in range(20):
-        x = rng.normal(size=weight.dim)
-        direct = interpolant._spline(geometry, x).minimizer
-        oracle = normal_equations.solve(x)
-        worst = max(worst, float(np.linalg.norm(direct - oracle)) / (1.0 + float(np.linalg.norm(x))))
+    x = rng.normal(size=(20, weight.dim, 1))
+    direct = x - geometry.apply(x)
+    for form in (direct.transpose(0, 2, 1) @ (weight.base @ direct))[:, 0, 0]:
+        _clip_sign(form, tol, interpolant._NEGATIVE_FORM)
+    worst = float(np.max(_frobenius(direct - normal_equations.solve(x)) / (1.0 + _frobenius(x))))
     return _record("spline_agrees_normal_equations", _within(worst, 1.0, tol), worst)
 
 

@@ -1,8 +1,9 @@
 """The identity battery's stacked sampled checks against their loops.
 
 ``hermitian_tests_agree``, ``norm_minimality``, ``family_extension_constant``,
-``chart_isometry`` and ``witness_minimal_norm`` draw each check's samples as
-one array per stack and evaluate them in stacked form; the oracles in
+``chart_isometry``, ``witness_minimal_norm`` and
+``spline_agrees_normal_equations`` draw each check's samples as one array
+per stack and evaluate them in stacked form; the oracles in
 ``support`` draw and evaluate one sample at a time.  On the same generator
 both must reach the same verdicts, count the same disagreements, raise the
 same exception and, when they return, leave the generator in the same
@@ -16,10 +17,12 @@ extension with the operations a loop applies to one member, so their
 details agree bit for bit.
 
 ``spline_agrees_normal_equations`` reads its 20 interpolants off the
-battery's own pair geometry; a loop over the public ``spline_with_weight``
-decomposes the pair once per sample.  Replayed from the generator state the
-battery hands the check, both give every minimizer bit for bit, the same
-record and the same ``NotPsd`` message.
+battery's own pair geometry as one (20, n, 1) stack, with one call of the
+geometry and one of the normal-equation oracle; a loop over the public
+``spline_with_weight`` decomposes the pair once per sample.  Numpy takes
+each product of the stack with the kernel one vector takes, a premise
+tested on its own, so both give every minimizer and the detail bit for bit,
+and the same ``NotPsd`` message, naming the first negative form drawn.
 """
 
 import copy
@@ -173,6 +176,29 @@ def test_sampled_null_spaces_need_no_rank_rule(cases):
             assert np.all(values >= 1.0 - 1e-12 * values[:, :1]), label
 
 
+@pytest.mark.parametrize("n", [1, 2, 8, 64, 512])
+def test_stacked_vector_products_match_single_ones(n):
+    # The premise of spline_agrees_normal_equations' (20, n, 1) stack: numpy
+    # takes each (k, n) @ (n, 1) product of a stack with the gemv, dot or
+    # no-BLAS kernel that one vector takes, and each (1, n) @ (n, 1) with the
+    # dot of two vectors, so every sample's value is the loop's bit for bit.
+    # Both orders of the matrix occur: the geometry applies B_S^T, a
+    # transposed view.  A numpy that sent a stack to one gemm fails here.
+    rng = np.random.default_rng(n)
+    m = 20
+    x = rng.normal(size=(m, n))
+    for k in sorted({0, 1, 3, n}):
+        c_order = rng.normal(size=(k, n))
+        for mat in (c_order, np.asfortranarray(c_order)):
+            stacked = mat @ x[:, :, None]
+            for i in range(m):
+                assert stacked[i, :, 0].tobytes() == (mat @ x[i]).tobytes(), (k, i)
+    y, z = rng.normal(size=(2, m, n, 1))
+    dots = y.transpose(0, 2, 1) @ z
+    for i in range(m):
+        assert dots[i, 0, 0].tobytes() == (y[i, :, 0] @ z[i, :, 0]).tobytes(), i
+
+
 @pytest.mark.parametrize(
     "stacked, loop, detail_gap",
     [
@@ -212,6 +238,21 @@ def test_family_checks_match_loop(cases):
                 raised.append(label)
     assert "n=64 overlap" in overlapping
     assert raised == ["dropped eigenvalue"] * 2
+
+
+def test_spline_check_matches_loop(cases):
+    # At seeds 0 and 3 the c = 1e6 pair of spline_pairs() has several
+    # quadratic forms under the sign cutoff, the least of them not the first
+    # drawn: NotPsd names the first, as the loop's seminorm does.
+    raised = []
+    for label, weight, span, tol in [*cases, (*spline_pairs()[-1], DEFAULT_TOL)]:
+        geometry = oblique._geometry(weight, span, tol)
+        for seed in (0, 3):
+            got = outcome(report._spline_agrees_normal_equations, seed, geometry)
+            assert_same(got, outcome(spline_agrees_normal_equations_by_loop, seed, geometry), 0.0)
+            if isinstance(got[0], tuple):
+                raised.append((label, got[0][0]))
+    assert raised == [("c=1e6", NotPsd)] * 2
 
 
 def test_norm_minimality_splits_its_stack(cases, monkeypatch):
@@ -299,6 +340,23 @@ def test_spline_samples_read_the_battery_geometry(monkeypatch):
             (record,) = [r for r in records if r["name"] == "spline_agrees_normal_equations"]
             assert record == loop
     assert raised == [("c=1e6", NotPsd)]
+
+
+def test_spline_samples_take_one_call_each(monkeypatch):
+    # The 20 samples reach the pair geometry and the normal-equation oracle
+    # as one stack: one apply and one solve per battery.
+    calls = []
+    for cls, name in ((oblique._Geometry, "apply"), (interpolant._NormalEquations, "solve")):
+
+        def counting(self, x, original=getattr(cls, name), name=name):
+            calls.append(name)
+            return original(self, x)
+
+        monkeypatch.setattr(cls, name, counting)
+    for label, weight, span in spline_pairs()[:10]:
+        calls.clear()
+        identity_battery(weight, span)
+        assert sorted(calls) == ["apply", "solve"], label
 
 
 @pytest.mark.parametrize("n", [0, 1, 8, 51, 52, 64, 115, 512, 513])
