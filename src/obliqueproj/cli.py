@@ -16,6 +16,7 @@ import functools
 import platform
 import sys
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -29,7 +30,12 @@ EXIT_MALFORMED = 2
 EXIT_PRECONDITION = 3
 EXIT_IDENTITY = 4
 
-_FORMULAS = ("block", "pinv", "invertible")
+# The matrix of each construction of 'project', read off the pair geometry.
+_MATRICES = {
+    "block": attrgetter("projection.matrix"),
+    "pinv": attrgetter("pinv_matrix"),
+    "invertible": attrgetter("invertible_matrix"),
+}
 
 
 @dataclass
@@ -69,7 +75,7 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--tol-eq", type=float, default=1e-8, help="absolute equality threshold")
         cmd.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
         cmd.add_argument("--output", help="write the report here instead of stdout")
-        cmd.add_argument("--formula", choices=_FORMULAS, default="block",
+        cmd.add_argument("--formula", choices=tuple(_MATRICES), default="block",
                          help="construction used by 'project'")
         cmd.add_argument("--least-squares", action="store_true",
                          help="in 'douglas', fall back to a least-squares minimizer "
@@ -139,32 +145,27 @@ def _run_compat(job: JobSpec) -> tuple[dict, dict, dict]:
 
 def _run_project(job: JobSpec) -> tuple[dict, dict, dict]:
     weight, span, loaded = _load_pair(job)
-    # One pair geometry gives the block projection, the overlap of the
-    # pseudoinverse construction and A^{-1}(S^perp) for the Hermitian check;
-    # its projection raises Incompatible when read.  It is built on first
-    # use, so a formula that raises first (invertible on a singular weight)
-    # decomposes nothing more.  The agreement checks compare matrices only,
-    # so only the chosen construction certifies its nullspace.
-    geometry = functools.cache(lambda: oblique._geometry(weight, span, job.tol))
-    matrices = {
-        "block": lambda: geometry().projection.matrix,
-        "pinv": lambda: oblique._pinv_matrix(weight, span, geometry().overlap, job.tol),
-        "invertible": functools.partial(oblique._invertible_matrix, weight, span),
-    }
+    # One pair geometry gives every construction's matrix and A^{-1}(S^perp)
+    # for the Hermitian check, each on first read, so a formula that raises
+    # first (invertible on a singular weight) decomposes nothing more; the
+    # block projection raises Incompatible when read.  The agreement checks
+    # compare matrices only, so only the chosen construction certifies its
+    # nullspace.
+    geometry = oblique._Geometry(weight, span, job.tol)
     if job.formula == "block":
-        proj = geometry().projection
+        proj = geometry.projection
     else:
-        proj = oblique._certified(matrices[job.formula](), span, job.tol)
+        proj = oblique._certified(_MATRICES[job.formula](geometry), span, job.tol)
     checks = {"formula": job.formula}
-    for name, matrix in matrices.items():
+    for name, matrix in _MATRICES.items():
         if name == job.formula:
             continue
         if name == "invertible" and weight.rank < weight.dim:
             checks[f"agrees_{name}"] = None
             continue
-        gap = float(np.linalg.norm(matrix() - proj.matrix))
+        gap = float(np.linalg.norm(matrix(geometry) - proj.matrix))
         checks[f"agrees_{name}"] = bool(_within(gap, 1.0, job.tol, slack=10.0))
-    checks["hermitian"] = bool(oblique._is_hermitian(proj, weight, span, geometry().preimage, job.tol))
+    checks["hermitian"] = bool(geometry.is_hermitian(proj))
     return {"projection": _projection_obj(proj)}, checks, loaded
 
 

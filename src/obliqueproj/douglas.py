@@ -51,9 +51,15 @@ def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _solve(a: np.ndarray, b: np.ndarray, tol: Tolerance, gate: bool) -> tuple[np.ndarray, float, bool]:
-    # (D, residual, feasible): D = A^+ B and the test on ||(I - A A^+) B||;
-    # gated, an infeasible system raises NoSolution.
-    d = moore_penrose(a, tol) @ b
+    # (D, residual, feasible) for D = A^+ B.
+    return _checked(a, moore_penrose(a, tol) @ b, b, tol, gate)
+
+
+def _checked(
+    a: np.ndarray, d: np.ndarray, b: np.ndarray, tol: Tolerance, gate: bool
+) -> tuple[np.ndarray, float, bool]:
+    # (D, residual, feasible) for D = A^+ B formed by the caller: the test on
+    # ||A D - B|| = ||(I - A A^+) B||; gated, an infeasible system raises NoSolution.
     residual = float(np.linalg.norm(a @ d - b))
     feasible = _within(residual, float(np.linalg.norm(b)), tol)
     if gate and not feasible:

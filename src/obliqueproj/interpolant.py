@@ -27,7 +27,7 @@ from .linalg import (
     moore_penrose,
     nullspace_of,
 )
-from .oblique import _geometry, _Geometry
+from .oblique import _Geometry
 
 _NEGATIVE_FORM = "the quadratic form is negative ({:.3e}); the weight is not PSD"
 
@@ -75,7 +75,7 @@ def spline(t_factor, span: Subspace, x, tol: Tolerance = DEFAULT_TOL) -> SplineR
     """
     t = as_matrix(t_factor, cols=span.ambient_dim)
     x = as_vector(x, span.ambient_dim)
-    return _spline(_geometry(PsdOperator.from_matrix(t.T @ t, tol), span, tol), x)
+    return _spline(_Geometry(PsdOperator.from_matrix(t.T @ t, tol), span, tol), x)
 
 
 def spline_with_weight(
@@ -86,7 +86,7 @@ def spline_with_weight(
     Works on the weight's own eigendecomposition; nothing is decomposed again.
     """
     x = as_vector(x, span.ambient_dim)
-    return _spline(_geometry(weight, span, tol), x)
+    return _spline(_Geometry(weight, span, tol), x)
 
 
 def _spline(geometry: _Geometry, x: np.ndarray) -> SplineResult:

@@ -124,19 +124,15 @@ def _frobenius(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(flat @ flat.transpose(0, 2, 1))[:, 0, 0]
 
 
-def _rank_from_values(s: np.ndarray, tol: Tolerance, scale: float | None = None) -> int | np.ndarray:
+def _rank_from_values(s: np.ndarray, tol: Tolerance, scale: float | None = None) -> int:
     # Ties at the cutoff are included in the rank (deterministic behaviour).
     # ``scale`` anchors the cutoff for matrices formed as products, whose own
     # largest singular value may be pure cancellation noise.  ``s`` is one
-    # row of values in descending order, or an (m, k) stack of rows from a
-    # stacked SVD, which gives an array of m ranks.
-    if s.shape[-1] == 0:
-        return np.zeros(s.shape[:-1], dtype=int) if s.ndim > 1 else 0
-    lead = s[..., 0]
-    anchor = lead if scale is None else np.maximum(lead, scale)
-    kept = np.count_nonzero(s.T >= tol.rank_rel * anchor, axis=0 if s.ndim > 1 else None)
-    ranks = kept * (lead > 0.0)
-    return ranks if s.ndim > 1 else int(ranks)
+    # row of values in descending order.
+    if not s.size or not s[0] > 0.0:
+        return 0
+    anchor = s[0] if scale is None else np.maximum(s[0], scale)
+    return int(np.count_nonzero(s >= tol.rank_rel * anchor))
 
 
 def _svd(m: np.ndarray, *, full_matrices=False, compute_uv=True):

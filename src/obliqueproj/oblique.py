@@ -46,7 +46,6 @@ from .linalg import (
     _svd,
     _within,
     as_matrix,
-    complement,
     contains,
     moore_penrose,
     nullspace_of,
@@ -151,22 +150,14 @@ class CompatibilityReport:
             object.__setattr__(self, "coupling", _readonly(self.coupling))
 
 
-def _check_pair(weight: PsdOperator, span: Subspace) -> None:
-    if weight.dim != span.ambient_dim:
-        raise DimensionMismatch(
-            f"weight acts on R^{weight.dim} but the subspace lives in R^{span.ambient_dim}"
-        )
-
-
 def block_decompose(weight: PsdOperator, span: Subspace) -> BlockDecomposition:
     """Represent the weight in the orthonormal frame adapted to ``span``.
 
     The frame is pinned by the canonical orthonormalization of the inputs,
     so results are reproducible bit for bit for identical input data.
     """
-    _check_pair(weight, span)
+    perp = _Geometry(weight, span, DEFAULT_TOL).perp
     rows = span.basis.T @ weight.base
-    perp = complement(span)
     bp = perp.basis
     return BlockDecomposition(rows @ span.basis, rows @ bp, bp.T @ weight.base @ bp, (span, perp))
 
@@ -181,27 +172,7 @@ def is_compatible(weight: PsdOperator, span: Subspace, tol: Tolerance = DEFAULT_
     ``eq_abs * ||b||``, as ``b`` is roundoff on an A-invariant S that meets
     N(A).  When ``S ⊆ N(A)`` the blocks vanish and no test is made.
     """
-    return _geometry(weight, span, tol).shift is not None
-
-
-def _cross(weight: PsdOperator, span: Subspace) -> np.ndarray:
-    # C = V_r^T B_S, the coordinates of S in the leading eigenvectors V_r.
-    return weight.eigvecs[:, : weight.rank].T @ span.basis
-
-
-def _overlap(
-    weight: PsdOperator, span: Subspace, tol: Tolerance
-) -> tuple[Subspace, np.ndarray, np.ndarray, np.ndarray]:
-    # The singular values of C = V_r^T B_S, with V_r the leading
-    # eigenvectors, are the sines of the principal angles between S and
-    # N(A); returns N, C, and the left singular vectors and singular values
-    # of C.  At most dim N(A) = n - r sines lie below 1, so the angle
-    # cutoff 2 rank_rel < 1 keeps N inside N(A).  With r < dim S the
-    # columns of B_S beyond r have sine zero: the full SVD keeps their
-    # right singular vectors.
-    cross = _cross(weight, span)
-    left, sines, vt = _svd(cross, full_matrices=cross.shape[0] < cross.shape[1])
-    return Subspace(weight.dim, span.basis @ vt[_apart(sines, tol) :].T), cross, left, sines
+    return _Geometry(weight, span, tol).shift is not None
 
 
 def degenerate_overlap(weight: PsdOperator, span: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
@@ -210,36 +181,112 @@ def degenerate_overlap(weight: PsdOperator, span: Subspace, tol: Tolerance = DEF
     Read off the cached eigenvectors with the angle cutoff of
     :func:`~obliqueproj.linalg.intersect`.
     """
-    _check_pair(weight, span)
-    return _overlap(weight, span, tol)[0]
+    return _Geometry(weight, span, tol).overlap
 
 
 @dataclass(frozen=True)
 class _Geometry:
-    """A pair (A, S) decomposed once, and only as far as it is read.
+    """A pair (A, S) and every quantity derived from it, each a field.
 
-    :func:`_geometry` computes the core, all :func:`spline_with_weight`
-    reads: the overlap from the SVD of ``C = V_r^T B_S`` and
-    ``shift = a^+ (B_S^T A - a B_S^T) = D B_perp^T`` with
-    ``a = B_S^T A B_S`` (None if ``a X = b`` is unsolvable).  On first
-    read: ``split`` (``R(Λ C)``, ``N(C^T Λ)``), ``preimage`` and
-    ``projection``, for :func:`weighted_projection`; ``reflectors``, the
-    Householder reflectors of ``B_S`` (one raw QR, compact WY; the frame
-    of the complete QR), shared by ``coupling = shift B_perp = a^+ b``,
-    which the diagnostics publish and which is applied through the
-    reflectors, and ``perp``, the basis ``B_perp`` itself, formed only for
-    family members and the identity battery.  The range-space chart of :mod:`~obliqueproj.oprange` holds one of these
-    and derives the chart image of ``A^{1/2} S`` from ``cross``.
+    One rule: construction checks the dimensions and computes nothing else,
+    and every field is computed on its first read and kept.  Every public
+    pair function, the identity battery and the CLI read one record, so each
+    field is computed at most once per call, and only if it is read.
+    With ``A = V_r Λ V_r^T``, ``B_S`` the basis of S and ``a = B_S^T A B_S``:
+
+    - ``cross``, ``C = V_r^T B_S``; from one SVD of it, ``cross_left``,
+      ``cross_sines`` (the sines of the principal angles between S and
+      N(A)) and ``overlap``, ``N = S ∩ N(A)``;
+    - ``shift = a^+ (B_S^T A - a B_S^T) = D B_perp^T``, None if ``a X = b``
+      is unsolvable;
+    - ``split``, ``R(Λ C)`` and ``N(C^T Λ)``, from one SVD of ``C^T Λ``,
+      and ``preimage``, ``A^{-1}(S^perp)``;
+    - ``projection``, the minimal projection with its certified nullspace;
+    - ``reflectors``, those of ``B_S`` (one raw QR, compact WY), ``perp``,
+      the basis ``B_perp`` they give, and ``coupling = shift B_perp = a^+ b``,
+      applied through them;
+    - the cross-check oracles: ``pinv_strip``, ``(P_S A P_S)^+ P_S A``, the
+      minimal projection onto ``S (-) N``; ``pinv_matrix``, that plus
+      ``P_N``; and ``invertible_matrix``, the closed formula.
     """
 
     weight: PsdOperator
     span: Subspace
     tol: Tolerance
-    shift: np.ndarray | None
-    overlap: Subspace  # N = S ∩ N(A)
-    cross: np.ndarray  # C = V_r^T B_S
-    cross_left: np.ndarray  # left singular vectors of C
-    cross_sines: np.ndarray  # singular values of C
+
+    def __post_init__(self):
+        if self.weight.dim != self.span.ambient_dim:
+            raise DimensionMismatch(
+                f"weight acts on R^{self.weight.dim} but the subspace lives in R^{self.span.ambient_dim}"
+            )
+
+    @cached_property
+    def cross(self) -> np.ndarray:
+        return self.weight.eigvecs[:, : self.weight.rank].T @ self.span.basis
+
+    @cached_property
+    def _cross_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # With r < dim S the columns of B_S beyond r have sine zero: the
+        # full SVD keeps their right singular vectors.
+        return _svd(self.cross, full_matrices=self.cross.shape[0] < self.cross.shape[1])
+
+    @cached_property
+    def cross_left(self) -> np.ndarray:
+        return self._cross_svd[0]
+
+    @cached_property
+    def cross_sines(self) -> np.ndarray:
+        return self._cross_svd[1]
+
+    @cached_property
+    def overlap(self) -> Subspace:
+        # At most dim N(A) = n - r sines lie below 1, so the angle cutoff
+        # 2 rank_rel < 1 keeps N inside N(A).
+        _, sines, vt = self._cross_svd
+        return Subspace(self.weight.dim, self.span.basis @ vt[_apart(sines, self.tol) :].T)
+
+    @cached_property
+    def shift(self) -> np.ndarray | None:
+        weight, bs, tol = self.weight, self.span.basis, self.tol
+        # S ⊆ N(A) within the angle cutoff makes A B_S = 0 (the blocks are
+        # roundoff), and S = R^n leaves no b: either way the coupling is 0.
+        exact = self.overlap.dim == self.span.dim or self.span.dim == weight.dim
+        rows = bs.T @ weight.base
+        a = rows @ bs
+        gap = rows - a @ bs.T  # b B_perp^T
+        shift = (np.zeros_like(a) if exact else moore_penrose(a, tol)) @ gap
+        # ||a D - b|| against ||B_S^T A||, not ||b||: b is roundoff on an A-invariant S.
+        if not exact and not _within(np.linalg.norm(a @ shift - gap), np.linalg.norm(rows), tol):
+            return None
+        return shift
+
+    @cached_property
+    def split(self) -> tuple[np.ndarray, np.ndarray]:
+        # A vector V_r y + z (z in N(A)) lies in A^{-1}(S^perp) exactly when
+        # C^T Λ y = 0.  One SVD of that product splits R^r into its row
+        # space R(Λ C), the coordinates of A S, and its nullspace.  The rank
+        # cutoff is anchored at ||A|| = λ_1.
+        product = self.cross.T * self.weight.eigvals[: self.weight.rank]
+        _, _, vt, r = _ranked_svd(product, self.tol, _operator_norm(self.weight), full_matrices=True)
+        return vt[:r].T, vt[r:].T
+
+    @cached_property
+    def preimage(self) -> Subspace:
+        # N(A) ⊕ V_r N(C^T Λ)
+        v, r = self.weight.eigvecs, self.weight.rank
+        return Subspace(self.weight.dim, np.hstack([v[:, r:], v[:, :r] @ self.split[1]]))
+
+    @cached_property
+    def projection(self) -> ObliqueProjection:
+        shift, weight, bs = self._solved_shift(), self.weight, self.span.basis
+        n, r = weight.dim, weight.rank
+        # A^{-1}(S^perp) (-) N: N is taken out of N(A) in the coordinates of
+        # N(A), by the reflectors of V_0^T N applied to V_0.
+        v0 = weight.eigvecs[:, r:]
+        rest = _reflectors(v0.T @ self.overlap.basis).apply_perp(v0)
+        # preimage.basis ends with V_r·N(C^T Λ), the part outside N(A)
+        null = Subspace(n, np.hstack([rest, self.preimage.basis[:, n - r :]]))
+        return ObliqueProjection(bs @ (bs.T + shift), self.span, null)
 
     @cached_property
     def reflectors(self) -> _Reflectors:
@@ -255,24 +302,23 @@ class _Geometry:
         return None if self.shift is None else self.reflectors.apply_perp(self.shift)
 
     @cached_property
-    def split(self) -> tuple[np.ndarray, np.ndarray]:
-        return _split_range(self.weight, self.cross, self.tol)
+    def pinv_strip(self) -> np.ndarray:
+        p = self.span.projector()
+        pa = p @ self.weight.base
+        return moore_penrose(pa @ p, self.tol) @ pa
 
     @cached_property
-    def preimage(self) -> Subspace:
-        return _preimage(self.weight, self.split[1])
+    def pinv_matrix(self) -> np.ndarray:
+        return self.pinv_strip + self.overlap.projector()
 
     @cached_property
-    def projection(self) -> ObliqueProjection:
-        shift, weight, bs = self._solved_shift(), self.weight, self.span.basis
-        n, r = weight.dim, weight.rank
-        # A^{-1}(S^perp) (-) N: N is taken out of N(A) in the coordinates of
-        # N(A), by the reflectors of V_0^T N applied to V_0.
-        v0 = weight.eigvecs[:, r:]
-        rest = _reflectors(v0.T @ self.overlap.basis).apply_perp(v0)
-        # preimage.basis ends with V_r·N(C^T Λ), the part outside N(A)
-        null = Subspace(n, np.hstack([rest, self.preimage.basis[:, n - r :]]))
-        return ObliqueProjection(bs @ (bs.T + shift), self.span, null)
+    def invertible_matrix(self) -> np.ndarray:
+        weight = self.weight
+        if weight.rank < weight.dim:
+            raise Singular("the closed formula requires a weight of full rank")
+        p = self.span.projector()
+        q = np.eye(weight.dim) - p
+        return p @ np.linalg.solve(p @ weight.base @ p + q @ weight.base @ q, weight.base)
 
     def _solved_shift(self) -> np.ndarray:
         if self.shift is None:
@@ -293,12 +339,26 @@ class _Geometry:
         null = np.linalg.qr(bp - matrix @ bp)[0]
         return ObliqueProjection(matrix, self.span, Subspace(self.weight.dim, null))
 
+    def is_hermitian(self, projection: ObliqueProjection) -> bool:
+        """The test of :func:`is_weight_hermitian`."""
+        tol = self.tol
+        if not subspace_equal(projection.range, self.span, tol):
+            raise RangeMismatch("the projection's range differs from the given subspace")
+        a, q = self.weight.base, projection.matrix
+        algebraic = _within(float(np.linalg.norm(a @ q - q.T @ a)), _hermitian_anchor(a), tol)
+        containment = contains(self.preimage, projection.nullspace, tol)
+        if algebraic != containment:
+            raise InconsistentDiagnostics(
+                "the algebraic symmetry test and the nullspace containment test disagree"
+            )
+        return algebraic
+
     def diagnostics(self) -> CompatibilityReport:
         """The report of :func:`compatibility_diagnostics`."""
-        weight, span, tol = self.weight, self.span, self.tol
+        span, tol = self.span, self.tol
         compatible = self.shift is not None
-        n, r = weight.dim, weight.rank
-        lam = weight.eigvals[:r]
+        n, r = self.weight.dim, self.weight.rank
+        lam = self.weight.eigvals[:r]
         # The projection of S onto R(A), V_r R(C): the singular values of C
         # are those of P_R(A) B_S, so the cutoff relative to 1 is theirs.
         kept = _rank_from_values(self.cross_sines, tol, scale=1.0)
@@ -322,39 +382,6 @@ class _Geometry:
         )
 
 
-def _split_range(weight: PsdOperator, cross: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
-    # With A = V_r Λ V_r^T, a vector V_r y + z (z in N(A)) lies in
-    # A^{-1}(S^perp) exactly when C^T Λ y = 0.  One SVD of that product
-    # splits R^r into its row space R(Λ C), the coordinates of A S, and its
-    # nullspace.  The rank cutoff is anchored at ||A|| = λ_1.
-    product = cross.T * weight.eigvals[: weight.rank]
-    _, _, vt, r = _ranked_svd(product, tol, _operator_norm(weight), full_matrices=True)
-    return vt[:r].T, vt[r:].T
-
-
-def _preimage(weight: PsdOperator, coupled: np.ndarray) -> Subspace:
-    # N(A) ⊕ V_r·coupled
-    r = weight.rank
-    return Subspace(weight.dim, np.hstack([weight.eigvecs[:, r:], weight.eigvecs[:, :r] @ coupled]))
-
-
-def _geometry(weight: PsdOperator, span: Subspace, tol: Tolerance) -> _Geometry:
-    _check_pair(weight, span)
-    rows = span.basis.T @ weight.base
-    a = rows @ span.basis
-    overlap, cross, left, sines = _overlap(weight, span, tol)
-    # S ⊆ N(A) within the angle cutoff makes A B_S = 0 (the blocks are
-    # roundoff), and S = R^n leaves no b: either way the coupling is 0.
-    exact = overlap.dim == span.dim or span.dim == weight.dim
-    a_pinv = np.zeros_like(a) if exact else moore_penrose(a, tol)
-    gap = rows - a @ span.basis.T  # b B_perp^T
-    shift = a_pinv @ gap
-    # ||a D - b|| against ||B_S^T A||, not ||b||: b is roundoff on an A-invariant S.
-    if not exact and not _within(np.linalg.norm(a @ shift - gap), np.linalg.norm(rows), tol):
-        shift = None
-    return _Geometry(weight, span, tol, shift, overlap, cross, left, sines)
-
-
 def weighted_projection(
     weight: PsdOperator, span: Subspace, tol: Tolerance = DEFAULT_TOL
 ) -> ObliqueProjection:
@@ -372,7 +399,7 @@ def weighted_projection(
     Incompatible
         If the coupling equation is numerically unsolvable.
     """
-    return _geometry(weight, span, tol).projection
+    return _Geometry(weight, span, tol).projection
 
 
 def weighted_projection_invertible(
@@ -385,19 +412,7 @@ def weighted_projection_invertible(
     Singular
         If the weight does not have full numerical rank.
     """
-    return _certified(_invertible_matrix(weight, span), span, tol)
-
-
-def _invertible_matrix(weight: PsdOperator, span: Subspace) -> np.ndarray:
-    # The matrix of weighted_projection_invertible(), which a caller that
-    # only compares it takes without the certified nullspace.
-    _check_pair(weight, span)
-    if weight.rank < weight.dim:
-        raise Singular("the closed formula requires a weight of full rank")
-    p = span.projector()
-    q = np.eye(weight.dim) - p
-    middle = p @ weight.base @ p + q @ weight.base @ q
-    return p @ np.linalg.solve(middle, weight.base)
+    return _certified(_Geometry(weight, span, tol).invertible_matrix, span, tol)
 
 
 def weighted_projection_pinv(
@@ -409,16 +424,7 @@ def weighted_projection_pinv(
     the orthogonal projector onto ``N`` recovers the full projection.  Always
     applicable in finite dimension, where ``P A P`` has closed range.
     """
-    overlap = degenerate_overlap(weight, span, tol)
-    return _certified(_pinv_matrix(weight, span, overlap, tol), span, tol)
-
-
-def _pinv_matrix(weight: PsdOperator, span: Subspace, overlap: Subspace, tol: Tolerance) -> np.ndarray:
-    # The matrix of weighted_projection_pinv() given the overlap N, which a
-    # caller holding the pair geometry reads off it.
-    p = span.projector()
-    pa = p @ weight.base
-    return moore_penrose(pa @ p, tol) @ pa + overlap.projector()
+    return _certified(_Geometry(weight, span, tol).pinv_matrix, span, tol)
 
 
 def _certified(matrix: np.ndarray, span: Subspace, tol: Tolerance) -> ObliqueProjection:
@@ -436,7 +442,8 @@ def is_weight_hermitian(
 
     Both the algebraic test and the equivalent nullspace containment
     ``N(Q) ⊆ A^{-1}(S^perp)`` are evaluated; they must agree, otherwise the
-    inputs are pathologically conditioned.
+    inputs are pathologically conditioned.  ``A^{-1}(S^perp)`` is read off
+    the eigenvectors as for the minimal projection.
 
     Raises
     ------
@@ -445,27 +452,7 @@ def is_weight_hermitian(
     InconsistentDiagnostics
         If the two equivalent tests disagree numerically.
     """
-    _check_pair(weight, span)
-    # A^{-1}(S^perp), read off the eigenvectors as for the minimal projection.
-    pre = _preimage(weight, _split_range(weight, _cross(weight, span), tol)[1])
-    return _is_hermitian(projection, weight, span, pre, tol)
-
-
-def _is_hermitian(
-    projection: ObliqueProjection, weight: PsdOperator, span: Subspace, preimage: Subspace, tol: Tolerance
-) -> bool:
-    # is_weight_hermitian() given A^{-1}(S^perp), which a caller holding the
-    # pair geometry reads off it instead of splitting C^T Λ again.
-    if not subspace_equal(projection.range, span, tol):
-        raise RangeMismatch("the projection's range differs from the given subspace")
-    a, q = weight.base, projection.matrix
-    algebraic = _within(float(np.linalg.norm(a @ q - q.T @ a)), _hermitian_anchor(a), tol)
-    containment = contains(preimage, projection.nullspace, tol)
-    if algebraic != containment:
-        raise InconsistentDiagnostics(
-            "the algebraic symmetry test and the nullspace containment test disagree"
-        )
-    return algebraic
+    return _Geometry(weight, span, tol).is_hermitian(projection)
 
 
 def _hermitian_anchor(a: np.ndarray) -> float:
@@ -488,7 +475,7 @@ def projection_family_member(
     When the overlap is trivial the family is a singleton and only an empty
     coefficient matrix is accepted.
     """
-    return _geometry(weight, span, tol).member(coefficients)
+    return _Geometry(weight, span, tol).member(coefficients)
 
 
 def compatibility_diagnostics(
@@ -499,7 +486,7 @@ def compatibility_diagnostics(
     See :class:`CompatibilityReport` for the coordinates each field is
     evaluated in.
     """
-    return _geometry(weight, span, tol).diagnostics()
+    return _Geometry(weight, span, tol).diagnostics()
 
 
 def chain_respects_implications(chain: tuple[bool, ...]) -> bool:

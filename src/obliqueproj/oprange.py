@@ -48,7 +48,7 @@ from .linalg import (
     subspace_from_span,
     subspace_sum,
 )
-from .oblique import _Geometry, _geometry
+from .oblique import _Geometry
 
 
 @dataclass(frozen=True)
@@ -105,9 +105,14 @@ def _witnesses(weight: PsdOperator, u: np.ndarray, tol: Tolerance) -> np.ndarray
     return vr @ ((vr.T @ u) / _root(weight)[:, None])
 
 
+def _same_weight(x: PsdOperator, y: PsdOperator) -> bool:
+    # One weight: the same object, or two holding an equal matrix.
+    return x is y or np.array_equal(x.base, y.base)
+
+
 def range_inner(x: RangeVector, y: RangeVector) -> float:
     """Range-space inner product: plain inner product of the witnesses."""
-    if x.weight is not y.weight and not np.array_equal(x.weight.base, y.weight.base):
+    if not _same_weight(x.weight, y.weight):
         raise WeightMismatch("range vectors are governed by different weights")
     return float(x.witness @ y.witness)
 
@@ -184,9 +189,7 @@ class RangeSpaceProjection:
 
     def apply(self, x: RangeVector) -> RangeVector:
         """Project a certified range vector; the result lies in the image of S."""
-        if x.weight is not self.weight and not np.array_equal(
-            x.weight.base, self.weight.base
-        ):
+        if not _same_weight(x.weight, self.weight):
             raise WeightMismatch("the range vector is governed by a different weight")
         vr = chart_basis(self.weight)
         witness = vr @ (self.coord_matrix @ (vr.T @ x.witness))
@@ -338,8 +341,9 @@ def range_space_projection(
 ) -> RangeSpaceProjection:
     """The chart-orthogonal projection onto the closure of the image of S.
 
-    Exists for every pair, compatible or not.  Builds the core of the pair
-    geometry (``a^+`` and the SVD of ``C``); the fields follow on first read.
+    Exists for every pair, compatible or not.  Builds the pair geometry,
+    which decomposes nothing until a field is read: ``range_image`` takes
+    one SVD, of ``Λ^{1/2} C``.
     """
-    return RangeSpaceProjection(_geometry(weight, span, tol))
+    return RangeSpaceProjection(_Geometry(weight, span, tol))
 

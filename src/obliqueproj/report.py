@@ -168,7 +168,7 @@ def identity_battery(
     hermitian_anchor = oblique._hermitian_anchor(a)
     checks: list[dict] = []
 
-    geometry = oblique._geometry(weight, span, tol)
+    geometry = oblique._Geometry(weight, span, tol)
     p = geometry.projection.matrix
     overlap = geometry.overlap
     report = geometry.diagnostics()
@@ -190,13 +190,12 @@ def identity_battery(
     sym_gap = float(np.linalg.norm(a @ p - p.T @ a))
     checks.append(_record("weight_symmetry", _within(sym_gap, hermitian_anchor, tol), sym_gap))
 
-    # The other constructions' matrices only, without certified nullspaces;
-    # the pseudoinverse one reads the overlap off the geometry.
-    pinv_gap = float(np.linalg.norm(oblique._pinv_matrix(weight, span, overlap, tol) - p))
+    # The other constructions' matrices only, without certified nullspaces.
+    pinv_gap = float(np.linalg.norm(geometry.pinv_matrix - p))
     checks.append(_record("construction_pinv_agrees", _within(pinv_gap, 1.0, tol, slack=10.0), pinv_gap))
 
     if weight.rank == n:
-        inv_gap = float(np.linalg.norm(oblique._invertible_matrix(weight, span) - p))
+        inv_gap = float(np.linalg.norm(geometry.invertible_matrix - p))
         checks.append(_record("construction_inverse_agrees", _within(inv_gap, 1.0, tol, slack=10.0), inv_gap))
     else:
         checks.append(_record("construction_inverse_agrees", True, applicable=False))
@@ -207,10 +206,12 @@ def identity_battery(
 
     checks.append(_record("sqrt_image_decomposition", decomps[1]))
 
+    # q1, the solution of P_S A P_S X = P_S A, is the pseudoinverse
+    # construction's own (P_S A P_S)^+ P_S A, gated here.
     ps, bs = span.projector(), span.basis
     p_m = subspace_from_span(weight.sqrt @ bs, tol).projector()
     ps_a = ps @ a
-    q1 = douglas._solve(ps_a @ ps, ps_a, tol, gate=True)[0]
+    q1 = douglas._checked(ps_a @ ps, geometry.pinv_strip, ps_a, tol, gate=True)[0]
     q2 = douglas._solve(weight.sqrt @ ps, p_m @ weight.sqrt, tol, gate=True)[0]
     pair_gap = float(np.linalg.norm(q1 - q2))
     strip_gap = float(np.linalg.norm((p - overlap.projector()) - q1))

@@ -368,7 +368,7 @@ def flag3_and_sum_check_by_svds(weight, span, tol=DEFAULT_TOL):
     """Chain flag 3 and ``sum_check`` of ``compatibility_diagnostics`` from
     the basis ``K`` of ``N(C^T Λ)`` alone: the nullspace of ``K^T Λ`` from a
     complete SVD, and the rank of ``[C, K]`` from a values-only one."""
-    geometry = oblique._geometry(weight, span, tol)
+    geometry = oblique._Geometry(weight, span, tol)
     n, r = weight.dim, weight.rank
     lam = weight.eigvals[:r]
     kept = _rank_from_values(geometry.cross_sines, tol, scale=1.0)
@@ -384,7 +384,7 @@ def rank_of_y_c(weight, span, tol=DEFAULT_TOL):
     split of R^r: the values-only SVD ``sum_check`` was read from, with the
     cutoff relative to 1.  ``compatibility_diagnostics`` reports the theorem
     that the two are equal."""
-    geometry = oblique._geometry(weight, span, tol)
+    geometry = oblique._Geometry(weight, span, tol)
     image = geometry.split[0]
     if not image.size:
         return 0, 0
@@ -398,7 +398,7 @@ def shift_rechecks_by_inclusion(weight, span, tol=DEFAULT_TOL):
     basis of ``R(C)`` and ``U_c`` its formed complement: the solve both were
     read from.  ``compatibility_diagnostics`` reports the theorem that it
     holds."""
-    geometry = oblique._geometry(weight, span, tol)
+    geometry = oblique._Geometry(weight, span, tol)
     lam = weight.eigvals[: weight.rank]
     kept = _rank_from_values(geometry.cross_sines, tol, scale=1.0)
     projected = Subspace(weight.rank, geometry.cross_left[:, :kept])

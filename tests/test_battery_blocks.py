@@ -137,7 +137,7 @@ def assert_same(stacked, loop, detail_gap=0.0):
 def test_hermitian_tests_agree_matches_loop(cases):
     disagreeing = []
     for label, weight, span, tol in cases:
-        geometry = oblique._geometry(weight, span, tol)
+        geometry = oblique._Geometry(weight, span, tol)
         anchor = oblique._hermitian_anchor(weight.base)
         # An anchor whose bound is near the typical ||AQ - Q^T A|| splits the
         # samples, so the count also tells which projections were drawn.
@@ -164,7 +164,7 @@ def test_sampled_null_spaces_need_no_rank_rule(cases):
     # roundoff in the largest one, so that anchors the bound.
     rng = np.random.default_rng(12)
     for label, weight, span, tol in cases:
-        bs, bp = span.basis, oblique._geometry(weight, span, tol).perp.basis
+        bs, bp = span.basis, oblique._Geometry(weight, span, tol).perp.basis
         if not bp.size:
             continue
         for scale in (1.0, 1e4, 1e8):
@@ -220,7 +220,7 @@ def test_lifted_checks_match_loop(cases, stacked, loop, detail_gap):
 def test_family_checks_match_loop(cases):
     overlapping, raised = [], []
     for label, weight, span, tol in cases:
-        geometry = oblique._geometry(weight, span, tol)
+        geometry = oblique._Geometry(weight, span, tol)
         try:
             extension = oprange.RangeSpaceProjection(geometry).extension
         except NotExtendable:
@@ -246,7 +246,7 @@ def test_spline_check_matches_loop(cases):
     # drawn: NotPsd names the first, as the loop's seminorm does.
     raised = []
     for label, weight, span, tol in [*cases, (*spline_pairs()[-1], DEFAULT_TOL)]:
-        geometry = oblique._geometry(weight, span, tol)
+        geometry = oblique._Geometry(weight, span, tol)
         for seed in (0, 3):
             got = outcome(report._spline_agrees_normal_equations, seed, geometry)
             assert_same(got, outcome(spline_agrees_normal_equations_by_loop, seed, geometry), 0.0)
@@ -259,7 +259,7 @@ def test_norm_minimality_splits_its_stack(cases, monkeypatch):
     # 100 members of 64 x 64 exceed _STACK_ENTRIES: 64 fit in the first stack.
     label, weight, span, tol = cases[-1]
     assert label == "n=64 overlap"
-    geometry = oblique._geometry(weight, span, tol)
+    geometry = oblique._Geometry(weight, span, tol)
     stacked, svd = [], np.linalg.svd
 
     def recording_svd(a, *args, **kwargs):

@@ -6,12 +6,14 @@ factorizations, not calls: a stacked call on an input of shape (..., m, n)
 factorizes ``prod(shape[:-2])`` matrices.
 """
 
+import inspect
 import math
 
 import numpy as np
 import numpy.linalg._linalg as np_linalg_impl
 import pytest
 
+import obliqueproj
 from obliqueproj import (
     PsdOperator,
     block_decompose,
@@ -21,11 +23,18 @@ from obliqueproj import (
     chart_extension,
     cli,
     compatibility_diagnostics,
+    degenerate_overlap,
+    is_compatible,
     is_weight_hermitian,
+    projection_family_member,
     range_inclusion,
+    range_space_projection,
     reduced_solution,
+    spline,
     spline_with_weight,
     weighted_projection,
+    weighted_projection_invertible,
+    weighted_projection_pinv,
 )
 from obliqueproj.report import identity_battery
 from support import make_overlapping_pair
@@ -99,8 +108,8 @@ def test_weighted_projection_budget(pair, counted):
 
 
 def test_block_decompose_budget(pair, counted):
-    # The blocks read B_S^T A and the frame's complement only: no pair
-    # geometry, so neither C nor a is decomposed.
+    # The blocks read B_S^T A and the complement from the pair geometry's
+    # reflectors only, so neither C nor a is decomposed.
     weight, span, _ = pair
     block_decompose(weight, span)
     assert counted["svd"] == []
@@ -221,17 +230,20 @@ def test_identity_battery_budget(pair, counted):
     # chart projection from that one value; the 20 spline samples read their
     # interpolants off it too, and their normal-equation oracle factorizes
     # T B_S, N(T) and S ∩ N(T) once per battery, not once per sample.  One
-    # SVD of P gives both its rank and its null space, the two Douglas
-    # solves of reduced_solutions_coincide take no spectral norm, and the
-    # pseudoinverse construction, compared by its matrix only, reads the
-    # overlap off the geometry and certifies no nullspace.
+    # SVD of P gives both its rank and its null space, and the pseudoinverse
+    # construction, compared by its matrix only, reads the overlap off the
+    # geometry and certifies no nullspace.  Its solve of P_S A P_S X = P_S A
+    # is also q1 of reduced_solutions_coincide, so P_S A P_S is factorized
+    # once, and neither Douglas solve there takes a spectral norm.
     weight, span, _ = pair
     assert all(check["pass"] for check in identity_battery(weight, span))
     assert counted["eigh"] == []
-    assert counted.factorizations("svd") == 119
+    assert counted.factorizations("svd") == 118
+    # N(P), ||P||, P_S A P_S once, A^{1/2} P_S and N(A^{1/2})
+    assert counted["svd"].count((N, N)) == 5
     # norm_minimality takes the spectral norms of its 100 family members
     # from one stacked values-only call.
-    assert len(counted["svd"]) == 20
+    assert len(counted["svd"]) == 19
     assert (100, N, N) in counted.values_only
     # hermitian_tests_agree takes its 100 null spaces from one stacked
     # reduced QR, with no SVD and no rank rule.  The only other QR of N-row
@@ -264,8 +276,8 @@ def test_identity_battery_budget_without_overlap(counted, monkeypatch):
     assert all(check["pass"] for check in records.values())
     assert records["trivial_overlap_split"]["applicable"]
     assert of_image.count(True) == 1
-    # 19 in the battery and one in make_overlapping_pair's subspace load
-    assert counted.factorizations("svd") == 20
+    # 18 in the battery and one in make_overlapping_pair's subspace load
+    assert counted.factorizations("svd") == 19
 
 
 def test_identity_battery_builds_one_chart(pair, monkeypatch):
@@ -288,6 +300,86 @@ def test_identity_battery_builds_one_chart(pair, monkeypatch):
     weight, span, _ = pair
     assert all(check["pass"] for check in identity_battery(weight, span))
     assert builds == {"geometry": 1, "sqrt_image": 1}
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Every pair geometry constructed, wherever the constructor is bound."""
+    built = []
+    init = oblique._Geometry.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(oblique._Geometry, "__init__", counting_init)
+    return built
+
+
+# Each public pair function on (weight, span, x, the minimal projection);
+# the closed formula takes a full-rank weight.
+PAIR_CALLS = {
+    "block_decompose": lambda w, s, x, q: block_decompose(w, s),
+    "compatibility_diagnostics": lambda w, s, x, q: compatibility_diagnostics(w, s),
+    "degenerate_overlap": lambda w, s, x, q: degenerate_overlap(w, s),
+    "identity_battery": lambda w, s, x, q: identity_battery(w, s),
+    "is_compatible": lambda w, s, x, q: is_compatible(w, s),
+    "is_weight_hermitian": lambda w, s, x, q: is_weight_hermitian(q, w, s),
+    "projection_family_member": lambda w, s, x, q: projection_family_member(
+        w, s, np.ones((N // 8, N - s.dim))
+    ),
+    "range_space_projection": lambda w, s, x, q: range_space_projection(w, s).extension_matches,
+    "spline": lambda w, s, x, q: spline(w.sqrt, s, x),
+    "spline_with_weight": lambda w, s, x, q: spline_with_weight(w, s, x),
+    "weighted_projection": lambda w, s, x, q: weighted_projection(w, s),
+    "weighted_projection_invertible": lambda w, s, x, q: weighted_projection_invertible(
+        PsdOperator.from_matrix(w.base + np.eye(N)), s
+    ),
+    "weighted_projection_pinv": lambda w, s, x, q: weighted_projection_pinv(w, s),
+}
+
+
+def test_pair_calls_cover_every_pair_function():
+    # Every public function taking a subspace, but the normal-equation
+    # oracle, which factorizes T B_S and decomposes no pair.
+    takes_span = {
+        name
+        for name, obj in vars(obliqueproj).items()
+        if inspect.isfunction(obj) and "span" in inspect.signature(obj).parameters
+    }
+    assert takes_span | {"identity_battery"} == set(PAIR_CALLS) | {"spline_by_normal_equations"}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_CALLS))
+def test_each_pair_function_builds_one_geometry(pair, builds, name):
+    weight, span, x = pair
+    projection = weighted_projection(weight, span)
+    builds.clear()
+    PAIR_CALLS[name](weight, span, x, projection)
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize(
+    "stage, code",
+    [("compat", 0), ("interpolate", 0), ("oprange", 0), ("project", 0), ("project pinv", 0),
+     ("project invertible", 0), ("singular invertible", 3), ("report", 0)],
+)
+def test_each_cli_pair_command_builds_one_geometry(workloads, tmp_path, builds, stage, code):
+    round_ = workloads._make_round(np.random.default_rng(0), tmp_path, "count", 8)
+    argvs = {inv.stage: inv.argv for inv in round_.invocations}
+    argvs["report"] = ["report", *argvs["compat"][1:]]
+    builds.clear()
+    assert cli.main(argvs[stage]) == code
+    assert len(builds) == 1
+
+
+def test_chart_image_takes_one_svd(pair, counted):
+    # The chart image of A^{1/2} S reads C alone: neither the SVD of C nor
+    # a^+ is taken for it.
+    weight, span, _ = pair
+    range_space_projection(weight, span).range_image
+    assert counted["svd"] == [(weight.rank, span.dim)]
+    assert counted["eigh"] == [] and counted["qr"] == []
 
 
 def test_cli_oprange_decomposes_the_pair_once(workloads, tmp_path, counted):
@@ -325,9 +417,9 @@ def test_cli_project_block_splits_the_pair_once(workloads, tmp_path, counted):
 
 
 def test_cli_project_pinv_reads_the_overlap_off_the_geometry(workloads, tmp_path, counted):
-    # The chosen pseudoinverse construction certifies its nullspace; the
-    # block agreement check builds the pair geometry, whose overlap the
-    # construction reads instead of taking the SVD of C again.
+    # The chosen pseudoinverse construction certifies its nullspace; it and
+    # the block agreement check read one pair geometry, so the SVD of C is
+    # taken once.
     round_ = workloads._make_round(np.random.default_rng(0), tmp_path, "count", 64)
     (argv,) = [inv.argv for inv in round_.invocations if inv.stage == "project pinv"]
     assert argv[argv.index("--formula") + 1] == "pinv"

@@ -88,8 +88,9 @@ class TestNumericalRank:
 
     @pytest.mark.parametrize("scale", [None, 1.0])
     def test_stack_ranks_each_row(self, scale):
-        # The rule on a stack of value rows is the rule on each row: ties at
-        # the cutoff, zero rows and rows of noise under an anchoring scale.
+        # The rule on one row of values, each row of the former stacked
+        # test: ties at the cutoff, zero rows and rows of noise under an
+        # anchoring scale, against a count over the row.
         rng = np.random.default_rng(4)
         rows = np.abs(rng.normal(size=(40, 6))) * 10.0 ** rng.integers(-14, 1, size=(40, 6))
         rows = -np.sort(-rows, axis=1)
@@ -97,10 +98,17 @@ class TestNumericalRank:
         rows[1] = [4.0, 1.0, 1.0, 0.999, 0.0, 0.0]
         tol = Tolerance(rank_rel=0.25)
         for t in (tol, Tolerance()):
-            ranks = _rank_from_values(rows, t, scale)
-            assert ranks.tolist() == [_rank_from_values(row, t, scale) for row in rows]
-        assert _rank_from_values(rows[:2], tol).tolist() == [0, 3]
-        assert _rank_from_values(np.zeros((3, 0)), tol).tolist() == [0, 0, 0]
+            for row in rows:
+                anchor = row[0] if scale is None else max(row[0], scale)
+                expected = sum(value >= t.rank_rel * anchor for value in row) if row[0] > 0.0 else 0
+                assert _rank_from_values(row, t, scale) == expected
+        assert [_rank_from_values(row, tol) for row in rows[:2]] == [0, 3]
+        assert _rank_from_values(np.zeros(0), tol) == 0
+        # the quietest nonzero row keeps no value under the anchor 1, and its
+        # lead under its own
+        quiet = rows[np.argmin(np.where(rows[:, 0] > 0.0, rows[:, 0], np.inf))]
+        assert 0.0 < quiet[0] < 1e-8
+        assert (_rank_from_values(quiet, tol, scale) == 0) == (scale is not None)
 
 
 class TestResidualRule:

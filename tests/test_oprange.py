@@ -218,6 +218,20 @@ class TestRangeSpaceProjection:
             again = proj.apply(out)
             np.testing.assert_allclose(again.ambient, out.ambient, atol=1e-9)
 
+    def test_apply_checks_the_weight(self):
+        # A vector lifted under another weight is refused; one lifted under a
+        # distinct weight object holding an equal matrix is accepted.
+        weight = PsdOperator.from_matrix(np.diag([2.0, 1.0, 0.0]))
+        proj = range_space_projection(weight, make_subspace(np.random.default_rng(59), 3, 1))
+        with pytest.raises(WeightMismatch):
+            proj.apply(lift(PsdOperator.from_matrix(np.diag([3.0, 1.0, 0.0])), [1.0, 1.0, 0.0]))
+        twin = PsdOperator.from_matrix(weight.base)
+        assert twin is not weight
+        out = proj.apply(lift(twin, [1.0, 1.0, 0.0]))
+        expected = proj.apply(lift(weight, [1.0, 1.0, 0.0]))
+        assert out.weight is weight
+        np.testing.assert_array_equal(out.ambient, expected.ambient)
+
 
 class TestChartExtension:
     def test_identity_operator(self):

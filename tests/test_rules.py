@@ -3,7 +3,8 @@
 Every tolerance decision goes through one of the four rule functions of
 ``obliqueproj.linalg`` (rank, angle, residual, sign; see ``Tolerance``), so
 a later change of anchors or a trace of the decisions has one place to act.
-Three checks keep it so:
+Three checks keep it so, and a fourth keeps one home for each pair
+decomposition:
 
 - outside ``linalg.py`` no module reads a threshold field of a
   ``Tolerance`` (``eq_abs``, ``rank_rel``, ``psd_neg``); the one exception
@@ -12,7 +13,11 @@ Three checks keep it so:
   ``_svd``, which every rank and angle decision reads;
 - outside ``linalg.py`` every ``np.linalg.svd`` call asks for the singular
   values only (``compute_uv=False``), so no module takes a rank decision on
-  a raw SVD.
+  a raw SVD;
+- outside ``oblique.py`` the only private names of ``oblique`` that are
+  read are the pair geometry ``_Geometry``, whose fields hold every
+  quantity of a pair, ``_certified`` and ``_hermitian_anchor``, so a
+  helper that decomposes a pair beside the geometry shows in review.
 
 The CLI ``douglas`` check ``lambda_matches_norm_sq`` compares with a
 literal ``1e-6``, not a tolerance field, so the first check does not see
@@ -94,3 +99,26 @@ def test_no_module_but_linalg_takes_singular_vectors():
     assert [(name, line) for name, line, kept in calls if not kept] == []
     # the walk sees the values-only SVD of the battery's norm_minimality
     assert ("report.py", True) in [(name, kept) for name, _, kept in calls]
+
+
+def oblique_private_reads(tree: ast.Module) -> set[str]:
+    """The private names of ``oblique`` a parsed module imports from it or
+    reads as attributes of it."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "oblique":
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute) and ast.unparse(node.value) == "oblique":
+            names.add(node.attr)
+    return {name for name in names if name.startswith("_")}
+
+
+def test_no_module_reads_a_pair_helper_beside_the_geometry():
+    reads = {
+        path.name: oblique_private_reads(parsed(path.name))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "oblique.py"
+    }
+    assert set().union(*reads.values()) == {"_Geometry", "_certified", "_hermitian_anchor"}
+    # the walk sees both forms of read
+    assert "_Geometry" in reads["oprange.py"] and "_Geometry" in reads["report.py"]
