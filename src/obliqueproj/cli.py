@@ -108,10 +108,8 @@ def _load_pair(job: JobSpec) -> tuple[PsdOperator, Subspace, dict]:
     _require(job, "a", "s")
     a = io.load_matrix(job.inputs["a"])
     s = io.load_subspace(job.inputs["s"], job.tol)
-    weight = PsdOperator.from_matrix(a, job.tol)
-    if weight.dim != s.ambient_dim:
-        raise DimensionMismatch("weight and subspace have different ambient dimensions")
-    return weight, s, {"a": a, "s": s}
+    # The pair geometry each command builds checks the dimensions.
+    return PsdOperator.from_matrix(a, job.tol), s, {"a": a, "s": s}
 
 
 def _projection_obj(proj) -> dict:

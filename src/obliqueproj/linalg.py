@@ -11,6 +11,7 @@ functions, so unrestricted concurrent use is safe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -374,6 +375,7 @@ class ObliqueProjection:
     nullspace: Subspace
 
     def __post_init__(self):
+        _check_same_ambient(self.range, self.nullspace)
         n = self.range.ambient_dim
         object.__setattr__(self, "matrix", _readonly(as_matrix(self.matrix, n, n)))
 
@@ -456,10 +458,14 @@ class PsdOperator:
         n = m.shape[0]
         if m.shape[1] != n:
             raise DimensionMismatch(f"weight matrix must be square, got {m.shape}")
-        scale = 1.0 + float(np.linalg.norm(m))
-        if not _within(np.linalg.norm(m - m.T), scale, tol):
+        # On m times 2^-e, max|m| < 2^e: the scaling is exact, so it moves no
+        # decision, and no square in the norms and no sum overflows.
+        e = max(math.frexp(np.abs(m).max(initial=0.0))[1], 0)
+        s = m * 2.0**-e
+        if not _within(np.linalg.norm(s - s.T), 2.0**-e + np.linalg.norm(s), tol):
             raise NotPsd("weight matrix is not symmetric within tolerance")
-        w, v = np.linalg.eigh((m + m.T) / 2.0)
+        s = (s + s.T) * 2.0 ** (e - 1)  # (m + m^T) / 2
+        w, v = np.linalg.eigh(s)
         w = _clip_sign(w[::-1], tol, "weight matrix has negative eigenvalue {:.3e}")
         v = v[:, ::-1]
         r = _rank_from_values(w, tol)

@@ -37,6 +37,7 @@ from .linalg import (
     Tolerance,
     _apart,
     _equal,
+    _frobenius,
     _operator_norm,
     _rank_from_values,
     _ranked_svd,
@@ -207,7 +208,9 @@ class _Geometry:
       applied through them;
     - the cross-check oracles: ``pinv_strip``, ``(P_S A P_S)^+ P_S A``, the
       minimal projection onto ``S (-) N``; ``pinv_matrix``, that plus
-      ``P_N``; and ``invertible_matrix``, the closed formula.
+      ``P_N``; and ``invertible_matrix``, the closed formula;
+    - ``hermitian_anchor``, ``1 + ||A||``, the anchor of the residual rule on
+      ``||A Q - Q^T A||``, which :meth:`hermitian_gaps` forms.
     """
 
     weight: PsdOperator
@@ -320,6 +323,15 @@ class _Geometry:
         q = np.eye(weight.dim) - p
         return p @ np.linalg.solve(p @ weight.base @ p + q @ weight.base @ q, weight.base)
 
+    @cached_property
+    def hermitian_anchor(self) -> float:
+        return 1.0 + float(np.linalg.norm(self.weight.base))
+
+    def hermitian_gaps(self, q: np.ndarray) -> np.ndarray:
+        """``||A Q - Q^T A||`` of each matrix of an ``(m, n, n)`` stack; on a
+        one-member stack, ``np.linalg.norm`` of the 2-D residual, bit for bit."""
+        return _frobenius(self.weight.base @ q - q.transpose(0, 2, 1) @ self.weight.base)
+
     def _solved_shift(self) -> np.ndarray:
         if self.shift is None:
             raise Incompatible("the coupling equation between the blocks of the weight is unsolvable")
@@ -344,8 +356,7 @@ class _Geometry:
         tol = self.tol
         if not subspace_equal(projection.range, self.span, tol):
             raise RangeMismatch("the projection's range differs from the given subspace")
-        a, q = self.weight.base, projection.matrix
-        algebraic = _within(float(np.linalg.norm(a @ q - q.T @ a)), _hermitian_anchor(a), tol)
+        algebraic = _within(float(self.hermitian_gaps(projection.matrix[None])[0]), self.hermitian_anchor, tol)
         containment = contains(self.preimage, projection.nullspace, tol)
         if algebraic != containment:
             raise InconsistentDiagnostics(
@@ -453,12 +464,6 @@ def is_weight_hermitian(
         If the two equivalent tests disagree numerically.
     """
     return _Geometry(weight, span, tol).is_hermitian(projection)
-
-
-def _hermitian_anchor(a: np.ndarray) -> float:
-    # The anchor of the residual rule on ||A Q - Q^T A||, shared by
-    # is_weight_hermitian() and the identity battery, so both test one bound.
-    return 1.0 + float(np.linalg.norm(a))
 
 
 def projection_family_member(

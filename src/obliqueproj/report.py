@@ -67,17 +67,15 @@ def _hermitian_tests_agree(rng: np.random.Generator, geometry: oblique._Geometry
     # X B_perp^T): ||A Q - Q^T A|| under the residual rule at ``anchor``,
     # and N(Q), the span of B_perp - B_S X, inside A^{-1}(S^perp).  The
     # samples are evaluated as stacks; B_perp^T (B_perp - B_S X) = I, so its
-    # columns are independent and a stacked QR gives each null space.
-    span, tol, a = geometry.span, geometry.tol, geometry.weight.base
-    bs, bp = span.basis, geometry.perp.basis
+    # columns are independent and a stacked QR gives each null space (with
+    # S^perp = 0, an (n, 0) basis, contained in any subspace).
+    tol, bs, bp = geometry.tol, geometry.span.basis, geometry.perp.basis
     disagreements = 0
-    for size in _stacks(SAMPLES, span.ambient_dim):
+    for size in _stacks(SAMPLES, bs.shape[0]):
         x = rng.normal(size=(size, bs.shape[1], bp.shape[1]))
         q = bs @ bs.T + bs @ x @ bp.T
-        algebraic = _within(np.linalg.norm(a @ q - q.transpose(0, 2, 1) @ a, axis=(1, 2)), anchor, tol)
-        containment = True  # S^perp = 0: every N(Q) is zero
-        if bp.shape[1]:
-            containment = _contains_bases(geometry.preimage, np.linalg.qr(bp - bs @ x)[0], tol)
+        algebraic = _within(geometry.hermitian_gaps(q), anchor, tol)
+        containment = _contains_bases(geometry.preimage, np.linalg.qr(bp - bs @ x)[0], tol)
         disagreements += int(np.count_nonzero(algebraic != containment))
     return _record("hermitian_tests_agree", disagreements == 0, disagreements)
 
@@ -164,8 +162,6 @@ def identity_battery(
     """Run every identity check on the pair and return one record per check."""
     rng = np.random.default_rng(seed)
     n = weight.dim
-    a = weight.base
-    hermitian_anchor = oblique._hermitian_anchor(a)
     checks: list[dict] = []
 
     geometry = oblique._Geometry(weight, span, tol)
@@ -187,8 +183,8 @@ def identity_battery(
     null_ok = subspace_equal(null, geometry.projection.nullspace, tol)
     checks.append(_record("projection_nullspace", null_ok))
 
-    sym_gap = float(np.linalg.norm(a @ p - p.T @ a))
-    checks.append(_record("weight_symmetry", _within(sym_gap, hermitian_anchor, tol), sym_gap))
+    sym_gap = float(geometry.hermitian_gaps(p[None])[0])
+    checks.append(_record("weight_symmetry", _within(sym_gap, geometry.hermitian_anchor, tol), sym_gap))
 
     # The other constructions' matrices only, without certified nullspaces.
     pinv_gap = float(np.linalg.norm(geometry.pinv_matrix - p))
@@ -200,7 +196,7 @@ def identity_battery(
     else:
         checks.append(_record("construction_inverse_agrees", True, applicable=False))
 
-    checks.append(_hermitian_tests_agree(rng, geometry, hermitian_anchor))
+    checks.append(_hermitian_tests_agree(rng, geometry, geometry.hermitian_anchor))
 
     checks.append(_norm_minimality(rng, geometry))
 
@@ -210,7 +206,7 @@ def identity_battery(
     # construction's own (P_S A P_S)^+ P_S A, gated here.
     ps, bs = span.projector(), span.basis
     p_m = subspace_from_span(weight.sqrt @ bs, tol).projector()
-    ps_a = ps @ a
+    ps_a = ps @ weight.base
     q1 = douglas._checked(ps_a @ ps, geometry.pinv_strip, ps_a, tol, gate=True)[0]
     q2 = douglas._solve(weight.sqrt @ ps, p_m @ weight.sqrt, tol, gate=True)[0]
     pair_gap = float(np.linalg.norm(q1 - q2))

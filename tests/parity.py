@@ -9,7 +9,9 @@
 lives in and writes one JSON record per line: for every pair, every flag and
 subspace dimension of ``compatibility_diagnostics``, every identity battery
 record (name, pass, applicable), the outcome of ``weighted_projection`` and
-``spline_with_weight``, and every exception raised, by type and message.
+``spline_with_weight``, the verdict of ``is_weight_hermitian`` on the block
+and on the pseudoinverse construction, and every exception raised, by type
+and message.
 Floats other than decisions are left out, so a change that moves only
 roundoff dumps the same file.  ``--compare`` prints every record that
 differs between two dumps and exits 1 if any does.  To compare two
@@ -61,8 +63,10 @@ from obliqueproj import (  # noqa: E402
     Tolerance,
     cli,
     compatibility_diagnostics,
+    is_weight_hermitian,
     spline_with_weight,
     weighted_projection,
+    weighted_projection_pinv,
 )
 from obliqueproj.report import identity_battery  # noqa: E402
 from support import (  # noqa: E402
@@ -145,6 +149,13 @@ def _spline(weight, span, tol):
     return {"unique": result.unique, "freedom": result.freedom.dim}
 
 
+def _hermitian(weight, span, tol):
+    return {
+        name: _outcome(lambda c=construct: is_weight_hermitian(c(weight, span, tol), weight, span, tol))
+        for name, construct in (("block", weighted_projection), ("pinv", weighted_projection_pinv))
+    }
+
+
 def _battery(weight, span, tol):
     return [[r["name"], r["pass"], r["applicable"]] for r in identity_battery(weight, span, tol)]
 
@@ -164,6 +175,7 @@ def records():
                     ("diagnostics", _diagnostics),
                     ("projection", _projection),
                     ("spline", _spline),
+                    ("hermitian", _hermitian),
                     ("battery", _battery),
                 ):
                     record[key] = _outcome(lambda: fn(weight, span, tol))

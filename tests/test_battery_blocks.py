@@ -48,6 +48,7 @@ from obliqueproj import (
     report,
     spline_with_weight,
 )
+from obliqueproj.linalg import _frobenius
 from obliqueproj.report import (
     _STACK_ENTRIES,
     SAMPLES,
@@ -138,7 +139,7 @@ def test_hermitian_tests_agree_matches_loop(cases):
     disagreeing = []
     for label, weight, span, tol in cases:
         geometry = oblique._Geometry(weight, span, tol)
-        anchor = oblique._hermitian_anchor(weight.base)
+        anchor = geometry.hermitian_anchor
         # An anchor whose bound is near the typical ||AQ - Q^T A|| splits the
         # samples, so the count also tells which projections were drawn.
         split = np.linalg.norm(weight.base) * np.sqrt(span.dim * (weight.dim - span.dim)) / tol.eq_abs
@@ -197,6 +198,27 @@ def test_stacked_vector_products_match_single_ones(n):
     dots = y.transpose(0, 2, 1) @ z
     for i in range(m):
         assert dots[i, 0, 0].tobytes() == (y[i, :, 0] @ z[i, :, 0]).tobytes(), i
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 8, 64, 512])
+def test_one_member_hermitian_residual_matches_the_matrix_one(n):
+    # The premise of _Geometry.hermitian_gaps, which is_weight_hermitian and
+    # the weight_symmetry record read on a one-member stack: numpy takes
+    # each product of a (1, n, n) stack with the kernel of the 2-D product,
+    # and _frobenius takes its norm as np.linalg.norm does, so residual and
+    # norm are those of the matrix bit for bit, in both orders of A and Q.
+    rng = np.random.default_rng(n)
+    g, q = rng.normal(size=(2, n, n))
+    weight = PsdOperator.from_matrix(g @ g.T)
+    geometry = oblique._Geometry(weight, Subspace(n, np.zeros((n, 0))), DEFAULT_TOL)
+    for q in (q, np.asfortranarray(q)):
+        for a in (weight.base, np.asfortranarray(weight.base)):
+            matrix = a @ q - q.T @ a
+            stacked = a @ q[None] - q[None].transpose(0, 2, 1) @ a
+            assert stacked[0].tobytes() == matrix.tobytes()
+            assert _frobenius(stacked)[0].tobytes() == np.linalg.norm(matrix).tobytes()
+        gap = geometry.hermitian_gaps(q[None])[0]
+        assert gap.tobytes() == np.linalg.norm(weight.base @ q - q.T @ weight.base).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -280,6 +280,16 @@ class TestCommands:
         assert streams.err.startswith(f"error: cannot write {out}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["compat", "project", "interpolate", "oprange", "report"])
+    def test_pair_dimension_mismatch_exits_2(self, fixtures, tmp_path, capsys, command):
+        # A weight on R^3 beside a subspace of R^2 (x lives in R^2 with S):
+        # the pair geometry of each command refuses it before any other work.
+        tmp, p = fixtures
+        a3 = write(tmp_path / "a3.json", {"rows": 3, "cols": 3, "data": np.eye(3).ravel().tolist()})
+        assert cli.main([command, "--input-a", a3, "--input-s", p["s"], "--input-x", p["x"]]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "error: weight acts on R^3 but the subspace lives in R^2\n")
+
     def test_missing_required_input_exits_2(self, fixtures):
         tmp, p = fixtures
         assert cli.main(["interpolate", "--input-a", p["a"], "--input-s", p["s"]]) == 2

@@ -554,6 +554,21 @@ class TestPsdOperator:
         with pytest.raises(ValueError):
             PsdOperator.from_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("c", [1.0, 1e154, 1e300, 8e307, 9e307, 1.7e308])
+    def test_large_finite_weights_keep_their_spectrum(self, c):
+        # (m + m^T) / 2 overflowed past about 9e307 and left rank 0; pytest
+        # turns the RuntimeWarning of an overflow into an error.
+        a = PsdOperator.from_matrix(c * np.eye(3))
+        assert a.rank == 3
+        np.testing.assert_allclose(a.eigvals, c, rtol=1e-14)
+
+    @pytest.mark.parametrize("c", [1.0, 1e150, 1e160, 1e300])
+    def test_rejects_asymmetric_at_every_scale(self, c):
+        # The anchor 1 + ||m|| overflowed past ||m|| ~ 1.3e154 and let every
+        # matrix through.
+        with pytest.raises(NotPsd):
+            PsdOperator.from_matrix(c * np.array([[1.0, 1.0], [0.0, 1.0]]))
+
 
 class TestEqualityHelpers:
     def test_basis_independence(self):
@@ -575,3 +590,9 @@ class TestProjectionCertificates:
 
         broken = ObliqueProjection(np.full((2, 2), 0.3), span([1, 0]), span([0, 1]))
         assert not broken.verify()
+
+    def test_nullspace_from_another_space_raises(self):
+        from obliqueproj import ObliqueProjection
+
+        with pytest.raises(DimensionMismatch):
+            ObliqueProjection(np.eye(2), Subspace(2, np.eye(2)), Subspace(3, np.zeros((3, 0))))

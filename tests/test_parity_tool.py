@@ -68,7 +68,7 @@ def test_a_dump_compares_equal_to_a_second_dump(parity, tmp_path, monkeypatch, c
     assert parity.main(["--out", str(a)]) == parity.main(["--out", str(b)]) == 0
     records = [json.loads(line) for line in a.read_text().splitlines()]
     assert [(r["set"], r["index"]) for r in records] == [("acceptance", i) for i in range(3)]
-    assert all({"diagnostics", "projection", "spline", "battery"} <= r.keys() for r in records)
+    assert all({"diagnostics", "projection", "spline", "hermitian", "battery"} <= r.keys() for r in records)
     assert parity.compare(str(a), str(b)) == 0
     assert capsys.readouterr().out == "3 and 3 records, 0 differ\n"
 

@@ -16,8 +16,8 @@ decomposition:
   a raw SVD;
 - outside ``oblique.py`` the only private names of ``oblique`` that are
   read are the pair geometry ``_Geometry``, whose fields hold every
-  quantity of a pair, ``_certified`` and ``_hermitian_anchor``, so a
-  helper that decomposes a pair beside the geometry shows in review.
+  quantity of a pair, and ``_certified``, so a helper that decomposes a
+  pair beside the geometry shows in review.
 
 The CLI ``douglas`` check ``lambda_matches_norm_sq`` compares with a
 literal ``1e-6``, not a tolerance field, so the first check does not see
@@ -119,6 +119,6 @@ def test_no_module_reads_a_pair_helper_beside_the_geometry():
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "oblique.py"
     }
-    assert set().union(*reads.values()) == {"_Geometry", "_certified", "_hermitian_anchor"}
+    assert set().union(*reads.values()) == {"_Geometry", "_certified"}
     # the walk sees both forms of read
     assert "_Geometry" in reads["oprange.py"] and "_Geometry" in reads["report.py"]
