@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, douglas, interpolant, io, oblique, oprange
 from .errors import DimensionMismatch, Error, PreconditionError
-from .linalg import PsdOperator, Subspace, Tolerance, _within
+from .linalg import PsdOperator, Subspace, Tolerance, _norm, _within
 from .report import identity_battery
 
 EXIT_OK = 0
@@ -161,7 +161,7 @@ def _run_project(job: JobSpec) -> tuple[dict, dict, dict]:
         if name == "invertible" and weight.rank < weight.dim:
             checks[f"agrees_{name}"] = None
             continue
-        gap = float(np.linalg.norm(matrix(geometry) - proj.matrix))
+        gap = _norm(matrix(geometry) - proj.matrix)
         checks[f"agrees_{name}"] = bool(_within(gap, 1.0, job.tol, slack=10.0))
     checks["hermitian"] = bool(geometry.is_hermitian(proj))
     return {"projection": _projection_obj(proj)}, checks, loaded
@@ -198,7 +198,7 @@ def _run_interpolate(job: JobSpec) -> tuple[dict, dict, dict]:
     x = io.load_vector(job.inputs["x"])
     result = interpolant.spline_with_weight(weight, span, x, job.tol)
     oracle = interpolant.spline_by_normal_equations(weight.sqrt, span, x, job.tol)
-    gap = float(np.linalg.norm(result.minimizer - oracle))
+    gap = _norm(result.minimizer - oracle)
     loaded["x"] = x.reshape(-1, 1)
     results = {
         "minimizer": io.vector_to_obj(result.minimizer),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NoSolution
-from .linalg import DEFAULT_TOL, Tolerance, _readonly, _within, as_matrix, moore_penrose, spectral_norm
+from .linalg import DEFAULT_TOL, Tolerance, _norm, _readonly, _within, as_matrix, moore_penrose, spectral_norm
 
 __all__ = ["ReducedSolution", "range_inclusion", "reduced_solution",
            "least_squares_solution", "minimal_lambda"]
@@ -60,8 +60,8 @@ def _checked(
 ) -> tuple[np.ndarray, float, bool]:
     # (D, residual, feasible) for D = A^+ B formed by the caller: the test on
     # ||A D - B|| = ||(I - A A^+) B||; gated, an infeasible system raises NoSolution.
-    residual = float(np.linalg.norm(a @ d - b))
-    feasible = _within(residual, float(np.linalg.norm(b)), tol)
+    residual = _norm(a @ d - b)
+    feasible = _within(residual, _norm(b), tol)
     if gate and not feasible:
         raise NoSolution("R(B) is not contained in R(A); the equation AX=B is unsolvable")
     return d, residual, feasible

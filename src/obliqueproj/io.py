@@ -48,7 +48,7 @@ def matrix_from_obj(obj) -> np.ndarray:
         m = np.array(data, dtype=float).reshape(rows, cols)
     except OverflowError as exc:
         raise FormatError(f"matrix data is out of the double range: {exc}") from exc
-    if m.size and not np.all(np.isfinite(m)):
+    if m.size and not np.isfinite(m).all():
         raise FormatError("matrix data contains NaN/Inf")
     return m
 

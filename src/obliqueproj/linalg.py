@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -77,8 +76,33 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
+class _cached:
+    """A field computed on first read and kept in the instance ``__dict__``.
+
+    ``functools.cached_property`` without its lock: the value is stored the
+    same way, so a frozen dataclass can hold it and later reads find it
+    before the descriptor; an exception on a first read stores nothing, and
+    the next read computes again.  Concurrent first reads of one field may
+    each compute the same value.
+    """
+
+    def __init__(self, compute):
+        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
+
+
+_FLOAT = np.dtype(float)
+
+
 def _real(values, kind: str) -> np.ndarray:
     # float64 values, a float64 array as itself; complex input raises.
+    if type(values) is np.ndarray and values.dtype is _FLOAT:
+        return values
     a = np.asarray(values)
     if np.iscomplexobj(a):
         raise ValueError(f"{kind} entries must be real, got {a.dtype}")
@@ -94,17 +118,19 @@ def as_matrix(values, rows: int | None = None, cols: int | None = None) -> np.nd
         raise DimensionMismatch(f"expected {rows} rows, got {m.shape[0]}")
     if cols is not None and m.shape[1] != cols:
         raise DimensionMismatch(f"expected {cols} columns, got {m.shape[1]}")
-    if m.size and not np.all(np.isfinite(m)):
+    if m.size and not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return m
 
 
 def as_vector(values, dim: int | None = None) -> np.ndarray:
     """Validate and convert input to a finite float64 1-D array; complex input raises ValueError."""
-    v = _real(values, "vector").reshape(-1)
+    v = _real(values, "vector")
+    if v.ndim != 1:
+        v = v.reshape(-1)
     if dim is not None and v.shape[0] != dim:
         raise DimensionMismatch(f"expected a vector of length {dim}, got {v.shape[0]}")
-    if v.size and not np.all(np.isfinite(v)):
+    if v.size and not np.isfinite(v).all():
         raise ValueError("vector entries must be finite (no NaN/Inf)")
     return v
 
@@ -115,6 +141,14 @@ def spectral_norm(m) -> float:
     if m.size == 0:
         return 0.0
     return float(np.linalg.norm(m, 2))
+
+
+def _norm(x: np.ndarray) -> float:
+    # np.linalg.norm(x) of a real float array, bit for bit: numpy takes it as
+    # the square root of one dot product of the array flattened in memory
+    # order, and so does this, without the wrapper.
+    flat = x.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
 
 
 def _frobenius(stack: np.ndarray) -> np.ndarray:
@@ -164,12 +198,16 @@ def _within(residual, anchor, tol: Tolerance, slack: float = 1.0):
     return residual <= slack * tol.eq_abs * anchor
 
 
-def _clip_sign(values, tol: Tolerance, message: str):
+def _clip_sign(values, tol: Tolerance, message: str, *, first: bool = False):
     # The sign rule on the values of a PSD quantity: down to -psd_neg they
-    # are roundoff and clip to zero; a more negative least value raises
-    # NotPsd with ``message`` formatted with it.
+    # are roundoff and clip to zero; a more negative value raises NotPsd
+    # with ``message`` formatted with the least value, or with ``first``
+    # with the first one in row order, as a loop over the values would.
     least = np.minimum.reduce(values, axis=None, initial=0.0)
     if least < -tol.psd_neg:
+        if first:
+            flat = np.ravel(values)
+            least = flat[np.argmax(flat < -tol.psd_neg)]
         raise NotPsd(message.format(least))
     return np.maximum(values, 0.0)
 
@@ -363,7 +401,7 @@ def _equal(s1: Subspace, s2: Subspace, n: int, tol: Tolerance) -> bool:
     # The test of subspace_equal() with the bound of R^n, also for subspaces
     # of R(A) held in the coordinates of V_r: V_r has orthonormal columns,
     # so their projector distance is that of the subspaces of R^n.
-    return _within(float(np.linalg.norm(s1.projector() - s2.projector())), n, tol)
+    return _within(_norm(s1.projector() - s2.projector()), n, tol)
 
 
 @dataclass(frozen=True)
@@ -383,7 +421,7 @@ class ObliqueProjection:
         """Check idempotency and the range/nullspace certificates."""
         p, n, rb = self.matrix, self.range.ambient_dim, self.range.basis
         gaps = (p @ p - p, p @ rb - rb, p @ self.nullspace.basis)
-        ok = all(_within(np.linalg.norm(g), n, tol) for g in gaps)
+        ok = all(_within(_norm(g), n, tol) for g in gaps)
         return ok and self.range.dim + self.nullspace.dim == n
 
 
@@ -424,20 +462,20 @@ class PsdOperator:
     def dim(self) -> int:
         return self.base.shape[0]
 
-    @cached_property
+    @_cached
     def range_subspace(self) -> Subspace:
         return Subspace(self.dim, self.eigvecs[:, : self.rank])
 
-    @cached_property
+    @_cached
     def sqrt(self) -> np.ndarray:
         vr = self.range_subspace.basis
         return _readonly((vr * np.sqrt(self.eigvals[: self.rank])) @ vr.T)
 
-    @cached_property
+    @_cached
     def range_proj(self) -> np.ndarray:
         return _readonly(self.range_subspace.projector())
 
-    @cached_property
+    @_cached
     def null_subspace(self) -> Subspace:
         return Subspace(self.dim, self.eigvecs[:, self.rank :])
 
@@ -462,7 +500,7 @@ class PsdOperator:
         # decision, and no square in the norms and no sum overflows.
         e = max(math.frexp(np.abs(m).max(initial=0.0))[1], 0)
         s = m * 2.0**-e
-        if not _within(np.linalg.norm(s - s.T), 2.0**-e + np.linalg.norm(s), tol):
+        if not _within(_norm(s - s.T), 2.0**-e + _norm(s), tol):
             raise NotPsd("weight matrix is not symmetric within tolerance")
         s = (s + s.T) * 2.0 ** (e - 1)  # (m + m^T) / 2
         w, v = np.linalg.eigh(s)

@@ -18,7 +18,6 @@ the CLI.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -36,8 +35,10 @@ from .linalg import (
     Subspace,
     Tolerance,
     _apart,
+    _cached,
     _equal,
     _frobenius,
+    _norm,
     _operator_norm,
     _rank_from_values,
     _ranked_svd,
@@ -223,32 +224,32 @@ class _Geometry:
                 f"weight acts on R^{self.weight.dim} but the subspace lives in R^{self.span.ambient_dim}"
             )
 
-    @cached_property
+    @_cached
     def cross(self) -> np.ndarray:
         return self.weight.eigvecs[:, : self.weight.rank].T @ self.span.basis
 
-    @cached_property
+    @_cached
     def _cross_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # With r < dim S the columns of B_S beyond r have sine zero: the
         # full SVD keeps their right singular vectors.
         return _svd(self.cross, full_matrices=self.cross.shape[0] < self.cross.shape[1])
 
-    @cached_property
+    @_cached
     def cross_left(self) -> np.ndarray:
         return self._cross_svd[0]
 
-    @cached_property
+    @_cached
     def cross_sines(self) -> np.ndarray:
         return self._cross_svd[1]
 
-    @cached_property
+    @_cached
     def overlap(self) -> Subspace:
         # At most dim N(A) = n - r sines lie below 1, so the angle cutoff
         # 2 rank_rel < 1 keeps N inside N(A).
         _, sines, vt = self._cross_svd
         return Subspace(self.weight.dim, self.span.basis @ vt[_apart(sines, self.tol) :].T)
 
-    @cached_property
+    @_cached
     def shift(self) -> np.ndarray | None:
         weight, bs, tol = self.weight, self.span.basis, self.tol
         # S ⊆ N(A) within the angle cutoff makes A B_S = 0 (the blocks are
@@ -259,11 +260,11 @@ class _Geometry:
         gap = rows - a @ bs.T  # b B_perp^T
         shift = (np.zeros_like(a) if exact else moore_penrose(a, tol)) @ gap
         # ||a D - b|| against ||B_S^T A||, not ||b||: b is roundoff on an A-invariant S.
-        if not exact and not _within(np.linalg.norm(a @ shift - gap), np.linalg.norm(rows), tol):
+        if not exact and not _within(_norm(a @ shift - gap), _norm(rows), tol):
             return None
         return shift
 
-    @cached_property
+    @_cached
     def split(self) -> tuple[np.ndarray, np.ndarray]:
         # A vector V_r y + z (z in N(A)) lies in A^{-1}(S^perp) exactly when
         # C^T Λ y = 0.  One SVD of that product splits R^r into its row
@@ -273,13 +274,13 @@ class _Geometry:
         _, _, vt, r = _ranked_svd(product, self.tol, _operator_norm(self.weight), full_matrices=True)
         return vt[:r].T, vt[r:].T
 
-    @cached_property
+    @_cached
     def preimage(self) -> Subspace:
         # N(A) ⊕ V_r N(C^T Λ)
         v, r = self.weight.eigvecs, self.weight.rank
         return Subspace(self.weight.dim, np.hstack([v[:, r:], v[:, :r] @ self.split[1]]))
 
-    @cached_property
+    @_cached
     def projection(self) -> ObliqueProjection:
         shift, weight, bs = self._solved_shift(), self.weight, self.span.basis
         n, r = weight.dim, weight.rank
@@ -291,30 +292,30 @@ class _Geometry:
         null = Subspace(n, np.hstack([rest, self.preimage.basis[:, n - r :]]))
         return ObliqueProjection(bs @ (bs.T + shift), self.span, null)
 
-    @cached_property
+    @_cached
     def reflectors(self) -> _Reflectors:
         return _reflectors(self.span.basis)
 
-    @cached_property
+    @_cached
     def perp(self) -> Subspace:
         return Subspace(self.span.ambient_dim, self.reflectors.perp())
 
-    @cached_property
+    @_cached
     def coupling(self) -> np.ndarray | None:
         # shift B_perp = a^+ b - a^+ a B_S^T B_perp = a^+ b, as B_S^T B_perp = 0
         return None if self.shift is None else self.reflectors.apply_perp(self.shift)
 
-    @cached_property
+    @_cached
     def pinv_strip(self) -> np.ndarray:
         p = self.span.projector()
         pa = p @ self.weight.base
         return moore_penrose(pa @ p, self.tol) @ pa
 
-    @cached_property
+    @_cached
     def pinv_matrix(self) -> np.ndarray:
         return self.pinv_strip + self.overlap.projector()
 
-    @cached_property
+    @_cached
     def invertible_matrix(self) -> np.ndarray:
         weight = self.weight
         if weight.rank < weight.dim:
@@ -323,9 +324,9 @@ class _Geometry:
         q = np.eye(weight.dim) - p
         return p @ np.linalg.solve(p @ weight.base @ p + q @ weight.base @ q, weight.base)
 
-    @cached_property
+    @_cached
     def hermitian_anchor(self) -> float:
-        return 1.0 + float(np.linalg.norm(self.weight.base))
+        return 1.0 + _norm(self.weight.base)
 
     def hermitian_gaps(self, q: np.ndarray) -> np.ndarray:
         """``||A Q - Q^T A||`` of each matrix of an ``(m, n, n)`` stack; on a

@@ -24,7 +24,6 @@ weight's nullspace invariant live in the chart too (:func:`chart_extension`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -35,8 +34,10 @@ from .linalg import (
     Subspace,
     Tolerance,
     _apart,
+    _cached,
     _equal,
     _frobenius,
+    _norm,
     _operator_norm,
     _readonly,
     _within,
@@ -119,7 +120,7 @@ def range_inner(x: RangeVector, y: RangeVector) -> float:
 
 def range_norm(x: RangeVector) -> float:
     """Range-space norm, the minimum norm over all preimages."""
-    return float(np.linalg.norm(x.witness))
+    return _norm(x.witness)
 
 
 def chart_basis(weight: PsdOperator) -> np.ndarray:
@@ -170,19 +171,19 @@ class RangeSpaceProjection:
     def weight(self) -> PsdOperator:
         return self.geometry.weight
 
-    @cached_property
+    @_cached
     def range_image(self) -> Subspace:
         return _sqrt_image(self.weight, self.geometry.cross, self.geometry.tol)
 
-    @cached_property
+    @_cached
     def coord_matrix(self) -> np.ndarray:
         return self.range_image.projector()
 
-    @cached_property
+    @_cached
     def null_image(self) -> Subspace:
         return complement(self.range_image)
 
-    @cached_property
+    @_cached
     def weight_image(self) -> Subspace:
         g = self.geometry
         return subspace_from_span(g.weight.base @ g.span.basis, g.tol, scale=_operator_norm(g.weight))
@@ -195,7 +196,7 @@ class RangeSpaceProjection:
         witness = vr @ (self.coord_matrix @ (vr.T @ x.witness))
         return RangeVector(self.weight, self.weight.sqrt @ witness, witness)
 
-    @cached_property
+    @_cached
     def extension(self) -> np.ndarray:
         """:func:`chart_extension` of the weighted projection.
 
@@ -203,17 +204,17 @@ class RangeSpaceProjection:
         """
         return chart_extension(self.weight, self.geometry.projection.matrix, self.geometry.tol)
 
-    @cached_property
+    @_cached
     def extension_matches(self) -> bool:
         """Whether the extension of the weighted projection is the chart projection.
 
         True for every compatible pair; this is the bridge identity between
         the ambient oblique picture and the range-space orthogonal picture.
         """
-        gap = float(np.linalg.norm(self.extension - self.coord_matrix))
-        return _within(gap, 1.0 + float(np.linalg.norm(self.coord_matrix)), self.geometry.tol, slack=10.0)
+        gap = _norm(self.extension - self.coord_matrix)
+        return _within(gap, 1.0 + _norm(self.coord_matrix), self.geometry.tol, slack=10.0)
 
-    @cached_property
+    @_cached
     def projected_range(self) -> tuple[Subspace, bool]:
         """Image of R(A) under the chart projection, mapped back to ambient space.
 
@@ -228,7 +229,7 @@ class RangeSpaceProjection:
         ambient = Subspace(weight.dim, chart_basis(weight) @ image.basis)
         return ambient, _equal(image, target, weight.dim, tol)
 
-    @cached_property
+    @_cached
     def induced(self) -> np.ndarray:
         """The ambient idempotent obtained by conjugating the chart projection.
 
@@ -241,7 +242,7 @@ class RangeSpaceProjection:
         vr, root = chart_basis(self.weight), _root(self.weight)
         return (vr / root) @ self.coord_matrix @ (root[:, None] * vr.T)
 
-    @cached_property
+    @_cached
     def _perp_in_range(self) -> np.ndarray:
         # S^perp ∩ R(A) = V_r N(C^T), held in R^r: the left directions of C
         # whose sine lies under the cutoff of intersect(), and those past its
@@ -250,7 +251,7 @@ class RangeSpaceProjection:
         apart = _apart(g.cross_sines, g.tol)
         return complement(Subspace(g.weight.rank, g.cross_left[:, :apart])).basis
 
-    @cached_property
+    @_cached
     def complement_density(self) -> bool:
         """Two equivalent density statements about ``S^perp ∩ R(A)`` in the chart.
 
@@ -270,7 +271,7 @@ class RangeSpaceProjection:
             raise InconsistentDiagnostics("the closure identity and the dense-sum identity disagree")
         return closure_fills
 
-    @cached_property
+    @_cached
     def decompositions(self) -> tuple[bool, bool, bool]:
         """Three equivalent decomposition conditions for compatibility.
 

@@ -31,6 +31,7 @@ from .linalg import (
     _clip_sign,
     _contains_bases,
     _frobenius,
+    _norm,
     _within,
     complement,
     intersect,
@@ -141,14 +142,14 @@ def _spline_agrees_normal_equations(rng: np.random.Generator, geometry: oblique.
     # The interpolants x - P x of 20 sampled x, read off the pair geometry,
     # against the normal-equation solve on the weight's square root, whose
     # factorizations are made once.  The seminorm's sign rule is applied to
-    # each sample in draw order, so NotPsd names the first negative form, as
+    # the samples in draw order, so NotPsd names the first negative form, as
     # a loop over the samples would, not the least.
     weight, span, tol = geometry.weight, geometry.span, geometry.tol
     normal_equations = interpolant._normal_equations(weight.sqrt, span, tol)
     x = rng.normal(size=(20, weight.dim, 1))
     direct = x - geometry.apply(x)
-    for form in (direct.transpose(0, 2, 1) @ (weight.base @ direct))[:, 0, 0]:
-        _clip_sign(form, tol, interpolant._NEGATIVE_FORM)
+    forms = (direct.transpose(0, 2, 1) @ (weight.base @ direct))[:, 0, 0]
+    _clip_sign(forms, tol, interpolant._NEGATIVE_FORM, first=True)
     worst = float(np.max(_frobenius(direct - normal_equations.solve(x)) / (1.0 + _frobenius(x))))
     return _record("spline_agrees_normal_equations", _within(worst, 1.0, tol), worst)
 
@@ -171,12 +172,12 @@ def identity_battery(
     chart = oprange.RangeSpaceProjection(geometry)
     decomps = chart.decompositions
 
-    gap = float(np.linalg.norm(p @ p - p))
+    gap = _norm(p @ p - p)
     checks.append(_record("projection_idempotent", _within(gap, n, tol), gap))
 
     # One SVD of P gives its null space and, P being square, its rank.
     null = nullspace_of(p, tol)
-    range_gap = float(np.linalg.norm(p @ span.basis - span.basis))
+    range_gap = _norm(p @ span.basis - span.basis)
     rank_ok = n - null.dim == span.dim
     checks.append(_record("projection_range", _within(range_gap, n, tol) and rank_ok, range_gap))
 
@@ -187,11 +188,11 @@ def identity_battery(
     checks.append(_record("weight_symmetry", _within(sym_gap, geometry.hermitian_anchor, tol), sym_gap))
 
     # The other constructions' matrices only, without certified nullspaces.
-    pinv_gap = float(np.linalg.norm(geometry.pinv_matrix - p))
+    pinv_gap = _norm(geometry.pinv_matrix - p)
     checks.append(_record("construction_pinv_agrees", _within(pinv_gap, 1.0, tol, slack=10.0), pinv_gap))
 
     if weight.rank == n:
-        inv_gap = float(np.linalg.norm(geometry.invertible_matrix - p))
+        inv_gap = _norm(geometry.invertible_matrix - p)
         checks.append(_record("construction_inverse_agrees", _within(inv_gap, 1.0, tol, slack=10.0), inv_gap))
     else:
         checks.append(_record("construction_inverse_agrees", True, applicable=False))
@@ -209,8 +210,8 @@ def identity_battery(
     ps_a = ps @ weight.base
     q1 = douglas._checked(ps_a @ ps, geometry.pinv_strip, ps_a, tol, gate=True)[0]
     q2 = douglas._solve(weight.sqrt @ ps, p_m @ weight.sqrt, tol, gate=True)[0]
-    pair_gap = float(np.linalg.norm(q1 - q2))
-    strip_gap = float(np.linalg.norm((p - overlap.projector()) - q1))
+    pair_gap = _norm(q1 - q2)
+    strip_gap = _norm((p - overlap.projector()) - q1)
     checks.append(
         _record(
             "reduced_solutions_coincide",
@@ -236,10 +237,10 @@ def identity_battery(
     checks.append(_family_extension_constant(rng, geometry, chart.extension))
 
     induced = chart.induced
-    idem_gap = float(np.linalg.norm(induced @ induced - induced))
+    idem_gap = _norm(induced @ induced - induced)
     ok = _within(idem_gap, n, tol)
     if report.compatible:
-        factor_gap = float(np.linalg.norm(induced - weight.range_proj @ p))
+        factor_gap = _norm(induced - weight.range_proj @ p)
         ok = ok and _within(factor_gap, 1.0, tol, slack=10.0)
         idem_gap = max(idem_gap, factor_gap)
     checks.append(_record("induced_projection_idempotent", ok, idem_gap))

@@ -25,7 +25,7 @@ from obliqueproj import (
     subspace_sum,
 )
 from obliqueproj import douglas, interpolant, linalg, oblique, oprange
-from obliqueproj.linalg import _clip_sign, _contains_bases, _rank_from_values, _reflectors, _within
+from obliqueproj.linalg import _clip_sign, _contains_bases, _norm, _rank_from_values, _reflectors, _within
 from support import (
     NotContained,
     complement_by_compact_wy,
@@ -151,6 +151,40 @@ class TestResidualRule:
         assert 0 < np.count_nonzero(verdicts) < 6
 
 
+class TestNorm:
+    SIZES = (0, 1, 2, 8, 64, 512)
+    SCALES = (1e-300, 1.0, 1e150, 1e154, 1e155, 1e300)
+
+    @staticmethod
+    def layouts(rng, size):
+        """1-D and 2-D arrays of ``size`` rows: C and Fortran order,
+        transposed and strided views."""
+        v = rng.normal(size=2 * size)
+        m = rng.normal(size=(2 * size, 6))
+        c = np.ascontiguousarray(m[:size, :3])
+        return [v[:size], v[::2], c, np.asfortranarray(c), c.T, m[::2, ::2], m[::2, ::2].T]
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_equals_numpy_bit_for_bit(self, size):
+        rng = np.random.default_rng([9, size])
+        overflowed = set()
+        for x in self.layouts(rng, size):
+            for scale in self.SCALES:
+                # both warn alike on an overflow of the dot product
+                with np.errstate(over="ignore"):
+                    expected = np.linalg.norm(scale * x)
+                    got = _norm(scale * x)
+                assert np.float64(got).tobytes() == expected.tobytes(), (x.shape, x.strides, scale)
+                if np.isinf(got):
+                    overflowed.add(scale)
+        # the sum of squares overflows to inf past about 1e154
+        assert overflowed >= ({1e155, 1e300} if size else set()) and 1e150 not in overflowed
+
+    def test_empty_and_zero(self):
+        assert _norm(np.zeros((0, 3))) == 0.0 and _norm(np.zeros((2, 2))) == 0.0
+        assert np.float64(_norm(np.array([-0.0]))).tobytes() == np.linalg.norm(np.array([-0.0])).tobytes()
+
+
 class TestSignRule:
     def test_tie_clips(self):
         tol = Tolerance(psd_neg=0.25)
@@ -174,6 +208,33 @@ class TestSignRule:
         with pytest.raises(NotPsd) as raised:
             _clip_sign(values, tol, "{:.17g}")
         assert str(raised.value) == f"{values.min():.17g}"
+
+    def test_first_names_the_first_offender_in_row_order(self):
+        tol = Tolerance(psd_neg=0.25)
+        values = np.array([1.0, -0.25, np.nextafter(-0.25, -1.0), -3.0, -0.5])
+        with pytest.raises(NotPsd) as raised:
+            _clip_sign(values, tol, "{:.17g}", first=True)
+        # the tie at -psd_neg clips; the next value is the first offender,
+        # not the least one, which the plain rule names
+        assert str(raised.value) == f"{np.nextafter(-0.25, -1.0):.17g}"
+        with pytest.raises(NotPsd, match="^-3$"):
+            _clip_sign(values, tol, "{:.17g}")
+        with pytest.raises(NotPsd, match="^-1$"):
+            _clip_sign(np.array([[0.0, -1.0], [-5.0, 0.0]]), tol, "{:.17g}", first=True)
+        with pytest.raises(NotPsd, match="^-2$"):
+            _clip_sign(-2.0, tol, "{:.17g}", first=True)
+
+    def test_first_clips_as_the_plain_rule(self):
+        # With no value under -psd_neg, first changes nothing: ties at the
+        # cutoff, zeros, NaN and scalars.
+        rng = np.random.default_rng(8)
+        tol = Tolerance()
+        values = rng.normal(scale=1e-10, size=40)
+        values = values[values >= -1e-10]
+        values[:3] = [-1e-10, 0.0, -0.0]
+        for v in (values, values.reshape(-1, 1), np.append(values, np.nan), -1e-10, 0.5):
+            np.testing.assert_array_equal(_clip_sign(v, tol, "{}", first=True), _clip_sign(v, tol, "{}"))
+        assert _clip_sign(np.array([-0.25, 1.0]), Tolerance(psd_neg=0.25), "{}", first=True).tolist() == [0.0, 1.0]
 
     def test_messages(self):
         with pytest.raises(NotPsd, match=r"^weight matrix has negative eigenvalue -1\.000e\+00$"):

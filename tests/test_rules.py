@@ -3,8 +3,8 @@
 Every tolerance decision goes through one of the four rule functions of
 ``obliqueproj.linalg`` (rank, angle, residual, sign; see ``Tolerance``), so
 a later change of anchors or a trace of the decisions has one place to act.
-Three checks keep it so, and a fourth keeps one home for each pair
-decomposition:
+Three checks keep it so, a fourth keeps one home for each pair
+decomposition, and a fifth keeps the dispatch of small calls down:
 
 - outside ``linalg.py`` no module reads a threshold field of a
   ``Tolerance`` (``eq_abs``, ``rank_rel``, ``psd_neg``); the one exception
@@ -17,7 +17,12 @@ decomposition:
 - outside ``oblique.py`` the only private names of ``oblique`` that are
   read are the pair geometry ``_Geometry``, whose fields hold every
   quantity of a pair, and ``_certified``, so a helper that decomposes a
-  pair beside the geometry shows in review.
+  pair beside the geometry shows in review;
+- no module uses ``functools.cached_property``, whose first read takes a
+  lock on Python 3.11, nor calls ``np.linalg.norm`` with one argument:
+  fields are ``linalg._cached``, a residual norm is ``linalg._norm``, the
+  norms of a stack are ``linalg._frobenius`` and the 2-norm is
+  ``linalg.spectral_norm``.
 
 The CLI ``douglas`` check ``lambda_matches_norm_sq`` compares with a
 literal ``1e-6``, not a tolerance field, so the first check does not see
@@ -122,3 +127,38 @@ def test_no_module_reads_a_pair_helper_beside_the_geometry():
     assert set().union(*reads.values()) == {"_Geometry", "_certified"}
     # the walk sees both forms of read
     assert "_Geometry" in reads["oprange.py"] and "_Geometry" in reads["report.py"]
+
+
+def slow_dispatch(tree: ast.Module) -> list[tuple[int, str]]:
+    """The uses of ``functools.cached_property`` and the one-argument
+    ``np.linalg.norm`` calls of a parsed module, with their lines."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name == "cached_property"]
+        elif isinstance(node, ast.Attribute) and ast.unparse(node) == "functools.cached_property":
+            found.append((node.lineno, "functools.cached_property"))
+        elif (
+            isinstance(node, ast.Call)
+            and ast.unparse(node.func) in ("np.linalg.norm", "numpy.linalg.norm")
+            and len(node.args) == 1
+            and not node.keywords
+        ):
+            found.append((node.lineno, ast.unparse(node.func)))
+    return found
+
+
+def test_no_module_takes_a_locked_field_or_the_wrapped_norm():
+    found = {path.name: slow_dispatch(parsed(path.name)) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+    # the walk sees each form, and passes the norms that take an order or an axis
+    planted = ast.parse(
+        "from functools import cached_property\n"
+        "import functools\n"
+        "functools.cached_property\n"
+        "np.linalg.norm(x)\n"
+        "numpy.linalg.norm(x)\n"
+        "np.linalg.norm(x, 2)\n"
+        "np.linalg.norm(x, axis=0)\n"
+    )
+    assert [line for line, _ in slow_dispatch(planted)] == [1, 3, 4, 5]

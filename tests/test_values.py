@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from obliqueproj import (
+    DimensionMismatch,
     PsdOperator,
     Subspace,
     block_decompose,
@@ -109,3 +110,66 @@ def test_as_matrix_refuses_complex(build):
 def test_as_vector_refuses_complex(build):
     with pytest.raises(ValueError, match="complex"):
         build()
+
+
+def float64_layouts():
+    m = np.random.default_rng(6).normal(size=(4, 6))
+    frozen = m.copy()
+    frozen.flags.writeable = False
+    return [m, np.asfortranarray(m), m.T, m[::2, ::3], frozen]
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_validators_return_a_float64_array_as_itself(index):
+    m = float64_layouts()[index]
+    flags = str(m.flags)
+    assert as_matrix(m) is m and as_matrix(m, *m.shape) is m
+    v = m[0]
+    assert as_vector(v) is v and as_vector(v, v.size) is v
+    assert str(m.flags) == flags
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.arange(6, dtype=np.float32).reshape(2, 3) / 7,
+        np.arange(6).reshape(2, 3),
+        [[1, 2.5, 3], [4, 5, 6]],
+        (np.arange(6.0).reshape(2, 3) / 7).astype(">f8"),
+        np.ones((2, 3), dtype=np.float16),
+    ],
+)
+def test_validators_convert_other_input_as_before(values):
+    expected = np.asarray(values).astype(float, copy=False)
+    assert not isinstance(values, np.ndarray) or values.dtype != np.dtype(float)
+    for got, want in ((as_matrix(values), expected), (as_vector(values), expected.reshape(-1))):
+        assert got is not values and got.dtype == np.dtype(float) and got.dtype.isnative
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validators_refuse_non_finite_entries(bad):
+    for build in (np.array, list):
+        m = np.ones((2, 2))
+        m[1, 0] = bad
+        with pytest.raises(ValueError, match=r"^matrix entries must be finite \(no NaN/Inf\)$"):
+            as_matrix(build(m) if build is np.array else m.tolist())
+        with pytest.raises(ValueError, match=r"^vector entries must be finite \(no NaN/Inf\)$"):
+            as_vector(build(m[1]) if build is np.array else m[1].tolist())
+
+
+def test_validators_refuse_complex_and_wrong_shapes_with_their_messages():
+    with pytest.raises(ValueError, match="^matrix entries must be real, got complex128$"):
+        as_matrix(np.ones((2, 2), dtype=complex))
+    with pytest.raises(ValueError, match="^vector entries must be real, got complex64$"):
+        as_vector(np.ones(2, dtype=np.complex64))
+    with pytest.raises(DimensionMismatch, match="^expected a 2-D matrix, got ndim=1$"):
+        as_matrix(np.ones(3))
+    with pytest.raises(DimensionMismatch, match="^expected a 2-D matrix, got ndim=3$"):
+        as_matrix(np.ones((1, 2, 2)))
+    with pytest.raises(DimensionMismatch, match="^expected 3 rows, got 2$"):
+        as_matrix(np.ones((2, 2)), rows=3)
+    with pytest.raises(DimensionMismatch, match="^expected 3 columns, got 2$"):
+        as_matrix(np.ones((2, 2)), cols=3)
+    with pytest.raises(DimensionMismatch, match="^expected a vector of length 3, got 2$"):
+        as_vector(np.ones(2), 3)

@@ -1,12 +1,21 @@
-"""The derived fields of ``PsdOperator``: computed on first read, once, read-only."""
+"""The derived fields of ``PsdOperator``: computed on first read, once, read-only.
+
+The descriptor behind them, ``linalg._cached``, keeps the contract of
+``functools.cached_property`` without its lock; the last tests hold both to it.
+"""
 
 import dataclasses
+import functools
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from obliqueproj import PsdOperator, Subspace
-from support import make_psd
+from obliqueproj import DEFAULT_TOL, PsdOperator, Subspace
+from obliqueproj.linalg import _cached
+from obliqueproj.oblique import _Geometry
+from support import make_overlapping_pair, make_psd
 
 DERIVED = ("sqrt", "range_proj", "range_subspace", "null_subspace")
 
@@ -64,3 +73,90 @@ def test_replaced_eigen_data_derives_afresh():
 
 def test_constructor_takes_the_eigen_data_only():
     assert [f.name for f in dataclasses.fields(PsdOperator)] == ["base", "eigvals", "eigvecs", "rank"]
+
+
+def counted(descriptor):
+    """A frozen dataclass with two fields made by ``descriptor``: ``doubled``
+    and ``flaky``, which raises on the first read of each instance."""
+
+    @dataclasses.dataclass(frozen=True)
+    class Record:
+        value: float
+        reads: list
+
+        @descriptor
+        def doubled(self):
+            """Twice the value."""
+            self.reads.append("doubled")
+            return 2.0 * self.value
+
+        @descriptor
+        def flaky(self):
+            self.reads.append("flaky")
+            if self.reads.count("flaky") == 1:
+                raise RuntimeError("first read")
+            return self.reads.count("flaky")
+
+    return Record
+
+
+@pytest.mark.parametrize("descriptor", [_cached, functools.cached_property])
+def test_field_computes_once_per_instance(descriptor):
+    record = counted(descriptor)
+    one, two = record(1.0, []), record(3.0, [])
+    assert [one.doubled, one.doubled, two.doubled] == [2.0, 2.0, 6.0]
+    assert one.reads == ["doubled"] and two.reads == ["doubled"]
+    assert vars(one)["doubled"] == 2.0 and vars(two)["doubled"] == 6.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        one.doubled = 0.0
+
+
+@pytest.mark.parametrize("descriptor", [_cached, functools.cached_property])
+def test_field_on_the_class_is_the_descriptor(descriptor):
+    record = counted(descriptor)
+    assert isinstance(record.doubled, descriptor)
+    assert record.doubled.__doc__ == "Twice the value."
+
+
+@pytest.mark.parametrize("descriptor", [_cached, functools.cached_property])
+def test_failed_first_read_stores_nothing(descriptor):
+    one = counted(descriptor)(1.0, [])
+    with pytest.raises(RuntimeError, match="first read"):
+        one.flaky
+    assert "flaky" not in vars(one)
+    assert [one.flaky, one.flaky] == [2, 2]
+    assert one.reads == ["flaky", "flaky"]
+
+
+
+
+def test_concurrent_first_reads_agree():
+    # Without a lock, threads that read a field first may each compute it;
+    # every one of them sees the value a single thread computes.
+    pairs = [make_overlapping_pair(np.random.default_rng([80, i]), 6, 4, 3, 1) for i in range(20)]
+
+    def read(geometry):
+        return geometry.projection.matrix, geometry.overlap.basis, geometry.hermitian_anchor
+
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for pair in pairs:
+            expected = read(_Geometry(*pair, DEFAULT_TOL))
+            geometry, barrier, seen = _Geometry(*pair, DEFAULT_TOL), threading.Barrier(4), []
+
+            def reader():
+                barrier.wait(timeout=10)
+                seen.append(read(geometry))
+
+            threads = [threading.Thread(target=reader) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert len(seen) == 4
+            for values in seen:
+                assert all(np.array_equal(got, want) for got, want in zip(values, expected))
+    finally:
+        sys.setswitchinterval(interval)
