@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, douglas, interpolant, io, oblique, oprange
 from .errors import DimensionMismatch, Error, PreconditionError
-from .linalg import PsdOperator, Subspace, Tolerance, _norm, _within
+from .linalg import PsdOperator, Subspace, Tolerance, _agree, _norm
 from .report import identity_battery
 
 EXIT_OK = 0
@@ -160,9 +160,8 @@ def _run_project(job: JobSpec) -> tuple[dict, dict, dict]:
             continue
         if name == "invertible" and weight.rank < weight.dim:
             checks[f"agrees_{name}"] = None
-            continue
-        gap = _norm(matrix(geometry) - proj.matrix)
-        checks[f"agrees_{name}"] = bool(_within(gap, 1.0, job.tol, slack=10.0))
+        else:
+            checks[f"agrees_{name}"] = bool(_agree(_norm(matrix(geometry) - proj.matrix), job.tol))
     checks["hermitian"] = bool(geometry.is_hermitian(proj))
     return {"projection": _projection_obj(proj)}, checks, loaded
 
@@ -206,7 +205,7 @@ def _run_interpolate(job: JobSpec) -> tuple[dict, dict, dict]:
         "unique": bool(result.unique),
         "freedom": io.subspace_to_obj(result.freedom),
     }
-    checks = {"matches_normal_equations": bool(_within(gap, 1.0, job.tol, slack=10.0))}
+    checks = {"matches_normal_equations": bool(_agree(gap, job.tol))}
     return results, checks, loaded
 
 

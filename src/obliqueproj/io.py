@@ -2,7 +2,10 @@
 
 A matrix is ``{"rows": n, "cols": m, "data": [row-major doubles]}``.
 A subspace is ``{"ambient": n, "span": <matrix>}``; the spanning columns are
-canonicalized to an orthonormal basis on load.
+canonicalized to an orthonormal basis on load.  Keys other than these are
+ignored.  A file that cannot be read, is not JSON, nests deeper than the
+parser's recursion limit or does not hold such a document raises
+:class:`FormatError`.
 """
 
 from __future__ import annotations
@@ -90,6 +93,8 @@ def _load_json(path) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError(f"{path} nests too deeply to read: {exc}") from exc
 
 
 def load_matrix(path) -> np.ndarray:

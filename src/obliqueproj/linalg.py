@@ -53,8 +53,9 @@ class Tolerance:
     - angle: two directions meet when the sine of their principal angle
       lies strictly below ``2 * rank_rel``; a tie keeps them apart;
     - residual: a norm passes at or under ``eq_abs`` times an anchor fixed
-      by the test, a tie passing; the ``10 * eq_abs`` bounds of the checks
-      that compare two constructions are an anchor of 1 with a slack of 10;
+      by the test, a tie passing; the agreement of two constructions of
+      one quantity has a slack of 10 over its anchor (1, unless the
+      quantity names its own);
     - sign: a value of a PSD quantity down to ``-psd_neg`` clips to zero, a
       tie included; a more negative one raises ``NotPsd``.
 
@@ -151,6 +152,13 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(flat.dot(flat))
 
 
+def _norms(x: np.ndarray, axis) -> np.ndarray:
+    # np.linalg.norm(x, axis=axis) of a real float array, bit for bit: numpy
+    # takes the norms along one axis, or of each matrix over two, as this
+    # square root of one add.reduce of the squares, without the wrapper.
+    return np.sqrt(np.add.reduce(x * x, axis=axis))
+
+
 def _frobenius(stack: np.ndarray) -> np.ndarray:
     # np.linalg.norm() of each matrix of an (m, ...) stack, bit for bit: it
     # takes each norm as one dot product of the flattened matrix, and so
@@ -196,6 +204,12 @@ def _within(residual, anchor, tol: Tolerance, slack: float = 1.0):
     # The residual rule: a norm, or an array of them, passes at or under
     # slack * eq_abs * anchor.
     return residual <= slack * tol.eq_abs * anchor
+
+
+def _agree(gap, tol: Tolerance, anchor=1.0):
+    # The residual rule on the gap between two constructions of one
+    # quantity: a slack of 10 over the anchor.
+    return _within(gap, anchor, tol, slack=10.0)
 
 
 def _clip_sign(values, tol: Tolerance, message: str, *, first: bool = False):
@@ -388,7 +402,7 @@ def _contains_bases(outer: Subspace, bases: np.ndarray, tol: Tolerance) -> np.nd
     # The test of contains() on an orthonormal (n, m) basis, or on a stack of
     # them, one verdict each; zero columns leave the residual unchanged.
     residual = bases - outer.projector() @ bases
-    return _within(np.linalg.norm(residual, axis=(-2, -1)), outer.ambient_dim, tol)
+    return _within(_norms(residual, (-2, -1)), outer.ambient_dim, tol)
 
 
 def subspace_equal(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -443,7 +457,9 @@ class PsdOperator:
     numerical rank.  The square root, the range projector and the range and
     null subspaces are derived on first read and kept read-only: the chart
     helpers and the battery read them; the projection, diagnostics and spline
-    entry points read none.  In finite dimension the ranges of
+    entry points read none.  So is ``_root``, the square roots ``Λ^{1/2}``
+    of the kept eigenvalues, the one place they are taken: in the chart,
+    ``A^{1/2}`` acts as their diagonal.  In finite dimension the ranges of
     ``A`` and ``A^{1/2}`` coincide, spanned by the leading eigenvectors.
     Built directly, it shares the arrays passed as a :class:`Subspace` basis
     is shared; :meth:`from_matrix` keeps its own copy of the caller's matrix.
@@ -467,9 +483,13 @@ class PsdOperator:
         return Subspace(self.dim, self.eigvecs[:, : self.rank])
 
     @_cached
+    def _root(self) -> np.ndarray:
+        return _readonly(np.sqrt(self.eigvals[: self.rank]))
+
+    @_cached
     def sqrt(self) -> np.ndarray:
         vr = self.range_subspace.basis
-        return _readonly((vr * np.sqrt(self.eigvals[: self.rank])) @ vr.T)
+        return _readonly((vr * self._root) @ vr.T)
 
     @_cached
     def range_proj(self) -> np.ndarray:

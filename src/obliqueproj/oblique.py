@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import douglas
 from .errors import (
     DimensionMismatch,
     Incompatible,
@@ -167,12 +168,14 @@ def block_decompose(weight: PsdOperator, span: Subspace) -> BlockDecomposition:
 def is_compatible(weight: PsdOperator, span: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether some projection onto ``span`` is Hermitian for the weight.
 
-    Decided by the range inclusion ``R(b) ⊆ R(a)`` of the block entries,
-    which is equivalent to ``a X = b`` being solvable and to
+    Decided by Douglas' range inclusion ``R(b) ⊆ R(a)`` of the block
+    entries, which is equivalent to ``a X = b`` being solvable and to
     ``H = S + A^{-1}(S^perp)``; in finite dimension it always holds.  The
-    residual ``||a a^+ b - b||`` is held to ``eq_abs * ||B_S^T A||_F``, not to
-    ``eq_abs * ||b||``, as ``b`` is roundoff on an A-invariant S that meets
-    N(A).  When ``S ⊆ N(A)`` the blocks vanish and no test is made.
+    solve and its feasibility test are those of :mod:`~obliqueproj.douglas`,
+    with the residual ``||a a^+ b - b||`` held to ``eq_abs * ||B_S^T A||_F``,
+    not to ``eq_abs * ||b||``, as ``b`` is roundoff on an A-invariant S that
+    meets N(A).  When ``S ⊆ N(A)`` or ``S = R^n`` the blocks vanish and no
+    test is made.
     """
     return _Geometry(weight, span, tol).shift is not None
 
@@ -199,8 +202,9 @@ class _Geometry:
     - ``cross``, ``C = V_r^T B_S``; from one SVD of it, ``cross_left``,
       ``cross_sines`` (the sines of the principal angles between S and
       N(A)) and ``overlap``, ``N = S ∩ N(A)``;
-    - ``shift = a^+ (B_S^T A - a B_S^T) = D B_perp^T``, None if ``a X = b``
-      is unsolvable;
+    - ``shift = a^+ (B_S^T A - a B_S^T) = D B_perp^T``, the solve of
+      :mod:`~obliqueproj.douglas`, None if its test finds ``a X = b``
+      unsolvable;
     - ``split``, ``R(Λ C)`` and ``N(C^T Λ)``, from one SVD of ``C^T Λ``,
       and ``preimage``, ``A^{-1}(S^perp)``;
     - ``projection``, the minimal projection with its certified nullspace;
@@ -251,18 +255,18 @@ class _Geometry:
 
     @_cached
     def shift(self) -> np.ndarray | None:
-        weight, bs, tol = self.weight, self.span.basis, self.tol
-        # S ⊆ N(A) within the angle cutoff makes A B_S = 0 (the blocks are
-        # roundoff), and S = R^n leaves no b: either way the coupling is 0.
-        exact = self.overlap.dim == self.span.dim or self.span.dim == weight.dim
+        weight, bs = self.weight, self.span.basis
         rows = bs.T @ weight.base
         a = rows @ bs
         gap = rows - a @ bs.T  # b B_perp^T
-        shift = (np.zeros_like(a) if exact else moore_penrose(a, tol)) @ gap
-        # ||a D - b|| against ||B_S^T A||, not ||b||: b is roundoff on an A-invariant S.
-        if not exact and not _within(_norm(a @ shift - gap), _norm(rows), tol):
-            return None
-        return shift
+        # S ⊆ N(A) within the angle cutoff makes A B_S = 0 (the blocks are
+        # roundoff), and S = R^n leaves no b: either way the coupling is 0.
+        if self.overlap.dim == self.span.dim or self.span.dim == weight.dim:
+            return np.zeros_like(a) @ gap
+        # Douglas' solve of a X = gap, its residual held to ||B_S^T A||, not
+        # to ||b||: b is roundoff on an A-invariant S.
+        shift, _, feasible = douglas._solve(a, gap, self.tol, gate=False, anchor=_norm(rows))
+        return shift if feasible else None
 
     @_cached
     def split(self) -> tuple[np.ndarray, np.ndarray]:

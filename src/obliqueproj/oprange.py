@@ -33,11 +33,13 @@ from .linalg import (
     PsdOperator,
     Subspace,
     Tolerance,
+    _agree,
     _apart,
     _cached,
     _equal,
     _frobenius,
     _norm,
+    _norms,
     _operator_norm,
     _readonly,
     _within,
@@ -80,7 +82,7 @@ def in_weight_range(weight: PsdOperator, u, tol: Tolerance = DEFAULT_TOL) -> boo
 def _in_range(weight: PsdOperator, u: np.ndarray, tol: Tolerance) -> np.ndarray:
     # The test of in_weight_range() on each column of an (n, m) block.
     gap = u - weight.range_proj @ u
-    return _within(np.linalg.norm(gap, axis=0), 1.0 + np.linalg.norm(u, axis=0), tol)
+    return _within(_norms(gap, 0), 1.0 + _norms(u, 0), tol)
 
 
 def lift(weight: PsdOperator, u, tol: Tolerance = DEFAULT_TOL) -> RangeVector:
@@ -103,7 +105,7 @@ def _witnesses(weight: PsdOperator, u: np.ndarray, tol: Tolerance) -> np.ndarray
     if not _in_range(weight, u, tol).all():
         raise NotInRange("the vector is not in the range of the weight within tolerance")
     vr = chart_basis(weight)
-    return vr @ ((vr.T @ u) / _root(weight)[:, None])
+    return vr @ ((vr.T @ u) / weight._root[:, None])
 
 
 def _same_weight(x: PsdOperator, y: PsdOperator) -> bool:
@@ -128,11 +130,6 @@ def chart_basis(weight: PsdOperator) -> np.ndarray:
     return weight.eigvecs[:, : weight.rank]
 
 
-def _root(weight: PsdOperator) -> np.ndarray:
-    # Λ^{1/2}: in the chart, A^{1/2} acts as the diagonal of these values.
-    return np.sqrt(weight.eigvals[: weight.rank])
-
-
 def chart_coords(weight: PsdOperator, u, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Chart coordinates of a range vector (length = rank of the weight)."""
     return chart_basis(weight).T @ lift(weight, u, tol).witness
@@ -147,7 +144,7 @@ def unchart(weight: PsdOperator, coords) -> np.ndarray:
 def _sqrt_image(weight: PsdOperator, cross: np.ndarray, tol: Tolerance) -> Subspace:
     # A^{1/2} S = V_r R(Λ^{1/2} C), held in the coordinates of V_r; the rank
     # cutoff is anchored at ||A^{1/2}|| = sqrt(λ_1).
-    root = _root(weight)
+    root = weight._root
     return subspace_from_span(root[:, None] * cross, tol, scale=float(root[0]) if root.size else 0.0)
 
 
@@ -212,7 +209,7 @@ class RangeSpaceProjection:
         the ambient oblique picture and the range-space orthogonal picture.
         """
         gap = _norm(self.extension - self.coord_matrix)
-        return _within(gap, 1.0 + _norm(self.coord_matrix), self.geometry.tol, slack=10.0)
+        return _agree(gap, self.geometry.tol, 1.0 + _norm(self.coord_matrix))
 
     @_cached
     def projected_range(self) -> tuple[Subspace, bool]:
@@ -224,7 +221,7 @@ class RangeSpaceProjection:
         ``V_r R(Λ C)`` (rank cutoff anchored at ``λ_1``).
         """
         weight, tol = self.weight, self.geometry.tol
-        image = subspace_from_span(_root(weight)[:, None] * self.range_image.basis, tol)
+        image = subspace_from_span(weight._root[:, None] * self.range_image.basis, tol)
         target = Subspace(weight.rank, self.geometry.split[0])
         ambient = Subspace(weight.dim, chart_basis(weight) @ image.basis)
         return ambient, _equal(image, target, weight.dim, tol)
@@ -239,7 +236,7 @@ class RangeSpaceProjection:
         pair it equals the range projector times the weighted projection.
         Formed as ``V_r Λ^{-1/2} P Λ^{1/2} V_r^T``.
         """
-        vr, root = chart_basis(self.weight), _root(self.weight)
+        vr, root = chart_basis(self.weight), self.weight._root
         return (vr / root) @ self.coord_matrix @ (root[:, None] * vr.T)
 
     @_cached
@@ -264,7 +261,7 @@ class RangeSpaceProjection:
         numerically.
         """
         weight, tol = self.weight, self.geometry.tol
-        chart_perp = subspace_from_span(self._perp_in_range / _root(weight)[:, None], tol)
+        chart_perp = subspace_from_span(self._perp_in_range / weight._root[:, None], tol)
         closure_fills = subspace_equal(chart_perp, self.null_image, tol)
         sum_dense = subspace_sum(self.range_image, chart_perp, tol).dim == weight.rank
         if closure_fills != sum_dense:
@@ -333,7 +330,7 @@ def _chart_extensions(weight: PsdOperator, b: np.ndarray, tol: Tolerance) -> np.
     # (m, r, r) stack.  Raises NotExtendable if any operator fails.
     if not _extendable(weight, b, tol).all():
         raise NotExtendable("the operator does not map the weight's nullspace into itself")
-    vr, root = chart_basis(weight), _root(weight)
+    vr, root = chart_basis(weight), weight._root
     return root[:, None] * (vr.T @ b @ vr) / root
 
 

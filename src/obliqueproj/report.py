@@ -28,10 +28,12 @@ from .linalg import (
     PsdOperator,
     Subspace,
     Tolerance,
+    _agree,
     _clip_sign,
     _contains_bases,
     _frobenius,
     _norm,
+    _norms,
     _within,
     complement,
     intersect,
@@ -112,7 +114,7 @@ def _family_extension_constant(
     for members in _members(rng, geometry, 20):
         extensions = oprange._chart_extensions(geometry.weight, members, geometry.tol)
         worst = max(worst, float(np.max(_frobenius(extensions - extension))))
-    return _record("family_extension_constant", _within(worst, 1.0, geometry.tol, slack=10.0), worst)
+    return _record("family_extension_constant", _agree(worst, geometry.tol), worst)
 
 
 def _chart_isometry(rng: np.random.Generator, weight: PsdOperator, tol: Tolerance) -> dict:
@@ -133,7 +135,7 @@ def _witness_minimal_norm(rng: np.random.Generator, weight: PsdOperator, tol: To
     draws = rng.normal(size=(SAMPLES, 2 * n - weight.rank))  # u_i, then its noise
     witnesses = oprange._witnesses(weight, weight.base @ draws[:, :n].T, tol)
     noisy = witnesses + weight.null_subspace.basis @ draws[:, n:].T
-    gaps = np.linalg.norm(witnesses, axis=0) - np.linalg.norm(noisy, axis=0)
+    gaps = _norms(witnesses, 0) - _norms(noisy, 0)
     worst = max(0.0, float(np.max(gaps)))
     return _record("witness_minimal_norm", _within(worst, 1.0, tol), worst)
 
@@ -189,11 +191,11 @@ def identity_battery(
 
     # The other constructions' matrices only, without certified nullspaces.
     pinv_gap = _norm(geometry.pinv_matrix - p)
-    checks.append(_record("construction_pinv_agrees", _within(pinv_gap, 1.0, tol, slack=10.0), pinv_gap))
+    checks.append(_record("construction_pinv_agrees", _agree(pinv_gap, tol), pinv_gap))
 
     if weight.rank == n:
         inv_gap = _norm(geometry.invertible_matrix - p)
-        checks.append(_record("construction_inverse_agrees", _within(inv_gap, 1.0, tol, slack=10.0), inv_gap))
+        checks.append(_record("construction_inverse_agrees", _agree(inv_gap, tol), inv_gap))
     else:
         checks.append(_record("construction_inverse_agrees", True, applicable=False))
 
@@ -212,13 +214,8 @@ def identity_battery(
     q2 = douglas._solve(weight.sqrt @ ps, p_m @ weight.sqrt, tol, gate=True)[0]
     pair_gap = _norm(q1 - q2)
     strip_gap = _norm((p - overlap.projector()) - q1)
-    checks.append(
-        _record(
-            "reduced_solutions_coincide",
-            _within(pair_gap, 1.0, tol, slack=10.0) and _within(strip_gap, 1.0, tol, slack=10.0),
-            max(pair_gap, strip_gap),
-        )
-    )
+    coincide = _agree(pair_gap, tol) and _agree(strip_gap, tol)
+    checks.append(_record("reduced_solutions_coincide", coincide, max(pair_gap, strip_gap)))
 
     if overlap.dim == 0:
         image_perp = complement(chart.weight_image)
@@ -230,9 +227,7 @@ def identity_battery(
     checks.append(_record("extension_matches_projection", chart.extension_matches))
 
     _, image_eq = chart.projected_range
-    checks.append(
-        _record("projected_range_equals_image", image_eq == report.compatible)
-    )
+    checks.append(_record("projected_range_equals_image", image_eq == report.compatible))
 
     checks.append(_family_extension_constant(rng, geometry, chart.extension))
 
@@ -241,36 +236,23 @@ def identity_battery(
     ok = _within(idem_gap, n, tol)
     if report.compatible:
         factor_gap = _norm(induced - weight.range_proj @ p)
-        ok = ok and _within(factor_gap, 1.0, tol, slack=10.0)
+        ok = ok and _agree(factor_gap, tol)
         idem_gap = max(idem_gap, factor_gap)
     checks.append(_record("induced_projection_idempotent", ok, idem_gap))
 
     checks.append(_record("complement_density", chart.complement_density))
 
-    checks.append(
-        _record(
-            "decomposition_equivalences",
-            len(set(decomps)) == 1 and decomps[0] == report.compatible,
-        )
-    )
+    equivalent = len(set(decomps)) == 1 and decomps[0] == report.compatible
+    checks.append(_record("decomposition_equivalences", equivalent))
 
     checks.append(_chart_isometry(rng, weight, tol))
     checks.append(_witness_minimal_norm(rng, weight, tol))
 
     checks.append(_spline_agrees_normal_equations(rng, geometry))
 
-    checks.append(
-        _record(
-            "diagnostics_chain",
-            all(report.chain) and oblique.chain_respects_implications(report.chain),
-        )
-    )
+    chain_ok = all(report.chain) and oblique.chain_respects_implications(report.chain)
+    checks.append(_record("diagnostics_chain", chain_ok))
     checks.append(_record("compatible_iff_sum", report.compatible == report.sum_check))
-    checks.append(
-        _record(
-            "compatibility_shift_invariant",
-            report.projected_pair_compatible == report.compatible
-            and report.shifted_pair_compatible == report.compatible,
-        )
-    )
+    invariant = report.projected_pair_compatible == report.compatible == report.shifted_pair_compatible
+    checks.append(_record("compatibility_shift_invariant", invariant))
     return checks

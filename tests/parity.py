@@ -35,7 +35,11 @@ The sets, all at fixed seeds:
 - ``ill``: 100 ``support.make_ill_conditioned_pair`` pairs at each
   ``rank_rel`` in {1e-12, 1e-10, 1e-7, 1e-4};
 - ``near``: 100 ``support.make_near_null_pair`` pairs at each ``rank_rel`` in
-  {1e-10, 1e-7, 1e-4, 1e-2}.
+  {1e-10, 1e-7, 1e-4, 1e-2};
+- ``exact``: the integer pairs of ``tests/exact.py``, whose every decision
+  has an exact answer: the 300 benign pairs of ``tests/test_exact.py``
+  (``default_rng(0)``), then 200 adversarial pairs at each p in {2, 4, 6, 8}
+  (``default_rng([1503, p])``).
 
 Not collected by pytest: the full dump takes about a minute.
 """
@@ -65,10 +69,12 @@ from obliqueproj import (  # noqa: E402
     compatibility_diagnostics,
     is_weight_hermitian,
     spline_with_weight,
+    subspace_from_span,
     weighted_projection,
     weighted_projection_pinv,
 )
 from obliqueproj.report import identity_battery  # noqa: E402
+from exact import integer_family  # noqa: E402
 from support import (  # noqa: E402
     make_ill_conditioned_pair,
     make_near_null_pair,
@@ -109,11 +115,21 @@ def _family(make, seed, rank_rels):
             yield lambda p=pair: p, tol
 
 
+def _exact():
+    families = [(0, np.random.default_rng(0), 300)]
+    families += [(p, np.random.default_rng([1503, p]), 200) for p in (2, 4, 6, 8)]
+    for p, rng, count in families:
+        for pair in integer_family(rng, count, p):
+            a, span = np.array(pair.a, dtype=float), np.array(pair.span, dtype=float).reshape(-1, pair.n).T
+            yield lambda a=a, span=span: (PsdOperator.from_matrix(a), subspace_from_span(span)), Tolerance()
+
+
 SETS = {
     "acceptance": _acceptance,
     "scaled": _scaled,
     "ill": lambda: _family(make_ill_conditioned_pair, 1501, (1e-12, 1e-10, 1e-7, 1e-4)),
     "near": lambda: _family(make_near_null_pair, 1502, (1e-10, 1e-7, 1e-4, 1e-2)),
+    "exact": _exact,
 }
 
 
@@ -160,26 +176,30 @@ def _battery(weight, span, tol):
     return [[r["name"], r["pass"], r["applicable"]] for r in identity_battery(weight, span, tol)]
 
 
+DECISIONS = {
+    "diagnostics": _diagnostics,
+    "projection": _projection,
+    "spline": _spline,
+    "hermitian": _hermitian,
+    "battery": _battery,
+}
+
+
+def decisions(weight, span, tol, keys=tuple(DECISIONS)) -> dict:
+    """The decisions of one pair recorded under ``keys``, with its dimensions and rank."""
+    record = {"pair": [weight.dim, weight.rank, span.dim]}
+    for key in keys:
+        record[key] = _outcome(lambda: DECISIONS[key](weight, span, tol))
+    return record
+
+
 def records():
     """One record per pair: its set, its index and every decision."""
     for name, pairs in SETS.items():
         for index, (pair, tol) in enumerate(pairs()):
-            record = {"set": name, "index": index}
             made = _outcome(pair)
-            if isinstance(made, dict):
-                record["pair"] = made
-            else:
-                weight, span = made
-                record["pair"] = [weight.dim, weight.rank, span.dim]
-                for key, fn in (
-                    ("diagnostics", _diagnostics),
-                    ("projection", _projection),
-                    ("spline", _spline),
-                    ("hermitian", _hermitian),
-                    ("battery", _battery),
-                ):
-                    record[key] = _outcome(lambda: fn(weight, span, tol))
-            yield record
+            record = {"pair": made} if isinstance(made, dict) else decisions(*made, tol)
+            yield {"set": name, "index": index, **record}
 
 
 def compare(a: str, b: str) -> int:

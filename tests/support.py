@@ -97,6 +97,25 @@ def make_invariant_pair(rng):
     return PsdOperator.from_matrix((q * ev) @ q.T), span
 
 
+def make_covariance_pair(kind, m, j):
+    """A covariance operator on L²[0, 1], discretized at ``t_i = (i + 1/2)/m``,
+    with S = L²[0, j/m), the span of the first j coordinate vectors.
+
+    The weight is ``k(t_i, t_l)/m`` for the kernel of ``kind``: ``"brownian"``,
+    ``min(s, t)``; ``"ou"`` (Ornstein-Uhlenbeck), ``exp(-|s - t|/0.2)``;
+    ``"gaussian"``, ``exp(-((s - t)/0.2)^2)``.  These are operator ranges
+    whose range is not closed in the limit m -> infinity.
+    """
+    t = (np.arange(m) + 0.5) / m
+    s, u = t[:, None], t[None, :]
+    kernels = {
+        "brownian": lambda: np.minimum(s, u),
+        "ou": lambda: np.exp(-np.abs(s - u) / 0.2),
+        "gaussian": lambda: np.exp(-(((s - u) / 0.2) ** 2)),
+    }
+    return PsdOperator.from_matrix(kernels[kind]() / m), Subspace(m, np.eye(m, j))
+
+
 def projection_by_frame(weight, span, tol=DEFAULT_TOL):
     """The coupling ``a^+ b`` and the minimal projection ``B_S (B_S^T + D B_perp^T)``
     in the frame of S and its complement from :func:`complement` (Householder

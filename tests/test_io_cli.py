@@ -27,6 +27,17 @@ DOCUMENTS = st.recursive(
 )
 
 
+# An array nested this deep exceeds json's recursion limit.
+DEPTH = 100_000
+# (command, input) for every input file each command reads.
+READS = [
+    *[(command, "a") for command in ("compat", "project", "douglas", "interpolate", "oprange", "report")],
+    *[(command, "s") for command in ("compat", "project", "interpolate", "oprange", "report")],
+    ("douglas", "b"),
+    ("interpolate", "x"),
+]
+
+
 def write(path, obj):
     path.write_text(json.dumps(obj))
     return str(path)
@@ -115,6 +126,20 @@ class TestFileFormats:
         ):
             with pytest.raises(io.FormatError):
                 io.subspace_from_obj(obj)
+
+    def test_unknown_keys_are_ignored(self):
+        matrix = {"rows": 1, "cols": 2, "data": [1.0, 2.0], "x": 1}
+        np.testing.assert_array_equal(io.matrix_from_obj(matrix), [[1.0, 2.0]])
+        subspace = io.subspace_from_obj({"ambient": 2, "span": matrix | {"rows": 2, "cols": 1}, "note": []})
+        assert (subspace.ambient_dim, subspace.dim) == (2, 1)
+
+    def test_deep_nesting_is_a_format_error(self, tmp_path):
+        # past the parser's recursion limit, json raises RecursionError
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * DEPTH + "]" * DEPTH)
+        for load in (io.load_matrix, io.load_vector, io.load_subspace):
+            with pytest.raises(io.FormatError, match="nests too deeply to read"):
+                load(deep)
 
     def test_boolean_dimensions_are_named(self):
         with pytest.raises(io.FormatError, match="rows/cols"):
@@ -289,6 +314,21 @@ class TestCommands:
         assert cli.main([command, "--input-a", a3, "--input-s", p["s"], "--input-x", p["x"]]) == 2
         out = capsys.readouterr()
         assert (out.out, out.err) == ("", "error: weight acts on R^3 but the subspace lives in R^2\n")
+
+    @pytest.mark.parametrize("command, name", READS, ids=[f"{c}-{n}" for c, n in READS])
+    def test_deeply_nested_input_exits_2(self, fixtures, tmp_path, capsys, command, name):
+        # Every file a command reads, nested past json's recursion limit in
+        # turn: one error line and exit 2, not a RecursionError.
+        tmp, p = fixtures
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * DEPTH + "]" * DEPTH)
+        inputs = {key: p[key] for key in "asbx"} | {name: str(deep)}
+        argv = [command] + [arg for key, path in inputs.items() for arg in (f"--input-{key}", path)]
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: {deep} nests too deeply to read: ")
+        assert out.err.count("\n") == 1 and out.err.endswith("\n")
 
     def test_missing_required_input_exits_2(self, fixtures):
         tmp, p = fixtures

@@ -25,7 +25,16 @@ from obliqueproj import (
     subspace_sum,
 )
 from obliqueproj import douglas, interpolant, linalg, oblique, oprange
-from obliqueproj.linalg import _clip_sign, _contains_bases, _norm, _rank_from_values, _reflectors, _within
+from obliqueproj.linalg import (
+    _agree,
+    _clip_sign,
+    _contains_bases,
+    _norm,
+    _norms,
+    _rank_from_values,
+    _reflectors,
+    _within,
+)
 from support import (
     NotContained,
     complement_by_compact_wy,
@@ -133,6 +142,13 @@ class TestResidualRule:
         assert verdicts.tolist() == one_by_one
         assert verdicts[:3].tolist() == [True, False, True]
 
+    def test_agreement_is_a_slack_of_ten_over_the_anchor(self):
+        tol = Tolerance(eq_abs=0.25)
+        assert _agree(2.5, tol) and not _agree(np.nextafter(2.5, 3.0), tol)
+        assert _agree(5.0, tol, 2.0) and not _agree(np.nextafter(5.0, 6.0), tol, 2.0)
+        gaps = np.array([0.0, 2.5, 2.6])
+        assert _agree(gaps, tol).tolist() == _within(gaps, 1.0, tol, slack=10.0).tolist() == [True, True, False]
+
     def test_stacked_and_per_column_forms(self):
         # contains() on a stack of bases and in_weight_range() on a block of
         # columns give the verdicts of one call per item.
@@ -179,6 +195,23 @@ class TestNorm:
                     overflowed.add(scale)
         # the sum of squares overflows to inf past about 1e154
         assert overflowed >= ({1e155, 1e300} if size else set()) and 1e150 not in overflowed
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_norms_along_axes_equal_numpy_bit_for_bit(self, size):
+        # the column norms of a block and the norms of each matrix of a
+        # stack, as the library takes them
+        rng = np.random.default_rng([10, size])
+        block = rng.normal(size=(size, 7))
+        stack = rng.normal(size=(5, size, 3))
+        cases = [(block, 0), (block, 1), (block.T, 0), (np.asfortranarray(block), 0), (block[::2], 0),
+                 (stack, (-2, -1)), (stack.transpose(0, 2, 1), (-2, -1)), (stack[0], (-2, -1))]
+        for x, axis in cases:
+            for scale in self.SCALES:
+                with np.errstate(over="ignore"):
+                    expected = np.linalg.norm(scale * x, axis=axis)
+                    got = _norms(scale * x, axis)
+                assert type(got) is type(expected) and got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes(), (x.shape, axis, scale)
 
     def test_empty_and_zero(self):
         assert _norm(np.zeros((0, 3))) == 0.0 and _norm(np.zeros((2, 2))) == 0.0

@@ -5,7 +5,10 @@ import itertools
 import json
 import sys
 
+import numpy as np
 import pytest
+
+from exact import integer_family
 
 RECORDS = [
     {"set": "acceptance", "index": 0, "pair": [2, 1, 1], "diagnostics": {"compatible": True}},
@@ -71,6 +74,15 @@ def test_a_dump_compares_equal_to_a_second_dump(parity, tmp_path, monkeypatch, c
     assert all({"diagnostics", "projection", "spline", "hermitian", "battery"} <= r.keys() for r in records)
     assert parity.compare(str(a), str(b)) == 0
     assert capsys.readouterr().out == "3 and 3 records, 0 differ\n"
+
+
+def test_the_exact_set_opens_with_the_benign_integer_pairs(parity):
+    # the pairs of tests/test_exact.py, in their order, at the default tolerance
+    benign = integer_family(np.random.default_rng(0), 3)
+    for (pair, tol), expected in zip(itertools.islice(parity._exact(), 3), benign, strict=True):
+        weight, span = pair()
+        assert np.array_equal(weight.base, expected.a) and span.dim == expected.span_dim
+        assert tol == parity.Tolerance()
 
 
 @pytest.fixture

@@ -4,7 +4,8 @@ Every tolerance decision goes through one of the four rule functions of
 ``obliqueproj.linalg`` (rank, angle, residual, sign; see ``Tolerance``), so
 a later change of anchors or a trace of the decisions has one place to act.
 Three checks keep it so, a fourth keeps one home for each pair
-decomposition, and a fifth keeps the dispatch of small calls down:
+decomposition, a fifth keeps the dispatch of small calls down, and three
+more keep one home for a rule or a factor that several modules read:
 
 - outside ``linalg.py`` no module reads a threshold field of a
   ``Tolerance`` (``eq_abs``, ``rank_rel``, ``psd_neg``); the one exception
@@ -22,7 +23,17 @@ decomposition, and a fifth keeps the dispatch of small calls down:
   lock on Python 3.11, nor calls ``np.linalg.norm`` with one argument:
   fields are ``linalg._cached``, a residual norm is ``linalg._norm``, the
   norms of a stack are ``linalg._frobenius`` and the 2-norm is
-  ``linalg.spectral_norm``.
+  ``linalg.spectral_norm``;
+- outside ``linalg.py`` no module passes a ``slack`` to ``_within`` or calls
+  ``np.linalg.norm`` at all, and inside it only ``_agree``, the agreement
+  bound of two constructions, passes a slack: the norms along an axis are
+  ``linalg._norms``;
+- outside ``douglas.py`` no function both takes a pseudoinverse solve
+  (``moore_penrose``, ``np.linalg.pinv`` or ``np.linalg.lstsq``) and
+  applies the residual rule, so Douglas' feasibility test of ``A X = B``,
+  which decides the compatibility of a pair, has one home;
+- ``oprange.py`` takes no square root: ``Λ^{1/2}`` is the cached field
+  ``PsdOperator._root``, which ``PsdOperator.sqrt`` reads too.
 
 The CLI ``douglas`` check ``lambda_matches_norm_sq`` compares with a
 literal ``1e-6``, not a tolerance field, so the first check does not see
@@ -162,3 +173,113 @@ def test_no_module_takes_a_locked_field_or_the_wrapped_norm():
         "np.linalg.norm(x, axis=0)\n"
     )
     assert [line for line, _ in slow_dispatch(planted)] == [1, 3, 4, 5]
+
+
+def calls(tree: ast.AST, function: str = "") -> list[tuple[int, str, str, ast.Call]]:
+    """``(line, enclosing function, called name, node)`` of every call in a
+    parsed module; the enclosing function is "" at module level."""
+    found = []
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, ast.Call):
+            found.append((child.lineno, function, ast.unparse(child.func), child))
+        found += calls(child, child.name if isinstance(child, ast.FunctionDef) else function)
+    return found
+
+
+def slack_or_norm(tree: ast.Module) -> list[tuple[int, str]]:
+    """The calls of a parsed module that pass a slack to ``_within`` or
+    call ``np.linalg.norm``, with their lines and enclosing functions."""
+    return sorted(
+        (line, function)
+        for line, function, called, node in calls(tree)
+        if called.rpartition(".")[2] == "_within"
+        and (len(node.args) > 3 or any(kw.arg == "slack" for kw in node.keywords))
+        or called in ("np.linalg.norm", "numpy.linalg.norm")
+    )
+
+
+def test_no_module_but_linalg_passes_a_slack_or_calls_the_numpy_norm():
+    found = {
+        path.name: slack_or_norm(parsed(path.name)) for path in sorted(PACKAGE.glob("*.py")) if path.name != "linalg.py"
+    }
+    assert {name: uses for name, uses in found.items() if uses} == {}
+    # inside linalg only the agreement bound passes a slack, and only the
+    # 2-norm calls numpy's norm
+    inside = {function for _, function in slack_or_norm(parsed("linalg.py"))}
+    assert inside == {"_agree", "spectral_norm"}
+    # the walk sees each form, in a function or at module level
+    planted = ast.parse(
+        "def f():\n"
+        "    _within(g, 1.0, tol, slack=10.0)\n"
+        "    linalg._within(g, 1.0, tol, 10.0)\n"
+        "    _within(g, 1.0, tol)\n"
+        "np.linalg.norm(x, axis=0)\n"
+        "numpy.linalg.norm(x, 2)\n"
+    )
+    assert [line for line, _ in slack_or_norm(planted)] == [2, 3, 5, 6]
+
+
+PSEUDOINVERSES = {"moore_penrose", "np.linalg.pinv", "np.linalg.lstsq"}
+
+
+def feasibility_tests(tree: ast.Module) -> list[str]:
+    """The functions of a parsed module that take a pseudoinverse solve and
+    apply the residual rule."""
+    called: dict[str, set[str]] = {}
+    for _, function, name, _ in calls(tree):
+        called.setdefault(function, set()).add(name.rpartition(".")[2] if name.endswith("_within") else name)
+    return [function for function, names in called.items() if names & PSEUDOINVERSES and "_within" in names]
+
+
+def test_no_module_but_douglas_tests_a_solve():
+    found = {
+        path.name: feasibility_tests(parsed(path.name))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "douglas.py"
+    }
+    assert {name: functions for name, functions in found.items() if functions} == {}
+    # douglas holds both halves, and the walk sees a solve tested in one
+    # function, but not a solve or a test alone
+    assert {"moore_penrose", "_within"} <= {name for _, _, name, _ in calls(parsed("douglas.py"))}
+    planted = ast.parse(
+        "def shift(a, b, tol):\n"
+        "    d = moore_penrose(a, tol) @ b\n"
+        "    return _within(_norm(a @ d - b), _norm(b), tol)\n"
+        "def lstsq(a, b, tol):\n"
+        "    return linalg._within(_norm(a @ np.linalg.lstsq(a, b)[0] - b), 1.0, tol)\n"
+        "def solve(a, b):\n"
+        "    return np.linalg.pinv(a) @ b\n"
+        "def test(r, tol):\n"
+        "    return _within(r, 1.0, tol)\n"
+    )
+    assert feasibility_tests(planted) == ["shift", "lstsq"]
+
+
+def square_roots(tree: ast.Module) -> list[int]:
+    """The lines of a parsed module that take a square root: a call of a
+    ``sqrt`` or of ``np.power``, or a power of 0.5."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).rpartition(".")[2] in ("sqrt", "power")
+        or isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Pow)
+        and isinstance(node.right, ast.Constant)
+        and node.right.value == 0.5
+    )
+
+
+def test_oprange_takes_no_square_root():
+    assert square_roots(parsed("oprange.py")) == []
+    # it reads the cached factor, and the walk sees each form but a read of
+    # the weight's square-root matrix
+    assert "weight._root" in (PACKAGE / "oprange.py").read_text()
+    planted = ast.parse(
+        "np.sqrt(weight.eigvals[: weight.rank])\n"
+        "math.sqrt(x)\n"
+        "np.power(w, 0.5)\n"
+        "w ** 0.5\n"
+        "weight.sqrt @ x\n"
+    )
+    assert square_roots(planted) == [1, 2, 3, 4]

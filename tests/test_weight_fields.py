@@ -17,7 +17,7 @@ from obliqueproj.linalg import _cached
 from obliqueproj.oblique import _Geometry
 from support import make_overlapping_pair, make_psd
 
-DERIVED = ("sqrt", "range_proj", "range_subspace", "null_subspace")
+DERIVED = ("_root", "sqrt", "range_proj", "range_subspace", "null_subspace")
 
 
 def eager(weight):
@@ -25,6 +25,7 @@ def eager(weight):
     r = weight.rank
     w, vr = weight.eigvals[:r], weight.eigvecs[:, :r]
     return {
+        "_root": np.sqrt(w),
         "sqrt": (vr * np.sqrt(w)) @ vr.T,
         "range_proj": vr @ vr.T,
         "range_subspace": vr,
@@ -49,6 +50,16 @@ def test_derived_fields_follow_the_eager_formulas(n):
             assert getattr(weight, name) is value
             assert not as_array(value).flags.writeable
             assert np.max(np.abs(as_array(value) - expected[name]), initial=0.0) <= 1e-12
+
+
+def test_square_root_reads_the_cached_root():
+    # Λ^{1/2} is taken once; A^{1/2} = V_r Λ^{1/2} V_r^T is the product of
+    # the eager formula, bit for bit
+    weight = make_psd(np.random.default_rng(80), 6, 4)
+    vr, w = weight.eigvecs[:, :4], weight.eigvals[:4]
+    assert weight.sqrt.tobytes() == ((vr * np.sqrt(w)) @ vr.T).tobytes()
+    assert weight._root.tobytes() == np.sqrt(w).tobytes()
+    assert "_root" in vars(weight)
 
 
 def test_fields_are_read_only():
