@@ -51,7 +51,6 @@ class TestRangeInclusion:
             expected = column_space_contained(outside, a)
             assert range_inclusion(outside, a) == expected
 
-
     def test_the_residual_test_takes_the_callers_anchor(self):
         # ||(I - A A^+) B|| = 1e-6: over eq_abs ||B|| by default, under
         # eq_abs times an anchor of 1e3, and the verdict gates the same way
