@@ -9,9 +9,10 @@ in finite dimension) the reduced solution is ``A^+ B``.
 
 Every function here reads one solve, in which one pseudoinverse of ``A``
 gives ``D = A^+ B``, its residual and the feasibility verdict.  This module
-is the one home of that verdict: the coupling of a weight's blocks
-(:func:`~obliqueproj.oblique.is_compatible`) and the identity battery take
-theirs from the same solve, each with the anchor of its residual test.
+is the one home of that verdict, which the identity battery's
+``reduced_solutions_coincide`` takes too.  The coupling of a weight's blocks
+is not solved here: the pair record of :mod:`~obliqueproj.oblique` forms it
+from the overlap's own SVD, on which it is solvable by construction.
 """
 
 from __future__ import annotations
@@ -53,21 +54,19 @@ def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _solve(
-    a: np.ndarray, b: np.ndarray, tol: Tolerance, gate: bool, anchor: float | None = None
-) -> tuple[np.ndarray, float, bool]:
+def _solve(a: np.ndarray, b: np.ndarray, tol: Tolerance, gate: bool) -> tuple[np.ndarray, float, bool]:
     # (D, residual, feasible) for D = A^+ B.
-    return _checked(a, moore_penrose(a, tol) @ b, b, tol, gate, anchor)
+    return _checked(a, moore_penrose(a, tol) @ b, b, tol, gate)
 
 
 def _checked(
-    a: np.ndarray, d: np.ndarray, b: np.ndarray, tol: Tolerance, gate: bool, anchor: float | None = None
+    a: np.ndarray, d: np.ndarray, b: np.ndarray, tol: Tolerance, gate: bool
 ) -> tuple[np.ndarray, float, bool]:
     # (D, residual, feasible) for D = A^+ B formed by the caller: the test on
-    # ||A D - B|| = ||(I - A A^+) B||, anchored at ||B|| unless the caller
-    # names the anchor; gated, an infeasible system raises NoSolution.
+    # ||A D - B|| = ||(I - A A^+) B||, anchored at ||B||; gated, an
+    # infeasible system raises NoSolution.
     residual = _norm(a @ d - b)
-    feasible = _within(residual, _norm(b) if anchor is None else anchor, tol)
+    feasible = _within(residual, _norm(b), tol)
     if gate and not feasible:
         raise NoSolution("R(B) is not contained in R(A); the equation AX=B is unsolvable")
     return d, residual, feasible

@@ -28,9 +28,11 @@ class NoSolution(PreconditionError):
 
 
 class Incompatible(PreconditionError):
-    """No weighted-Hermitian projection with the requested range exists
-    within tolerance; the coupling equation between the diagonal blocks
-    is numerically unsolvable."""
+    """No weighted-Hermitian projection with the requested range is
+    certified within tolerance: the directions of S that the angle rule
+    places in N(A) are not null under the weight, ``||A N||_F > eq_abs
+    ||A||``.  In finite dimension every pair is compatible; this needs a
+    ``rank_rel`` above ``eq_abs / 2``."""
 
 
 class Singular(PreconditionError):

@@ -20,6 +20,7 @@ from .linalg import (
     Subspace,
     Tolerance,
     _clip_sign,
+    _operator_norm,
     _readonly,
     as_matrix,
     as_vector,
@@ -55,11 +56,12 @@ class SplineResult:
 def seminorm(weight: PsdOperator, x, tol: Tolerance = DEFAULT_TOL) -> float:
     """The seminorm ``|x|_A = <Ax, x>^{1/2}`` induced by the weight.
 
-    Quadratic forms in ``[-psd_neg, 0)`` are clipped to zero; anything more
-    negative raises ``NotPsd``.
+    Quadratic forms in ``[-psd_neg λ_1 ||x||^2, 0)`` are clipped to zero,
+    with ``λ_1 = ||A||``; anything more negative raises ``NotPsd``.
     """
     x = as_vector(x, weight.dim)
-    return float(np.sqrt(_clip_sign(float(x @ (weight.base @ x)), tol, _NEGATIVE_FORM)))
+    form, anchor = float(x @ (weight.base @ x)), _operator_norm(weight) * float(x @ x)
+    return float(np.sqrt(_clip_sign(form, tol, _NEGATIVE_FORM, anchor=anchor)))
 
 
 def spline(t_factor, span: Subspace, x, tol: Tolerance = DEFAULT_TOL) -> SplineResult:

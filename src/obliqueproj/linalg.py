@@ -56,8 +56,9 @@ class Tolerance:
       by the test, a tie passing; the agreement of two constructions of
       one quantity has a slack of 10 over its anchor (1, unless the
       quantity names its own);
-    - sign: a value of a PSD quantity down to ``-psd_neg`` clips to zero, a
-      tie included; a more negative one raises ``NotPsd``.
+    - sign: a value of a PSD quantity down to ``-psd_neg`` times an anchor
+      (1, or ``λ_1 ||x||^2`` for a quadratic form ``x^T A x``) clips to
+      zero, a tie included; a more negative one raises ``NotPsd``.
 
     ``rank_rel`` lies in (0, 0.5): at 0.5 the angle cutoff reaches 1 and
     orthogonal directions would meet.  ``eq_abs`` and ``psd_neg`` lie in (0, 1).
@@ -212,17 +213,18 @@ def _agree(gap, tol: Tolerance, anchor=1.0):
     return _within(gap, anchor, tol, slack=10.0)
 
 
-def _clip_sign(values, tol: Tolerance, message: str, *, first: bool = False):
-    # The sign rule on the values of a PSD quantity: down to -psd_neg they
-    # are roundoff and clip to zero; a more negative value raises NotPsd
-    # with ``message`` formatted with the least value, or with ``first``
-    # with the first one in row order, as a loop over the values would.
-    least = np.minimum.reduce(values, axis=None, initial=0.0)
-    if least < -tol.psd_neg:
-        if first:
-            flat = np.ravel(values)
-            least = flat[np.argmax(flat < -tol.psd_neg)]
-        raise NotPsd(message.format(least))
+def _clip_sign(values, tol: Tolerance, message: str, *, first: bool = False, anchor=1.0):
+    # The sign rule on the values of a PSD quantity: down to -psd_neg times
+    # the anchor (1, unless the quantity names its own, or one per value)
+    # they are roundoff and clip to zero; a more negative value raises
+    # NotPsd with ``message`` formatted with the least such value, or with
+    # ``first`` with the first one in row order, as a loop would.
+    # values - floor < 0 exactly when values < floor: a difference of two
+    # floats rounds to zero only when they are equal, and keeps its sign.
+    floor = -tol.psd_neg * anchor
+    if np.minimum.reduce(values - floor, axis=None, initial=0.0) < 0.0:
+        offending = np.ravel(values)[np.ravel(np.less(values, floor))]
+        raise NotPsd(message.format(offending[0] if first else offending.min()))
     return np.maximum(values, 0.0)
 
 
@@ -303,7 +305,8 @@ class _Reflectors:
     (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989).  The
     trailing ``n - k`` columns ``B_perp`` of ``Q`` are a basis of the
     complement: :meth:`perp` forms them, :meth:`apply_perp` multiplies by
-    them without forming them.  With ``k = 0`` there is no reflector and
+    them without forming them, and :meth:`columns` forms any run of columns
+    of ``Q``.  With ``k = 0`` there is no reflector and
     with ``k = n`` no trailing column; neither factorizes anything.
     """
 
@@ -311,18 +314,21 @@ class _Reflectors:
     v: np.ndarray
     t: np.ndarray
 
+    def columns(self, start: int, stop: int) -> np.ndarray:
+        """Columns ``start:stop`` of ``Q``, ``I[:, start:stop] - V T V[start:stop]^T``."""
+        v = self.v
+        if not self.t.size:
+            return np.eye(v.shape[0], stop - start, -start)
+        # Formed in the buffer of the product, so that no temporary of its
+        # size is held beside it; 0 - x, not -x, leaves +0.0 where it is zero.
+        q = v @ (self.t @ v[start:stop].T)
+        np.subtract(0.0, q, out=q)
+        q[start:stop].flat[:: stop - start + 1] += 1.0
+        return q
+
     def perp(self) -> np.ndarray:
         """``B_perp = [0; I_{n-k}] - V T V[k:]^T``."""
-        v, k = self.v, self.k
-        n = v.shape[0]
-        if not self.t.size:
-            return np.eye(n, n - k)
-        # Formed in the buffer of the product, so that no n x (n-k) temporary
-        # is held beside it; 0 - x, not -x, leaves +0.0 where it is zero.
-        q = v @ (self.t @ v[k:].T)
-        np.subtract(0.0, q, out=q)
-        q[k:].flat[:: n - k + 1] += 1.0
-        return q
+        return self.columns(self.k, self.v.shape[0])
 
     def apply_perp(self, x: np.ndarray) -> np.ndarray:
         """``x B_perp = x[:, k:] - ((x V) T) V[k:]^T``, without forming ``B_perp``."""

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import douglas
 from .errors import (
     DimensionMismatch,
     Incompatible,
@@ -41,8 +40,6 @@ from .linalg import (
     _frobenius,
     _norm,
     _operator_norm,
-    _rank_from_values,
-    _ranked_svd,
     _readonly,
     _reflectors,
     _Reflectors,
@@ -90,46 +87,51 @@ class CompatibilityReport:
 
     ``chain`` holds six necessary conditions for compatibility, evaluated as
     finite-dimensional subspace predicates; in exact arithmetic all are true
-    and they respect the implications 1->2->4->5, 2<->3, 5<->6.  Under
-    aggressive tolerances flags 1, 3, 5 and 6 can fail, which makes the
-    report a health check for numerically ill-posed inputs; flags 2 and 4
-    hold by construction and are not evaluated.
+    and they respect the implications 1->2->4->5, 2<->3, 5<->6.  Flags 1 and
+    3 are evaluated; flags 2, 4, 5 and 6 hold by construction and are not.
 
     Every field is evaluated in the weight's eigen coordinates: with
-    ``A = V_r Λ V_r^T`` and ``C = V_r^T B_S``, a subspace of R(A) is held
-    by its coordinates in R^r, and one containing N(A) by those of its part
-    in R(A).  Nothing n x n is decomposed.
+    ``A = V_r Λ V_r^T`` and ``C = V_r^T B_S = U Σ W^T``, a subspace of R(A)
+    is held by its coordinates in R^r, and one containing N(A) by those of
+    its part in R(A).  Nothing n x n is decomposed.  The pair has one rank
+    decision, ρ = dim A S, by the angle rule on the sines Σ (see
+    ``_Geometry``): ``C_ρ = U_ρ Σ_ρ W_ρ^T`` is the part of S kept in R(A),
+    and the rest spans the overlap ``N = S ∩ N(A)``.
 
-    1. ``compatible``: ``a X = b`` is solvable, or ``S ⊆ N(A)`` (coupling 0).
+    1. ``compatible``: the certificate on the dropped part,
+       ``||A N||_F = ||Λ U_N Σ_N||_F <= eq_abs ||A||``; within it the
+       coupling is solvable by construction.  Its sines lie under
+       ``2 rank_rel``, so it holds whenever
+       ``2 rank_rel sqrt(dim N) <= eq_abs``, at the default tolerances for
+       dim N up to 2500.
     2. ``A S`` is closed inside R(A): its intersection with R(A) is itself.
-       In the coordinates of V_r, ``A S = V_r R(Λ C)`` is a subspace of
+       In the coordinates of V_r, ``A S = V_r R(Λ C_ρ)`` is a subspace of
        R^r, whose intersection with R^r is exact, so the flag is True.
-    3. The preimage of ``A S`` equals ``S + N(A) = N(A) ⊕ V_r R(C)``.
-       With ``Y`` and ``K`` orthonormal bases of ``R(Λ C)`` and
-       ``N(C^T Λ)``, which split R^r orthogonally, the preimage is
-       ``N(A) ⊕ V_r N(K^T Λ)`` and ``N(K^T Λ) = Λ^{-1} R(Y)``, whose basis
-       is the Q of one reduced QR of ``Λ^{-1} Y``.  The N(A) parts
+    3. The preimage of ``A S`` equals ``S + N(A) = N(A) ⊕ V_r R(U_ρ)``.
+       With ``Y`` and ``K`` orthonormal bases of ``R(Λ U_ρ)`` and its
+       complement, which split R^r from one QR of ``Λ U_ρ``, the preimage
+       is ``N(A) ⊕ V_r N(K^T Λ)`` and ``N(K^T Λ) = Λ^{-1} R(Y)``, whose
+       basis is the Q of one reduced QR of ``Λ^{-1} Y``.  The N(A) parts
        coincide, so the two are compared in R^r with the bound of
        ``subspace_equal`` in R^n.
-    4. As 2 for ``A^{1/2} S = V_r R(Λ^{1/2} C)``; True for the same reason.
+    4. As 2 for ``A^{1/2} S = V_r R(Λ^{1/2} C_ρ)``; True for the same reason.
     5. ``S + N(A)`` has dimension ``dim S + dim N(A) - dim(S ∩ N(A))``.
-    6. The projection ``V_r R(C)`` of S onto R(A) has dimension
-       ``dim S - dim(S ∩ N(A))``.  ``R(C)`` takes the rank cutoff of
-       ``C`` relative to 1, so 5 and 6 read the same rank.
+    6. The projection ``V_r R(U_ρ)`` of S onto R(A) has dimension
+       ``dim S - dim(S ∩ N(A))``.  Both 5 and 6 compare ρ with
+       ``dim S - dim N = ρ``, so they are True.
 
     ``sum_check`` states ``S + A^{-1}(S^perp) = R^n``, that is
-    ``(n - r) + rank[C, K] == n``.  As
-    ``[C, K] = [Y, K] [[Y^T C, 0], [K^T C, I]]``, this is
-    ``rank(Y^T C) == ρ = dim A S``, with the cutoff relative to 1 of flags 5
-    and 6 (``||Y^T C|| <= 1``).  It holds by construction, since
-    ``σ_min(Y^T C) >= σ_ρ(Λ C) / λ_1 >= rank_rel``, so like flags 2 and 4
-    it is True and not evaluated.
+    ``(n - r) + rank[U_ρ, K] == n``.  As
+    ``[U_ρ, K] = [Y, K] [[Y^T U_ρ, 0], [K^T U_ρ, I]]``, this is
+    ``rank(Y^T U_ρ) == ρ``, which holds by construction, since
+    ``σ_min(Y^T U_ρ) >= λ_r / λ_1 >= rank_rel``; like flags 2 and 4 it is
+    True and not evaluated.
 
     ``projected_pair_compatible`` and ``shifted_pair_compatible`` record
     that compatibility survives projecting S onto R(A) and enlarging S by
-    N(A).  Both reduce to ``R(U^T Λ U_c) ⊆ R(U^T Λ U)``, with ``U`` an
-    orthonormal basis of ``R(C)`` and ``U_c`` of its complement in R^r, as
-    the N(A) blocks add only zero blocks to the coupling equation.  Since
+    N(A).  Both reduce to ``R(U^T Λ U_c) ⊆ R(U^T Λ U)``, with ``U = U_ρ``
+    and ``U_c`` its complement in R^r, as the N(A) blocks add only zero
+    blocks to the coupling equation.  Since
     ``σ_min(U^T Λ U) >= λ_r >= rank_rel λ_1 >= rank_rel σ_1(U^T Λ U)``,
     ``U^T Λ U`` has full rank under the cutoff, so both are True and not
     evaluated; a solve could read False only by roundoff, at a condition
@@ -168,14 +170,12 @@ def block_decompose(weight: PsdOperator, span: Subspace) -> BlockDecomposition:
 def is_compatible(weight: PsdOperator, span: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether some projection onto ``span`` is Hermitian for the weight.
 
-    Decided by Douglas' range inclusion ``R(b) ⊆ R(a)`` of the block
-    entries, which is equivalent to ``a X = b`` being solvable and to
-    ``H = S + A^{-1}(S^perp)``; in finite dimension it always holds.  The
-    solve and its feasibility test are those of :mod:`~obliqueproj.douglas`,
-    with the residual ``||a a^+ b - b||`` held to ``eq_abs * ||B_S^T A||_F``,
-    not to ``eq_abs * ||b||``, as ``b`` is roundoff on an A-invariant S that
-    meets N(A).  When ``S ⊆ N(A)`` or ``S = R^n`` the blocks vanish and no
-    test is made.
+    In finite dimension one always exists.  The pair record decides one
+    rank, that of S's image in R(A), by the angle rule, and on the part it
+    keeps the coupling ``a X = b`` of the weight's blocks is solvable by
+    construction.  What is left to decide is whether the part it drops, the
+    overlap ``N``, is roundoff under the weight: False exactly when
+    ``||A N||_F > eq_abs ||A||``, which needs ``rank_rel > eq_abs / 2``.
     """
     return _Geometry(weight, span, tol).shift is not None
 
@@ -197,17 +197,22 @@ class _Geometry:
     and every field is computed on its first read and kept.  Every public
     pair function, the identity battery and the CLI read one record, so each
     field is computed at most once per call, and only if it is read.
-    With ``A = V_r Λ V_r^T``, ``B_S`` the basis of S and ``a = B_S^T A B_S``:
+    With ``A = V_r Λ V_r^T`` and ``B_S`` the basis of S:
 
-    - ``cross``, ``C = V_r^T B_S``; from one SVD of it, ``cross_left``,
-      ``cross_sines`` (the sines of the principal angles between S and
-      N(A)) and ``overlap``, ``N = S ∩ N(A)``;
-    - ``shift = a^+ (B_S^T A - a B_S^T) = D B_perp^T``, the solve of
-      :mod:`~obliqueproj.douglas`, None if its test finds ``a X = b``
-      unsolvable;
-    - ``split``, ``R(Λ C)`` and ``N(C^T Λ)``, from one SVD of ``C^T Λ``,
-      and ``preimage``, ``A^{-1}(S^perp)``;
-    - ``projection``, the minimal projection with its certified nullspace;
+    - ``cross``, ``C = V_r^T B_S = U Σ W^T``; from one SVD of it,
+      ``cross_left``, ``cross_sines`` (the sines of the principal angles
+      between S and N(A)), ``kept``, the pair's one rank decision
+      ``ρ = dim A S`` by the angle rule on those sines, and ``overlap``,
+      ``N = S ∩ N(A) = B_S W_N`` from the dropped part;
+    - ``shift``, ``a^+ (B_S^T A - a B_S^T)`` for ``a = B_S^T A B_S``, from
+      the kept part ``C_ρ = U_ρ Σ_ρ W_ρ^T`` in square-root form:
+      ``G_ρ^+ Λ^{1/2} V_r^T - W_ρ W_ρ^T B_S^T``, ``G_ρ = Λ^{1/2} C_ρ``,
+      through one SVD of ``Λ^{1/2} U_ρ``; None when ``||A N||_F`` fails its
+      certificate ``eq_abs ||A||``;
+    - ``split``, ``R(Λ C_ρ)`` and its complement in R^r, from one QR of
+      ``Λ U_ρ`` with no cutoff, and ``preimage``, ``A^{-1}(S^perp)``;
+    - ``projection``, the minimal projection with its certified nullspace,
+      whose dimensions add up to n;
     - ``reflectors``, those of ``B_S`` (one raw QR, compact WY), ``perp``,
       the basis ``B_perp`` they give, and ``coupling = shift B_perp = a^+ b``,
       applied through them;
@@ -247,40 +252,48 @@ class _Geometry:
         return self._cross_svd[1]
 
     @_cached
+    def kept(self) -> int:
+        # The pair's one rank decision, dim S - dim N, by the angle rule.
+        return _apart(self.cross_sines, self.tol)
+
+    @_cached
     def overlap(self) -> Subspace:
         # At most dim N(A) = n - r sines lie below 1, so the angle cutoff
         # 2 rank_rel < 1 keeps N inside N(A).
-        _, sines, vt = self._cross_svd
-        return Subspace(self.weight.dim, self.span.basis @ vt[_apart(sines, self.tol) :].T)
+        return Subspace(self.weight.dim, self.span.basis @ self._cross_svd[2][self.kept :].T)
 
     @_cached
     def shift(self) -> np.ndarray | None:
-        weight, bs = self.weight, self.span.basis
-        rows = bs.T @ weight.base
-        a = rows @ bs
-        gap = rows - a @ bs.T  # b B_perp^T
-        # S ⊆ N(A) within the angle cutoff makes A B_S = 0 (the blocks are
-        # roundoff), and S = R^n leaves no b: either way the coupling is 0.
-        if self.overlap.dim == self.span.dim or self.span.dim == weight.dim:
-            return np.zeros_like(a) @ gap
-        # Douglas' solve of a X = gap, its residual held to ||B_S^T A||, not
-        # to ||b||: b is roundoff on an A-invariant S.
-        shift, _, feasible = douglas._solve(a, gap, self.tol, gate=False, anchor=_norm(rows))
-        return shift if feasible else None
+        weight, bs, rho, r = self.weight, self.span.basis, self.kept, self.weight.rank
+        _, sines, vt = self._cross_svd
+        # The certificate on the dropped part N = B_S W_N: ||A N|| =
+        # ||Λ U_N Σ_N||, held to ||A||.  Within it A N is roundoff, the
+        # pair is (A, S) with N in N(A), and the coupling below solves it.
+        if rho < sines.size:
+            dropped = weight.eigvals[:r, None] * self.cross_left[:, rho:] * sines[rho:]
+            if not _within(_norm(dropped), _operator_norm(weight), self.tol):
+                return None
+        # a^+ (B_S^T A - a B_S^T) = G_ρ^+ Λ^{1/2} V_r^T - W_ρ W_ρ^T B_S^T for
+        # G = Λ^{1/2} C cut to G_ρ = M Σ_ρ W_ρ^T, M = Λ^{1/2} U_ρ: so G_ρ^+ =
+        # W_ρ Σ_ρ^{-1} M^+, and M^+ = Z s^{-1} Q^T from M's reduced SVD, as M
+        # is r x ρ with σ_min >= sqrt(λ_r) > 0 and has no rank to decide.
+        q, s, zt = _svd(weight._root[:, None] * self.cross_left[:, :rho])
+        wt = vt[:rho]
+        solve = (zt.T / (sines[:rho, None] * s)) @ (q.T * weight._root)
+        return wt.T @ (solve @ weight.eigvecs[:, :r].T - wt @ bs.T)
 
     @_cached
     def split(self) -> tuple[np.ndarray, np.ndarray]:
         # A vector V_r y + z (z in N(A)) lies in A^{-1}(S^perp) exactly when
-        # C^T Λ y = 0.  One SVD of that product splits R^r into its row
-        # space R(Λ C), the coordinates of A S, and its nullspace.  The rank
-        # cutoff is anchored at ||A|| = λ_1.
-        product = self.cross.T * self.weight.eigvals[: self.weight.rank]
-        _, _, vt, r = _ranked_svd(product, self.tol, _operator_norm(self.weight), full_matrices=True)
-        return vt[:r].T, vt[r:].T
+        # C_ρ^T Λ y = 0.  Λ C_ρ = Λ U_ρ Σ_ρ W_ρ^T, and Λ U_ρ has full column
+        # rank ρ, so the reflectors of one QR of it split R^r into R(Λ C_ρ),
+        # the coordinates Y of A S, and its complement K, with no cutoff.
+        reflectors = _reflectors(self.weight.eigvals[: self.weight.rank, None] * self.cross_left[:, : self.kept])
+        return reflectors.columns(0, reflectors.k), reflectors.perp()
 
     @_cached
     def preimage(self) -> Subspace:
-        # N(A) ⊕ V_r N(C^T Λ)
+        # N(A) ⊕ V_r N(C_ρ^T Λ)
         v, r = self.weight.eigvecs, self.weight.rank
         return Subspace(self.weight.dim, np.hstack([v[:, r:], v[:, :r] @ self.split[1]]))
 
@@ -292,7 +305,7 @@ class _Geometry:
         # N(A), by the reflectors of V_0^T N applied to V_0.
         v0 = weight.eigvecs[:, r:]
         rest = _reflectors(v0.T @ self.overlap.basis).apply_perp(v0)
-        # preimage.basis ends with V_r·N(C^T Λ), the part outside N(A)
+        # preimage.basis ends with V_r·N(C_ρ^T Λ), the part outside N(A)
         null = Subspace(n, np.hstack([rest, self.preimage.basis[:, n - r :]]))
         return ObliqueProjection(bs @ (bs.T + shift), self.span, null)
 
@@ -339,7 +352,7 @@ class _Geometry:
 
     def _solved_shift(self) -> np.ndarray:
         if self.shift is None:
-            raise Incompatible("the coupling equation between the blocks of the weight is unsolvable")
+            raise Incompatible("the overlap S ∩ N(A) is not null under the weight within tolerance")
         return self.shift
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -371,20 +384,15 @@ class _Geometry:
 
     def diagnostics(self) -> CompatibilityReport:
         """The report of :func:`compatibility_diagnostics`."""
-        span, tol = self.span, self.tol
-        compatible = self.shift is not None
+        compatible, tol = self.shift is not None, self.tol
         n, r = self.weight.dim, self.weight.rank
         lam = self.weight.eigvals[:r]
-        # The projection of S onto R(A), V_r R(C): the singular values of C
-        # are those of P_R(A) B_S, so the cutoff relative to 1 is theirs.
-        kept = _rank_from_values(self.cross_sines, tol, scale=1.0)
-        projected = Subspace(r, self.cross_left[:, :kept])
-        # Flag 3 from Y = R(Λ C); see CompatibilityReport.
+        # Flag 3: Λ^{-1} Y against the projection V_r R(C_ρ) of S onto R(A).
+        projected = Subspace(r, self.cross_left[:, : self.kept])
         image = self.split[0]
         pulled = Subspace(r, np.linalg.qr(image / lam[:, None])[0] if image.size else image)
-        closed = kept == span.dim - self.overlap.dim
-        # Flags 2 and 4, sum_check and the re-checks are theorems; see CompatibilityReport.
-        chain = (compatible, True, _equal(pulled, projected, n, tol), True, closed, closed)
+        # Flags 2, 4, 5 and 6, sum_check and the re-checks are theorems; see CompatibilityReport.
+        chain = (compatible, True, _equal(pulled, projected, n, tol), True, True, True)
         return CompatibilityReport(
             compatible=compatible,
             degenerate=self.overlap,
@@ -405,15 +413,18 @@ def weighted_projection(
 
     ``[I, d; 0, 0]`` in the frame of :func:`block_decompose`, ``d`` the
     reduced solution of ``a X = b``, assembled with no basis of S^perp as
-    ``B_S (B_S^T + a^+ (B_S^T A - a B_S^T))``; the certified nullspace
-    ``A^{-1}(S^perp) (-) N`` is read off the weight's cached eigenvectors.
-    No regularization is applied to a nearly singular ``a`` block, since
-    that would change the nullspace of the result.
+    ``B_S (B_S^T + a^+ (B_S^T A - a B_S^T))``; ``a^+`` is taken in
+    square-root form on the part of S that the pair's one rank decision
+    keeps in R(A) (see ``_Geometry``), never from ``a`` itself, whose
+    forming squares the condition number.  The certified nullspace
+    ``A^{-1}(S^perp) (-) N`` is read off the weight's cached eigenvectors,
+    and its dimension is ``n - dim S``.
 
     Raises
     ------
     Incompatible
-        If the coupling equation is numerically unsolvable.
+        If the overlap ``N`` the rank decision drops fails its certificate
+        ``||A N||_F <= eq_abs ||A||``; see :func:`is_compatible`.
     """
     return _Geometry(weight, span, tol).projection
 

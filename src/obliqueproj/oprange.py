@@ -34,7 +34,6 @@ from .linalg import (
     Subspace,
     Tolerance,
     _agree,
-    _apart,
     _cached,
     _equal,
     _frobenius,
@@ -245,8 +244,7 @@ class RangeSpaceProjection:
         # whose sine lies under the cutoff of intersect(), and those past its
         # columns.  Read off the geometry's SVD of C, not off a residual.
         g = self.geometry
-        apart = _apart(g.cross_sines, g.tol)
-        return complement(Subspace(g.weight.rank, g.cross_left[:, :apart])).basis
+        return complement(Subspace(g.weight.rank, g.cross_left[:, : g.kept])).basis
 
     @_cached
     def complement_density(self) -> bool:
@@ -293,7 +291,8 @@ class RangeSpaceProjection:
 def is_chart_extendable(weight: PsdOperator, operator, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether an ambient operator extends to the chart: it maps N(A) into N(A).
 
-    The other extension condition, ``R(B^T A^{1/2}) ⊆ R(A^{1/2})``, holds
+    Decided by ``||P_R(A) B V_0||_F <= eq_abs ||B||_F``, with ``V_0`` the
+    basis of N(A), so that ``c B`` reads as ``B`` at every scale ``c``.  The other extension condition, ``R(B^T A^{1/2}) ⊆ R(A^{1/2})``, holds
     for every operator in finite dimension and is not evaluated.
     """
     b = as_matrix(operator, rows=weight.dim, cols=weight.dim)
@@ -301,9 +300,11 @@ def is_chart_extendable(weight: PsdOperator, operator, tol: Tolerance = DEFAULT_
 
 
 def _extendable(weight: PsdOperator, b: np.ndarray, tol: Tolerance) -> np.ndarray:
-    # The test of is_chart_extendable() on each operator of an (m, n, n) stack.
-    image_of_null = b @ weight.null_subspace.basis
-    return _within(_frobenius(weight.range_proj @ image_of_null), 1.0 + _frobenius(image_of_null), tol)
+    # The test of is_chart_extendable() on each operator of an (m, n, n)
+    # stack: ||P_R(A) B V_0|| held to ||B||, so that it reads alike at every
+    # scale of B.
+    image_of_null = weight.range_proj @ (b @ weight.null_subspace.basis)
+    return _within(_frobenius(image_of_null), _frobenius(b), tol)
 
 
 def chart_extension(

@@ -34,6 +34,7 @@ from .linalg import (
     _frobenius,
     _norm,
     _norms,
+    _operator_norm,
     _within,
     complement,
     intersect,
@@ -143,15 +144,17 @@ def _witness_minimal_norm(rng: np.random.Generator, weight: PsdOperator, tol: To
 def _spline_agrees_normal_equations(rng: np.random.Generator, geometry: oblique._Geometry) -> dict:
     # The interpolants x - P x of 20 sampled x, read off the pair geometry,
     # against the normal-equation solve on the weight's square root, whose
-    # factorizations are made once.  The seminorm's sign rule is applied to
-    # the samples in draw order, so NotPsd names the first negative form, as
-    # a loop over the samples would, not the least.
+    # factorizations are made once.  The seminorm's sign rule, anchored at
+    # λ_1 ||x||^2 for each form, is applied to the samples in draw order, so
+    # NotPsd names the first negative form, as a loop over the samples
+    # would, not the least.
     weight, span, tol = geometry.weight, geometry.span, geometry.tol
     normal_equations = interpolant._normal_equations(weight.sqrt, span, tol)
     x = rng.normal(size=(20, weight.dim, 1))
     direct = x - geometry.apply(x)
-    forms = (direct.transpose(0, 2, 1) @ (weight.base @ direct))[:, 0, 0]
-    _clip_sign(forms, tol, interpolant._NEGATIVE_FORM, first=True)
+    rows = direct.transpose(0, 2, 1)
+    forms, anchors = (rows @ (weight.base @ direct))[:, 0, 0], _operator_norm(weight) * (rows @ direct)[:, 0, 0]
+    _clip_sign(forms, tol, interpolant._NEGATIVE_FORM, first=True, anchor=anchors)
     worst = float(np.max(_frobenius(direct - normal_equations.solve(x)) / (1.0 + _frobenius(x))))
     return _record("spline_agrees_normal_equations", _within(worst, 1.0, tol), worst)
 

@@ -14,7 +14,9 @@ and on the pseudoinverse construction, and every exception raised, by type
 and message.
 Floats other than decisions are left out, so a change that moves only
 roundoff dumps the same file.  ``--compare`` prints every record that
-differs between two dumps and exits 1 if any does.  To compare two
+differs between two dumps, then how many differ in each set and in each
+set and field (a decision, a flag of one, or a battery record), and exits
+1 if any does.  To compare two
 checkouts, copy this file into the ``tests/`` of each and dump both.
 
 ``--cli-out`` writes the CLI's bytes instead: every invocation of one
@@ -39,7 +41,10 @@ The sets, all at fixed seeds:
 - ``exact``: the integer pairs of ``tests/exact.py``, whose every decision
   has an exact answer: the 300 benign pairs of ``tests/test_exact.py``
   (``default_rng(0)``), then 200 adversarial pairs at each p in {2, 4, 6, 8}
-  (``default_rng([1503, p])``).
+  (``default_rng([1503, p])``);
+- ``kernel``: ``support.make_kernel_pair`` at each (width, m) of
+  ``KERNELS``, 20 random spans of dimension m/4 (``default_rng(0)`` for each
+  case), then the cubic polynomials as a control (105).
 
 Not collected by pytest: the full dump takes about a minute.
 """
@@ -77,6 +82,7 @@ from obliqueproj.report import identity_battery  # noqa: E402
 from exact import integer_family  # noqa: E402
 from support import (  # noqa: E402
     make_ill_conditioned_pair,
+    make_kernel_pair,
     make_near_null_pair,
     make_pair,
     make_psd,
@@ -84,6 +90,7 @@ from support import (  # noqa: E402
 )
 
 SCALES = (1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9)
+KERNELS = ((0.2, 32), (0.2, 64), (0.2, 128), (0.05, 64), (0.05, 128))
 CLI_SEEDS = range(4)
 CLI_SIZES = (8, 64)
 
@@ -124,12 +131,20 @@ def _exact():
             yield lambda a=a, span=span: (PsdOperator.from_matrix(a), subspace_from_span(span)), Tolerance()
 
 
+def _kernel():
+    for width, m in KERNELS:
+        rng = np.random.default_rng(0)
+        for polynomial in [False] * 20 + [True]:
+            yield lambda w=width, m=m, r=rng, p=polynomial: make_kernel_pair(r, w, m, p), Tolerance()
+
+
 SETS = {
     "acceptance": _acceptance,
     "scaled": _scaled,
     "ill": lambda: _family(make_ill_conditioned_pair, 1501, (1e-12, 1e-10, 1e-7, 1e-4)),
     "near": lambda: _family(make_near_null_pair, 1502, (1e-10, 1e-7, 1e-4, 1e-2)),
     "exact": _exact,
+    "kernel": _kernel,
 }
 
 
@@ -202,17 +217,42 @@ def records():
             yield {"set": name, "index": index, **record}
 
 
+def _moved(left, right) -> list[str]:
+    # The fields that differ between two records of one pair: each decision,
+    # by flag for the dict ones and by record name for the battery.
+    moved = []
+    for key in sorted(left.keys() | right.keys()):
+        x, y = left.get(key), right.get(key)
+        if x == y:
+            continue
+        if isinstance(x, dict) and isinstance(y, dict) and "raised" not in x and "raised" not in y:
+            moved += [f"{key}.{flag}" for flag in sorted(x.keys() | y.keys()) if x.get(flag) != y.get(flag)]
+        elif key == "battery" and isinstance(x, list) and isinstance(y, list):
+            moved += sorted({f"battery.{r[0]}" for r in set(map(tuple, x)) ^ set(map(tuple, y))})
+        else:
+            moved.append(key)
+    return moved
+
+
 def compare(a: str, b: str) -> int:
     def load(path):
         with open(path) as fh:
             return {(r["set"], r["index"]): r for r in map(json.loads, fh)}
 
     left, right = load(a), load(b)
-    differ = 0
+    by_set = {name: 0 for name in dict.fromkeys(key[0] for key in sorted(left.keys() | right.keys(), key=str))}
+    by_field: dict[tuple[str, str], int] = {}
     for key in sorted(left.keys() | right.keys()):
         if left.get(key) != right.get(key):
-            differ += 1
+            by_set[key[0]] += 1
+            for field in _moved(left.get(key) or {}, right.get(key) or {}):
+                by_field[key[0], field] = by_field.get((key[0], field), 0) + 1
             print(f"{key[0]}[{key[1]}]:\n  {a}: {left.get(key)}\n  {b}: {right.get(key)}")
+    differ = sum(by_set.values())
+    if differ:
+        print("records that differ, by set: " + ", ".join(f"{name} {count}" for name, count in by_set.items()))
+        for (name, field), count in sorted(by_field.items()):
+            print(f"  {name} {field}: {count}")
     print(f"{len(left)} and {len(right)} records, {differ} differ")
     return 1 if differ else 0
 

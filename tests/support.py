@@ -116,6 +116,18 @@ def make_covariance_pair(kind, m, j):
     return PsdOperator.from_matrix(kernels[kind]() / m), Subspace(m, np.eye(m, j))
 
 
+def make_kernel_pair(rng, width, m, polynomial=False):
+    """A Gaussian-kernel Gram weight ``exp(-((s - t)/width)^2)`` at
+    ``t = linspace(0, 1, m)``, whose eigenvalues decay faster than
+    exponentially and straddle the rank cutoff at moderate m, with S the
+    span of ``m // 4`` standard normal columns drawn from ``rng``, or, with
+    ``polynomial``, the cubic polynomials ``np.vander(t, 4)``."""
+    t = np.linspace(0.0, 1.0, m)
+    weight = PsdOperator.from_matrix(np.exp(-(((t[:, None] - t[None, :]) / width) ** 2)))
+    columns = np.vander(t, 4) if polynomial else rng.normal(size=(m, m // 4))
+    return weight, subspace_from_span(columns)
+
+
 def projection_by_frame(weight, span, tol=DEFAULT_TOL):
     """The coupling ``a^+ b`` and the minimal projection ``B_S (B_S^T + D B_perp^T)``
     in the frame of S and its complement from :func:`complement` (Householder
@@ -386,28 +398,29 @@ def diagnostics_by_subspaces(weight, span, tol=DEFAULT_TOL):
 def flag3_and_sum_check_by_svds(weight, span, tol=DEFAULT_TOL):
     """Chain flag 3 and ``sum_check`` of ``compatibility_diagnostics`` from
     the basis ``K`` of ``N(C^T Λ)`` alone: the nullspace of ``K^T Λ`` from a
-    complete SVD, and the rank of ``[C, K]`` from a values-only one."""
+    complete SVD, and the rank of ``[U_ρ, K]`` from a values-only one, with
+    ``U_ρ`` the basis of ``R(C)`` at the pair's rank ρ."""
     geometry = oblique._Geometry(weight, span, tol)
     n, r = weight.dim, weight.rank
     lam = weight.eigvals[:r]
-    kept = _rank_from_values(geometry.cross_sines, tol, scale=1.0)
-    projected = Subspace(r, geometry.cross_left[:, :kept])
+    projected = Subspace(r, geometry.cross_left[:, : geometry.kept])
     coupled = geometry.split[1]
     pulled = nullspace_of(coupled.T * lam, tol, scale=_operator_norm(weight))
-    spread = numerical_rank(np.hstack([geometry.cross, coupled]), tol)
+    spread = numerical_rank(np.hstack([projected.basis, coupled]), tol)
     return _equal(pulled, projected, n, tol), (n - r) + spread == n
 
 
 def rank_of_y_c(weight, span, tol=DEFAULT_TOL):
-    """``rank(Y^T C)`` and ρ, with ``Y`` the basis of ``R(Λ C)`` from the
-    split of R^r: the values-only SVD ``sum_check`` was read from, with the
-    cutoff relative to 1.  ``compatibility_diagnostics`` reports the theorem
-    that the two are equal."""
+    """``rank(Y^T U_ρ)`` and ρ, with ``Y`` the basis of ``R(Λ C)`` from the
+    split of R^r and ``U_ρ`` that of ``R(C)`` at the pair's rank ρ: the
+    values-only SVD ``sum_check`` was read from, with the cutoff relative
+    to 1.  ``compatibility_diagnostics`` reports the theorem that the two
+    are equal, as ``σ_min(Y^T U_ρ) >= λ_r / λ_1 >= rank_rel``."""
     geometry = oblique._Geometry(weight, span, tol)
     image = geometry.split[0]
     if not image.size:
         return 0, 0
-    values = np.linalg.svd(image.T @ geometry.cross, compute_uv=False)
+    values = np.linalg.svd(image.T @ geometry.cross_left[:, : geometry.kept], compute_uv=False)
     return _rank_from_values(values, tol, scale=1.0), image.shape[1]
 
 
@@ -419,8 +432,7 @@ def shift_rechecks_by_inclusion(weight, span, tol=DEFAULT_TOL):
     holds."""
     geometry = oblique._Geometry(weight, span, tol)
     lam = weight.eigvals[: weight.rank]
-    kept = _rank_from_values(geometry.cross_sines, tol, scale=1.0)
-    projected = Subspace(weight.rank, geometry.cross_left[:, :kept])
+    projected = Subspace(weight.rank, geometry.cross_left[:, : geometry.kept])
     rows = projected.basis.T * lam
     return range_inclusion(rows @ complement(projected).basis, rows @ projected.basis, tol)
 

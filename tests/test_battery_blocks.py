@@ -26,6 +26,7 @@ and the same ``NotPsd`` message, naming the first negative form drawn.
 """
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -259,11 +260,14 @@ def test_family_checks_match_loop(cases):
             if isinstance(got[0], tuple):
                 raised.append(label)
     assert "n=64 overlap" in overlapping
-    assert raised == ["dropped eigenvalue"] * 2
+    # The coarse "dropped eigenvalue" pair raised NotExtendable while its P
+    # was built from a second rank decision; P is now the projection of the
+    # weight the library decided, and every member extends.
+    assert raised == []
 
 
 def test_spline_check_matches_loop(cases):
-    # At seeds 0 and 3 the c = 1e6 pair of spline_pairs() has several
+    # At seeds 0 and 3 the forged pair of spline_pairs() has several
     # quadratic forms under the sign cutoff, the least of them not the first
     # drawn: NotPsd names the first, as the loop's seminorm does.
     raised = []
@@ -274,7 +278,7 @@ def test_spline_check_matches_loop(cases):
             assert_same(got, outcome(spline_agrees_normal_equations_by_loop, seed, geometry), 0.0)
             if isinstance(got[0], tuple):
                 raised.append((label, got[0][0]))
-    assert raised == [("c=1e6", NotPsd)] * 2
+    assert raised == [("forged", NotPsd)] * 2
 
 
 def test_norm_minimality_splits_its_stack(cases, monkeypatch):
@@ -296,17 +300,17 @@ def test_norm_minimality_splits_its_stack(cases, monkeypatch):
 
 def spline_pairs():
     """(label, weight, span): the first 40 pairs of the acceptance battery's
-    generator, and pair 20 of ``make_pair(default_rng(0))`` at c = 1e6, on
-    which the battery's per-sample seminorm raises NotPsd."""
+    generator, and pair 0 of ``make_pair(default_rng(0))`` with its matrix
+    forged to ``-A``, as ``test_interpolant.py`` forges an indefinite
+    weight, on which the battery's per-sample seminorm raises NotPsd."""
     rng = np.random.default_rng(20260809)  # tests/test_acceptance.py's SEED
     out = []
     for i in range(40):
         n = int(rng.integers(2, 9))
         rank, k = int(rng.integers(0, n + 1)), int(rng.integers(0, n + 1))
         out.append((f"acceptance {i}", make_psd(rng, n, rank), make_subspace(rng, n, k)))
-    rng = np.random.default_rng(0)
-    weight, span = [make_pair(rng) for _ in range(21)][20]
-    out.append(("c=1e6", PsdOperator.from_matrix(1e6 * weight.base), span))
+    weight, span = make_pair(np.random.default_rng(0))
+    out.append(("forged", dataclasses.replace(weight, base=-weight.base), span))
     return out
 
 
@@ -361,7 +365,7 @@ def test_spline_samples_read_the_battery_geometry(monkeypatch):
         else:
             (record,) = [r for r in records if r["name"] == "spline_agrees_normal_equations"]
             assert record == loop
-    assert raised == [("c=1e6", NotPsd)]
+    assert raised == [("forged", NotPsd)]
 
 
 def test_spline_samples_take_one_call_each(monkeypatch):

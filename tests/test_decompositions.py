@@ -100,10 +100,11 @@ def pair():
 def test_weighted_projection_budget(pair, counted):
     weight, span, _ = pair
     weighted_projection(weight, span)
-    assert counted.factorizations("svd") <= 3
+    # C, and M = Λ^{1/2} U_ρ for the shift; the split is one raw QR of Λ U_ρ
+    assert counted.factorizations("svd") == 2
     assert counted["eigh"] == []
     assert (N, N) not in counted["svd"]
-    # P = B_S (B_S^T + a^+ (B_S^T A - a B_S^T)) needs no basis of S^perp
+    # P = B_S (B_S^T + G_ρ^+ Λ^{1/2} V_r^T - W_ρ W_ρ^T B_S^T) needs no basis of S^perp
     assert qr_of_n_rows(counted) == []
 
 
@@ -144,14 +145,15 @@ def test_compatibility_diagnostics_budget(pair, counted, formed):
     # shows the QR counter sees the library's calls
     assert qr_of_n_rows(counted) == [("raw", (N, span.dim))]
     assert [shape for mode, shape in qr_of_n_rows(counted) if mode == "complete"] == []
-    # nor any other complement basis: the shifted-pair re-checks are
-    # theorems and solve no inclusion in R^r
-    assert formed == []
+    # nor any other complement basis but K, the split's complement of
+    # R(Λ U_ρ) in R^r: the shifted-pair re-checks are theorems and solve no
+    # inclusion in R^r
+    assert formed == [weight.rank]
     # no n x n input, which also rules out spectral_norm(A)
     assert (N, N) not in counted["svd"]
-    # C, a^+ and C^T Λ; flags 2 and 4, the sum check and both re-checks
-    # hold by construction
-    assert counted.factorizations("svd") == 3
+    # C and M = Λ^{1/2} U_ρ; flags 2, 4, 5 and 6, the sum check and both
+    # re-checks hold by construction
+    assert counted.factorizations("svd") == 2
     k, r = span.dim, weight.rank
     rho = N - report.preimage_of_complement.dim  # dim A(S); N(A) ⊕ V_r K has N - ρ
     assert 0 < rho < r
@@ -161,11 +163,13 @@ def test_compatibility_diagnostics_budget(pair, counted, formed):
     assert (r - rho, r) not in counted["svd"]
     assert (r, k + r - rho) not in counted["svd"]
     assert (rho, k) not in counted["svd"]
-    # flag 3 takes one reduced QR of Λ^{-1} Y, which has r rows
+    # the split takes one raw QR of Λ U_ρ, and flag 3 one reduced QR of
+    # Λ^{-1} Y; both have r rows
+    assert ("raw", (r, rho)) in counted["qr"]
     assert ("reduced", (r, rho)) in counted["qr"]
     # the counter sees a complement basis the library forms
     linalg.complement(span)
-    assert formed == [N]
+    assert formed == [weight.rank, N]
 
 
 def test_compatibility_diagnostics_evaluates_no_chart_image(pair, monkeypatch):
@@ -200,8 +204,8 @@ def test_spline_with_weight_reuses_the_eigendecomposition(pair, counted):
     result = spline_with_weight(weight, span, x)
     assert result.freedom.dim == N // 8
     assert counted["eigh"] == []
-    # a^+ and the overlap; no projection, nullspace or split of R^r
-    assert counted.factorizations("svd") <= 2
+    # C and M = Λ^{1/2} U_ρ; no projection, nullspace or split of R^r
+    assert counted.factorizations("svd") == 2
     assert qr_of_n_rows(counted) == []
 
 
@@ -238,22 +242,22 @@ def test_identity_battery_budget(pair, counted):
     weight, span, _ = pair
     assert all(check["pass"] for check in identity_battery(weight, span))
     assert counted["eigh"] == []
-    assert counted.factorizations("svd") == 118
+    assert counted.factorizations("svd") == 117
     # N(P), ||P||, P_S A P_S once, A^{1/2} P_S and N(A^{1/2})
     assert counted["svd"].count((N, N)) == 5
     # norm_minimality takes the spectral norms of its 100 family members
     # from one stacked values-only call.
-    assert len(counted["svd"]) == 19
+    assert len(counted["svd"]) == 18
     assert (100, N, N) in counted.values_only
     # hermitian_tests_agree takes its 100 null spaces from one stacked
     # reduced QR, with no SVD and no rank rule.  The only other QR of N-row
     # input is the raw one of B_S, whose reflectors give both S^perp (the
     # sampled projections and family members) and the diagnostics'
-    # coupling; the other four act on r = rank A rows (r = n - r here, so
+    # coupling; the other five act on r = rank A rows (r = n - r here, so
     # this includes the reflectors of V_0^T N in N(A)), among them the
-    # diagnostics' reduced QR for flag 3.
+    # split's raw QR of Λ U_ρ and the diagnostics' reduced QR for flag 3.
     assert qr_of_n_rows(counted) == [("raw", (N, span.dim)), ("reduced", (100, N, N - span.dim))]
-    assert len(counted["qr"]) == 6
+    assert len(counted["qr"]) == 7
     assert all(shape[-2] == weight.rank for mode, shape in counted["qr"] if shape[-2] != N)
 
 
@@ -276,8 +280,8 @@ def test_identity_battery_budget_without_overlap(counted, monkeypatch):
     assert all(check["pass"] for check in records.values())
     assert records["trivial_overlap_split"]["applicable"]
     assert of_image.count(True) == 1
-    # 18 in the battery and one in make_overlapping_pair's subspace load
-    assert counted.factorizations("svd") == 19
+    # 17 in the battery and one in make_overlapping_pair's subspace load
+    assert counted.factorizations("svd") == 18
 
 
 def test_identity_battery_builds_one_chart(pair, monkeypatch):
@@ -399,7 +403,7 @@ def test_cli_oprange_decomposes_the_pair_once(workloads, tmp_path, counted):
 
 def test_cli_project_block_splits_the_pair_once(workloads, tmp_path, counted):
     # The block projection and the Hermitian check read A^{-1}(S^perp) off
-    # one pair geometry, so C^T Λ is split once.
+    # one pair geometry, so R^r is split once.
     round_ = workloads._make_round(np.random.default_rng(0), tmp_path, "count", 64)
     (argv,) = [inv.argv for inv in round_.invocations if inv.stage == "project"]
     assert argv[argv.index("--formula") + 1] == "block"
@@ -407,12 +411,12 @@ def test_cli_project_block_splits_the_pair_once(workloads, tmp_path, counted):
         calls.clear()
     assert cli.main(argv) == 0
     assert counted["eigh"] == [(64, 64)]
-    # the subspace load, C, a^+ and C^T Λ; the pinv agreement check's
+    # the subspace load, C and M = Λ^{1/2} U_ρ; the pinv agreement check's
     # pseudoinverse, which reads the overlap off the geometry and, as it
     # compares matrices only, certifies no nullspace
-    assert counted.factorizations("svd") == 5
+    assert counted.factorizations("svd") == 4
     dim_s, rank = 64 // 3, 64 // 2
-    assert counted["svd"].count((dim_s, rank)) == 1
+    assert counted["svd"].count((rank, dim_s)) == 1
     assert counted["svd"].count((64, 64)) == 1  # the pseudoinverse of P A P
 
 
@@ -427,11 +431,11 @@ def test_cli_project_pinv_reads_the_overlap_off_the_geometry(workloads, tmp_path
         calls.clear()
     assert cli.main(argv) == 0
     assert counted["eigh"] == [(64, 64)]
-    # the subspace load, C, a^+ and C^T Λ; the pseudoinverse of P A P and
-    # the nullspace of the result
-    assert counted.factorizations("svd") == 6
+    # the subspace load, C and M = Λ^{1/2} U_ρ; the pseudoinverse of P A P
+    # and the nullspace of the result
+    assert counted.factorizations("svd") == 5
     dim_s, rank = 64 // 3, 64 // 2
-    assert counted["svd"].count((dim_s, rank)) == 1
+    assert counted["svd"].count((rank, dim_s)) == 1
     assert counted["svd"].count((64, 64)) == 2
 
 
@@ -447,9 +451,9 @@ def test_cli_project_invertible_certifies_only_its_own_nullspace(workloads, tmp_
     assert cli.main(argv) == 0
     assert counted["eigh"] == [(64, 64)]
     # the subspace load, the nullspace of the closed formula's matrix, then
-    # C (r = n), a^+ and C^T Λ, and the pseudoinverse of P A P
+    # C (r = n), M = Λ^{1/2} U_ρ (ρ = dim S) and the pseudoinverse of P A P
     dim_s = 64 // 3
-    assert counted["svd"] == [(64, dim_s), (64, 64), (64, dim_s), (dim_s, dim_s), (dim_s, 64), (64, 64)]
+    assert counted["svd"] == [(64, dim_s), (64, 64), (64, dim_s), (64, dim_s), (64, 64)]
 
 
 def test_cli_project_invertible_on_a_singular_weight_decomposes_no_pair(workloads, tmp_path, counted):

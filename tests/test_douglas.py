@@ -13,7 +13,7 @@ from obliqueproj import (
     subspace_from_span,
     contains,
 )
-from obliqueproj import DEFAULT_TOL, douglas
+
 from support import column_space_contained, min_lambda_by_pencil
 
 
@@ -50,18 +50,6 @@ class TestRangeInclusion:
             outside = rng.normal(size=(a.shape[0], 1))
             expected = column_space_contained(outside, a)
             assert range_inclusion(outside, a) == expected
-
-    def test_the_residual_test_takes_the_callers_anchor(self):
-        # ||(I - A A^+) B|| = 1e-6: over eq_abs ||B|| by default, under
-        # eq_abs times an anchor of 1e3, and the verdict gates the same way
-        a, b = np.diag([1.0, 0.0]), np.array([[1.0], [1e-6]])
-        d, residual, feasible = douglas._solve(a, b, DEFAULT_TOL, gate=False)
-        assert residual == pytest.approx(1e-6) and not feasible
-        assert douglas._solve(a, b, DEFAULT_TOL, gate=False, anchor=1e3)[1:] == (residual, True)
-        anchored = douglas._checked(a, d, b, DEFAULT_TOL, gate=True, anchor=1e3)
-        assert anchored[1:] == (residual, True) and anchored[0] is d
-        with pytest.raises(NoSolution):
-            douglas._checked(a, d, b, DEFAULT_TOL, gate=True, anchor=1.0)
 
 
 class TestReducedSolution:

@@ -47,6 +47,18 @@ class TestSeminorm:
         with pytest.raises(NotPsd):
             seminorm(forged, [1.0, 0.0])
 
+    @pytest.mark.parametrize("c", 10.0 ** np.arange(-9, 10))
+    def test_sign_rule_reads_alike_at_every_scale(self, c):
+        # The form's anchor is λ_1 ||x||^2: a form of -5e-11 λ_1 ||x||^2 is
+        # roundoff and clips at every scale, and a negative form of the
+        # size of the weight is refused at every scale.
+        weight = PsdOperator.from_matrix(c * np.diag([1.0, 0.0]))
+        roundoff = dataclasses.replace(weight, base=c * np.diag([1.0, -5e-11]))
+        assert seminorm(roundoff, [0.0, 2.0]) == 0.0
+        forged = dataclasses.replace(weight, base=c * np.diag([1.0, -1.0]))
+        with pytest.raises(NotPsd):
+            seminorm(forged, [0.0, 2.0])
+
 
 class TestSpline:
     def test_identity_factor_is_least_squares(self):

@@ -253,6 +253,18 @@ class TestChartExtension:
         with pytest.raises(NotExtendable):
             chart_extension(weight, b)
 
+    @pytest.mark.parametrize("c", 10.0 ** np.arange(-9, 10, 3))
+    def test_not_extendable_at_every_scale(self, c):
+        # B maps N(A) = span(e_2) into R(A) = span(e_1), and c B does so at
+        # every scale: the residual ||P_R(A) c B V_0|| is held to ||c B||,
+        # not to 1 + ||c B V_0||, which let c B through at c = 1e-9.
+        weight = PsdOperator.from_matrix(np.diag([1.0, 0.0]))
+        b = np.array([[1.0, 1.0], [0.0, 1.0]])
+        assert not is_chart_extendable(weight, c * b)
+        with pytest.raises(NotExtendable):
+            chart_extension(weight, c * b)
+        assert is_chart_extendable(weight, c * np.array([[1.0, 0.0], [1.0, 1.0]]))
+
     def test_extension_contract(self):
         rng = np.random.default_rng(60)
         for _ in range(20):

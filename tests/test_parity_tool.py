@@ -53,6 +53,9 @@ def test_a_differing_record_is_named(parity, tmp_path, capsys):
     assert "'shifted_pair_compatible': False" in out and "'shifted_pair_compatible': True" in out
     assert "acceptance[0]" not in out
     assert out.endswith("2 and 2 records, 1 differ\n")
+    # then the count by set, and by set and field
+    assert "records that differ, by set: acceptance 0, ill 1\n" in out
+    assert "  ill diagnostics.shifted_pair_compatible: 1\n" in out
 
 
 def test_a_missing_record_differs(parity, tmp_path, capsys):

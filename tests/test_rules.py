@@ -4,8 +4,9 @@ Every tolerance decision goes through one of the four rule functions of
 ``obliqueproj.linalg`` (rank, angle, residual, sign; see ``Tolerance``), so
 a later change of anchors or a trace of the decisions has one place to act.
 Three checks keep it so, a fourth keeps one home for each pair
-decomposition, a fifth keeps the dispatch of small calls down, and three
-more keep one home for a rule or a factor that several modules read:
+decomposition, a fifth keeps the dispatch of small calls down, three more
+keep one home for a rule or a factor that several modules read, and a
+ninth keeps one rank decision per pair:
 
 - outside ``linalg.py`` no module reads a threshold field of a
   ``Tolerance`` (``eq_abs``, ``rank_rel``, ``psd_neg``); the one exception
@@ -33,7 +34,12 @@ more keep one home for a rule or a factor that several modules read:
   applies the residual rule, so Douglas' feasibility test of ``A X = B``,
   which decides the compatibility of a pair, has one home;
 - ``oprange.py`` takes no square root: ``Λ^{1/2}`` is the cached field
-  ``PsdOperator._root``, which ``PsdOperator.sqrt`` reads too.
+  ``PsdOperator._root``, which ``PsdOperator.sqrt`` reads too;
+- ``oblique.py`` imports neither ``douglas`` nor the rank rule
+  (``_rank_from_values``, ``_ranked_svd``), and the pair record
+  ``_Geometry`` decides one rank, by the angle rule ``_apart`` on the sines
+  of C, and takes two guarded SVDs: C's and that of ``Λ^{1/2} U_ρ``, which
+  has full column rank.
 
 The CLI ``douglas`` check ``lambda_matches_norm_sq`` compares with a
 literal ``1e-6``, not a tolerance field, so the first check does not see
@@ -283,3 +289,42 @@ def test_oprange_takes_no_square_root():
         "weight.sqrt @ x\n"
     )
     assert square_roots(planted) == [1, 2, 3, 4]
+
+
+RANK_RULES = {"_rank_from_values", "_ranked_svd"}
+
+
+def pair_rank_decisions(tree: ast.Module) -> tuple[set[str], list[str]]:
+    """The names a parsed ``oblique.py`` imports of ``douglas`` and of the
+    rank rule, and the calls inside ``_Geometry`` that decide a rank, take
+    a guarded SVD or solve through ``douglas``, in source order."""
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    (geometry,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Geometry"]
+    decisions = [
+        name
+        for node in ast.walk(geometry)
+        if isinstance(node, ast.Call)
+        for name in [ast.unparse(node.func)]
+        if name in RANK_RULES | {"_apart", "_svd"} or name.startswith("douglas.")
+    ]
+    return imported & (RANK_RULES | {"douglas"}), decisions
+
+
+def test_the_pair_record_takes_one_rank_decision():
+    imported, decisions = pair_rank_decisions(parsed("oblique.py"))
+    assert imported == set()
+    assert sorted(decisions) == ["_apart", "_svd", "_svd"]
+    # the walk sees an import of douglas or of the rank rule, and a rank or
+    # a solve decided inside the pair record, but not outside it
+    planted = ast.parse(
+        "from . import douglas\n"
+        "from .linalg import _apart, _ranked_svd\n"
+        "class _Geometry:\n"
+        "    def split(self):\n"
+        "        return _ranked_svd(self.cross, self.tol)\n"
+        "    def shift(self):\n"
+        "        return douglas._solve(a, gap, self.tol, gate=False)\n"
+        "def outside(m, tol):\n"
+        "    return _rank_from_values(m, tol)\n"
+    )
+    assert pair_rank_decisions(planted) == ({"douglas", "_ranked_svd"}, ["_ranked_svd", "douglas._solve"])
