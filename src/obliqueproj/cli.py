@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, douglas, interpolant, io, oblique, oprange
 from .errors import DimensionMismatch, Error, PreconditionError
-from .linalg import PsdOperator, Subspace, Tolerance, _agree, _norm
+from .linalg import PsdOperator, Subspace, Tolerance, _agree, _norm, _within
 from .report import identity_battery
 
 EXIT_OK = 0
@@ -205,7 +205,7 @@ def _run_interpolate(job: JobSpec) -> tuple[dict, dict, dict]:
         "unique": bool(result.unique),
         "freedom": io.subspace_to_obj(result.freedom),
     }
-    checks = {"matches_normal_equations": bool(_agree(gap, job.tol))}
+    checks = {"matches_normal_equations": bool(_within(gap, 1.0 + _norm(x), job.tol))}
     return results, checks, loaded
 
 

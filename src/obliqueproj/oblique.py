@@ -204,11 +204,13 @@ class _Geometry:
       between S and N(A)), ``kept``, the pair's one rank decision
       ``ρ = dim A S`` by the angle rule on those sines, and ``overlap``,
       ``N = S ∩ N(A) = B_S W_N`` from the dropped part;
+    - ``root_svd``, the reduced SVD of ``Λ^{1/2} U_ρ`` (full column rank),
+      whose left factor is the chart image ``R(Λ^{1/2} C_ρ)`` of ``A^{1/2} S``;
     - ``shift``, ``a^+ (B_S^T A - a B_S^T)`` for ``a = B_S^T A B_S``, from
       the kept part ``C_ρ = U_ρ Σ_ρ W_ρ^T`` in square-root form:
       ``G_ρ^+ Λ^{1/2} V_r^T - W_ρ W_ρ^T B_S^T``, ``G_ρ = Λ^{1/2} C_ρ``,
-      through one SVD of ``Λ^{1/2} U_ρ``; None when ``||A N||_F`` fails its
-      certificate ``eq_abs ||A||``;
+      through ``root_svd``; None when ``||A N||_F`` fails its certificate
+      ``eq_abs ||A||``;
     - ``split``, ``R(Λ C_ρ)`` and its complement in R^r, from one QR of
       ``Λ U_ρ`` with no cutoff, and ``preimage``, ``A^{-1}(S^perp)``;
     - ``projection``, the minimal projection with its certified nullspace,
@@ -275,12 +277,16 @@ class _Geometry:
                 return None
         # a^+ (B_S^T A - a B_S^T) = G_ρ^+ Λ^{1/2} V_r^T - W_ρ W_ρ^T B_S^T for
         # G = Λ^{1/2} C cut to G_ρ = M Σ_ρ W_ρ^T, M = Λ^{1/2} U_ρ: so G_ρ^+ =
-        # W_ρ Σ_ρ^{-1} M^+, and M^+ = Z s^{-1} Q^T from M's reduced SVD, as M
-        # is r x ρ with σ_min >= sqrt(λ_r) > 0 and has no rank to decide.
-        q, s, zt = _svd(weight._root[:, None] * self.cross_left[:, :rho])
+        # W_ρ Σ_ρ^{-1} M^+, and M^+ = Z s^{-1} Q^T from M's reduced SVD.
+        q, s, zt = self.root_svd
         wt = vt[:rho]
         solve = (zt.T / (sines[:rho, None] * s)) @ (q.T * weight._root)
         return wt.T @ (solve @ weight.eigvecs[:, :r].T - wt @ bs.T)
+
+    @_cached
+    def root_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # M = Λ^{1/2} U_ρ is r x ρ with σ_min >= sqrt(λ_r) > 0: no rank to decide.
+        return _svd(self.weight._root[:, None] * self.cross_left[:, : self.kept])
 
     @_cached
     def split(self) -> tuple[np.ndarray, np.ndarray]:

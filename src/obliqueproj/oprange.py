@@ -13,12 +13,13 @@ compatible exactly when that one projection behaves well.
 :class:`RangeSpaceProjection` is it, built once per pair from the pair
 geometry of :mod:`~obliqueproj.oblique`, and every range-space identity is
 one of its fields, computed on first read: ``range_image`` (the chart image
-of ``A^{1/2} S``, which only this module computes), ``extension_matches``
-(the extension of the weighted projection *is* the chart projection),
-``projected_range`` (the chart projection maps R(A) onto ``A S`` exactly
-when the pair is compatible), ``induced``, ``complement_density`` and
-``decompositions``.  The extensions of ambient operators that leave the
-weight's nullspace invariant live in the chart too (:func:`chart_extension`).
+of ``A^{1/2} S``, read off the pair record's one rank decision),
+``extension_matches`` (the extension of the weighted projection *is* the
+chart projection), ``projected_range`` (the chart projection maps R(A)
+onto ``A S`` exactly when the pair is compatible), ``induced``,
+``complement_density`` and ``decompositions``.  The extensions of ambient
+operators that leave the weight's nullspace invariant live in the chart
+too (:func:`chart_extension`).
 """
 
 from __future__ import annotations
@@ -140,23 +141,18 @@ def unchart(weight: PsdOperator, coords) -> np.ndarray:
     return weight.sqrt @ (chart_basis(weight) @ coords)
 
 
-def _sqrt_image(weight: PsdOperator, cross: np.ndarray, tol: Tolerance) -> Subspace:
-    # A^{1/2} S = V_r R(Λ^{1/2} C), held in the coordinates of V_r; the rank
-    # cutoff is anchored at ||A^{1/2}|| = sqrt(λ_1).
-    root = weight._root
-    return subspace_from_span(root[:, None] * cross, tol, scale=float(root[0]) if root.size else 0.0)
-
-
 @dataclass(frozen=True)
 class RangeSpaceProjection:
     """The orthogonal projection, in the chart, onto the image of a subspace.
 
     Holds one pair geometry and computes every field on first read.  With
-    ``C = V_r^T B_S``, ``range_image`` is the chart image ``R(Λ^{1/2} C)`` of
-    ``A^{1/2} S`` (rank cutoff anchored at ``sqrt(λ_1)``); ``coord_matrix``
-    is its projector, symmetric idempotent (orthogonality in the range space
-    equals symmetry in the witness chart); ``null_image`` is its
-    orthocomplement, the chart image of ``S^perp ∩ R(A^{1/2})``.
+    ``C_ρ = U_ρ Σ_ρ W_ρ^T`` the part of ``C = V_r^T B_S`` that the pair's one
+    rank decision keeps, ``range_image`` is the chart image
+    ``R(Λ^{1/2} C_ρ)`` of ``A^{1/2} S``, read off the geometry's SVD of
+    ``Λ^{1/2} U_ρ``; ``coord_matrix`` is its projector, symmetric
+    idempotent (orthogonality in the range space equals symmetry in the
+    witness chart); ``null_image`` is its orthocomplement, the chart image
+    of ``S^perp ∩ R(A^{1/2})``.
     ``weight_image`` is ``A S`` in R^n, from the columns of ``A B_S`` (rank
     cutoff anchored at ``λ_1``).
     """
@@ -169,7 +165,7 @@ class RangeSpaceProjection:
 
     @_cached
     def range_image(self) -> Subspace:
-        return _sqrt_image(self.weight, self.geometry.cross, self.geometry.tol)
+        return Subspace(self.weight.rank, self.geometry.root_svd[0])
 
     @_cached
     def coord_matrix(self) -> np.ndarray:
@@ -342,7 +338,7 @@ def range_space_projection(
 
     Exists for every pair, compatible or not.  Builds the pair geometry,
     which decomposes nothing until a field is read: ``range_image`` takes
-    one SVD, of ``Λ^{1/2} C``.
+    the two SVDs the weighted projection takes, of ``C`` and ``Λ^{1/2} U_ρ``.
     """
     return RangeSpaceProjection(_Geometry(weight, span, tol))
 

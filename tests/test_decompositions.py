@@ -15,6 +15,7 @@ import pytest
 
 import obliqueproj
 from obliqueproj import (
+    DEFAULT_TOL,
     PsdOperator,
     block_decompose,
     linalg,
@@ -172,21 +173,16 @@ def test_compatibility_diagnostics_budget(pair, counted, formed):
     assert formed == [weight.rank, N]
 
 
-def test_compatibility_diagnostics_evaluates_no_chart_image(pair, monkeypatch):
-    images = []
-    sqrt_image = oprange._sqrt_image
-
-    def counting_sqrt_image(*args):
-        images.append(args)
-        return sqrt_image(*args)
-
-    monkeypatch.setattr(oprange, "_sqrt_image", counting_sqrt_image)
+def test_compatibility_diagnostics_evaluates_no_chart_image(pair, counted):
+    # The chart image of A^{1/2} S takes no SVD of its own: the diagnostics
+    # take C's and that of M = Λ^{1/2} U_ρ, whose left factor it is, and a
+    # chart read on the same pair record takes none.
     weight, span, _ = pair
-    compatibility_diagnostics(weight, span)
-    assert images == []
-    # the counter sees the chart's own read
-    oprange.range_space_projection(weight, span).range_image
-    assert len(images) == 1
+    geometry = oblique._Geometry(weight, span, DEFAULT_TOL)
+    rho = N - geometry.diagnostics().preimage_of_complement.dim
+    assert counted["svd"] == [(weight.rank, span.dim), (weight.rank, rho)]
+    assert oprange.RangeSpaceProjection(geometry).range_image.dim == rho
+    assert len(counted["svd"]) == 2
 
 
 def test_is_weight_hermitian_reads_the_eigenvectors(pair, counted):
@@ -242,12 +238,12 @@ def test_identity_battery_budget(pair, counted):
     weight, span, _ = pair
     assert all(check["pass"] for check in identity_battery(weight, span))
     assert counted["eigh"] == []
-    assert counted.factorizations("svd") == 117
+    assert counted.factorizations("svd") == 116
     # N(P), ||P||, P_S A P_S once, A^{1/2} P_S and N(A^{1/2})
     assert counted["svd"].count((N, N)) == 5
     # norm_minimality takes the spectral norms of its 100 family members
     # from one stacked values-only call.
-    assert len(counted["svd"]) == 18
+    assert len(counted["svd"]) == 17
     assert (100, N, N) in counted.values_only
     # hermitian_tests_agree takes its 100 null spaces from one stacked
     # reduced QR, with no SVD and no rank rule.  The only other QR of N-row
@@ -280,30 +276,27 @@ def test_identity_battery_budget_without_overlap(counted, monkeypatch):
     assert all(check["pass"] for check in records.values())
     assert records["trivial_overlap_split"]["applicable"]
     assert of_image.count(True) == 1
-    # 17 in the battery and one in make_overlapping_pair's subspace load
-    assert counted.factorizations("svd") == 18
+    # 16 in the battery and one in make_overlapping_pair's subspace load
+    assert counted.factorizations("svd") == 17
 
 
-def test_identity_battery_builds_one_chart(pair, monkeypatch):
+def test_identity_battery_builds_one_chart(pair, counted, monkeypatch):
     # One pair geometry for the battery, read by the 20 spline samples as by
     # every other check; one chart image of A^{1/2} S, read by every chart
-    # identity.
-    builds = {"geometry": 0, "sqrt_image": 0}
-    geometry, sqrt_image = oblique._Geometry, oprange._sqrt_image
+    # identity off the record's SVD of Λ^{1/2} U_ρ, so C's is the one SVD of
+    # an (r, dim S) input: Λ^{1/2} C is not decomposed.
+    builds = []
+    geometry = oblique._Geometry
 
     def counting_geometry(*args):
-        builds["geometry"] += 1
+        builds.append(args)
         return geometry(*args)
 
-    def counting_sqrt_image(*args):
-        builds["sqrt_image"] += 1
-        return sqrt_image(*args)
-
     monkeypatch.setattr(oblique, "_Geometry", counting_geometry)
-    monkeypatch.setattr(oprange, "_sqrt_image", counting_sqrt_image)
     weight, span, _ = pair
     assert all(check["pass"] for check in identity_battery(weight, span))
-    assert builds == {"geometry": 1, "sqrt_image": 1}
+    assert len(builds) == 1
+    assert counted["svd"].count((weight.rank, span.dim)) == 1
 
 
 @pytest.fixture
@@ -377,12 +370,14 @@ def test_each_cli_pair_command_builds_one_geometry(workloads, tmp_path, builds, 
     assert len(builds) == 1
 
 
-def test_chart_image_takes_one_svd(pair, counted):
-    # The chart image of A^{1/2} S reads C alone: neither the SVD of C nor
-    # a^+ is taken for it.
+def test_chart_image_reads_the_pair_records_two_svds(pair, counted):
+    # The chart image of A^{1/2} S is the left factor of the SVD of
+    # Λ^{1/2} U_ρ that the shift reads too, after C's, which decides ρ; it
+    # takes no rank of its own.
     weight, span, _ = pair
-    range_space_projection(weight, span).range_image
-    assert counted["svd"] == [(weight.rank, span.dim)]
+    image = range_space_projection(weight, span).range_image
+    assert counted["svd"] == [(weight.rank, span.dim), (weight.rank, image.dim)]
+    assert image.dim == span.dim - degenerate_overlap(weight, span).dim
     assert counted["eigh"] == [] and counted["qr"] == []
 
 
@@ -395,7 +390,10 @@ def test_cli_oprange_decomposes_the_pair_once(workloads, tmp_path, counted):
         calls.clear()  # making the inputs decomposes too
     assert cli.main(argv) == 0
     assert counted["eigh"] == [(64, 64)]
-    assert counted.factorizations("svd") <= 9
+    # the subspace load, C, M = Λ^{1/2} U_ρ (the chart image and the shift),
+    # and the checks' own evaluations: the projected range, S^perp ∩ R(A)
+    # in the chart and its sum with the image
+    assert counted.factorizations("svd") == 6
     # the subspace load is the only SVD of a 64-row input
     assert [shape for shape in counted["svd"] if shape[0] == 64] == [(64, 64 // 3)]
     assert qr_of_n_rows(counted, 64) == []

@@ -4,17 +4,27 @@ The pair record decides the dimension of S's image in R(A) once, by the
 angle rule on the sines of ``C = V_r^T B_S``, and derives the overlap, the
 split of R^r and the coupling from that one decision.  So whenever
 ``weighted_projection`` returns, its range and its certified nullspace
-have dimensions that add up to n.  Checked on the hard families of
-``tests/parity.py``, with the same generators and seeds: ``ill`` and
-``near`` at each ``rank_rel``, and the benign and adversarial integer pairs
-of ``exact``.
+have dimensions that add up to n, and the chart image of ``A^{1/2} S``,
+read off the same record, has dimension ``dim S - dim N``.  Checked on
+the hard families of ``tests/parity.py``, with the same generators and
+seeds: ``ill`` and ``near`` at each ``rank_rel``, and the benign and
+adversarial integer pairs of ``exact``.
 """
 
 import numpy as np
 import pytest
 
 from exact import integer_family
-from obliqueproj import Incompatible, NotPsd, PsdOperator, Tolerance, subspace_from_span, weighted_projection
+from obliqueproj import (
+    Incompatible,
+    NotPsd,
+    PsdOperator,
+    Tolerance,
+    degenerate_overlap,
+    range_space_projection,
+    subspace_from_span,
+    weighted_projection,
+)
 from support import make_ill_conditioned_pair, make_near_null_pair
 
 
@@ -57,3 +67,13 @@ def test_projection_dimensions_add_up(name):
         returned += 1
         off += projection.range.dim + projection.nullspace.dim != weight.dim
     assert returned > 250 and off == 0
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_chart_image_has_the_pairs_dimension(name):
+    pairs = off = 0
+    for weight, span, tol in FAMILIES[name]():
+        pairs += 1
+        image = range_space_projection(weight, span, tol).range_image
+        off += image.dim + degenerate_overlap(weight, span, tol).dim != span.dim
+    assert pairs > 250 and off == 0

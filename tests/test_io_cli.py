@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from obliqueproj import cli, io, subspace_from_span
+from support import make_overlapping_pair
 
 # Floats at the edges of repr and of json's NaN/Infinity spelling, and numpy
 # scalars, which json renders with float.__repr__ as well.
@@ -236,6 +237,18 @@ class TestCommands:
         assert doc["results"]["minimizer"]["data"] == [-1.0, 1.0]
         assert doc["results"]["value"] == pytest.approx(0.0, abs=1e-12)
         assert doc["checks"]["matches_normal_equations"] is True
+
+    def test_interpolate_check_is_anchored_at_x(self, tmp_path, capsys):
+        # At n = 64 with x of norm near 1e9, the spline and its normal-equation
+        # oracle differ by about 2e-6 of roundoff: past an absolute bound, but
+        # within eq_abs (1 + ||x||), the battery's bound for the same identity.
+        rng = np.random.default_rng(0)
+        weight, span = make_overlapping_pair(rng, 64, 32, 21, 8)
+        a = write(tmp_path / "a.json", io.matrix_to_obj(weight.base))
+        s = write(tmp_path / "s.json", io.subspace_to_obj(span))
+        x = write(tmp_path / "x.json", io.matrix_to_obj(1e8 * rng.normal(size=(64, 1))))
+        assert cli.main(["interpolate", "--input-a", a, "--input-s", s, "--input-x", x]) == 0
+        assert json.loads(capsys.readouterr().out)["checks"]["matches_normal_equations"] is True
 
     def test_oprange(self, fixtures, capsys):
         tmp, p = fixtures

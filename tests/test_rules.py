@@ -6,7 +6,7 @@ a later change of anchors or a trace of the decisions has one place to act.
 Three checks keep it so, a fourth keeps one home for each pair
 decomposition, a fifth keeps the dispatch of small calls down, three more
 keep one home for a rule or a factor that several modules read, and a
-ninth keeps one rank decision per pair:
+ninth and a tenth keep one rank decision per pair:
 
 - outside ``linalg.py`` no module reads a threshold field of a
   ``Tolerance`` (``eq_abs``, ``rank_rel``, ``psd_neg``); the one exception
@@ -39,7 +39,11 @@ ninth keeps one rank decision per pair:
   (``_rank_from_values``, ``_ranked_svd``), and the pair record
   ``_Geometry`` decides one rank, by the angle rule ``_apart`` on the sines
   of C, and takes two guarded SVDs: C's and that of ``Λ^{1/2} U_ρ``, which
-  has full column rank.
+  has full column rank.  They also give the shift, and the chart image of
+  ``A^{1/2} S`` is the left factor of the second;
+- outside ``oblique.py`` no module reads the pair record's raw ``cross``,
+  ``C = V_r^T B_S``, so no chart quantity takes a rank of C beside the
+  record's.
 
 The CLI ``douglas`` check ``lambda_matches_norm_sq`` compares with a
 literal ``1e-6``, not a tolerance field, so the first check does not see
@@ -328,3 +332,26 @@ def test_the_pair_record_takes_one_rank_decision():
         "    return _rank_from_values(m, tol)\n"
     )
     assert pair_rank_decisions(planted) == ({"douglas", "_ranked_svd"}, ["_ranked_svd", "douglas._solve"])
+
+
+def raw_cross_reads(tree: ast.Module) -> list[int]:
+    """The lines of a parsed module that read an attribute ``cross``, the
+    pair record's raw ``C = V_r^T B_S``."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "cross")
+
+
+def test_no_module_but_oblique_reads_the_raw_cross():
+    reads = {
+        path.name: raw_cross_reads(parsed(path.name))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "oblique.py"
+    }
+    assert {name: lines for name, lines in reads.items() if lines} == {}
+    # the record reads it for its own SVD, and the walk sees a read of C
+    # itself but not one of the factors of its SVD
+    assert raw_cross_reads(parsed("oblique.py"))
+    planted = ast.parse(
+        "subspace_from_span(root[:, None] * self.geometry.cross, tol)\n"
+        "Subspace(g.weight.rank, g.cross_left[:, : g.kept])\n"
+    )
+    assert raw_cross_reads(planted) == [1]
